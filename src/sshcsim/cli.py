@@ -18,9 +18,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .circuit import conduction_threshold, full_swing_supported
-from .compare import harvest_report, sweep_ct_ratio, sweep_storage_voltage
+from .circuit import conduction_threshold
+from .compare import harvest_report, sweep_ct_ratio, sweep_storage_voltage, write_reports_csv
 from .config import ConfigError, ResolvedConfig, parse_config
+from .csvout import fmt, write_csv
 from .flip import (
     FlipRatios,
     closed_form_efficiency,
@@ -31,10 +32,6 @@ from .flip import (
 )
 from .svg import line_chart
 from .transient import extract_efficiency_trajectory, run, write_flip_events_csv
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
 
 
 class _Emitter:
@@ -64,13 +61,6 @@ class _Emitter:
         return manifest_path
 
 
-def _write_table(path: str, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def _resolve(args: argparse.Namespace) -> ResolvedConfig:
     overrides: Dict[str, str] = {}
     for item in args.set or []:
@@ -96,23 +86,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     series = flip_efficiency_series(ratios, v0, cfg.n_cycles)
     emitter = _Emitter(args.out_dir)
 
-    _write_table(
+    values = []
+    for n, (eta, vt) in enumerate(zip(series.efficiencies, series.vt_trajectory), start=1):
+        values += (n, eta, vt, closed_form_efficiency(ratios, n))
+    write_csv(
         emitter.path("flip_series.csv"),
         ["n", "efficiency", "vt_V", "closed_form"],
-        (
-            [str(n + 1), _fmt(eta), _fmt(vt), _fmt(closed_form_efficiency(ratios, n + 1))]
-            for n, (eta, vt) in enumerate(zip(series.efficiencies, series.vt_trajectory))
-        ),
+        "dggg",
+        [("", values)],
     )
-    _write_table(
-        emitter.path("summary.csv"),
-        ["key", "value"],
-        [
-            ["steady_state_efficiency", _fmt(series.limit)],
-            ["optimal_single_flip_ct_F", _fmt(optimal_single_flip_ct(cfg.cap_cp))],
-            ["cycles_to_99pct_of_limit", str(cycles_to_converge(ratios, 0.99))],
-        ],
-    )
+    summary = [
+        "steady_state_efficiency", fmt(series.limit),
+        "optimal_single_flip_ct_F", fmt(optimal_single_flip_ct(cfg.cap_cp)),
+        "cycles_to_99pct_of_limit", cycles_to_converge(ratios, 0.99),
+    ]
+    write_csv(emitter.path("summary.csv"), ["key", "value"], "ss", [("", summary)])
     if args.svg:
         n_axis = list(range(1, cfg.n_cycles + 1))
         line_chart(
@@ -129,14 +117,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    sim_cfg = cfg.sim_config()
-    if sim_cfg.sshc is not None and not full_swing_supported(sim_cfg.src, sim_cfg.stage):
-        print(
-            "warning: open-circuit swing below twice the conduction threshold; "
-            "flips will start from a reduced voltage",
-            file=sys.stderr,
-        )
-    result = run(sim_cfg)
+    result = run(cfg.sim_config())
     emitter = _Emitter(args.out_dir)
     result.waveform.write_csv(emitter.path("waveform.csv"))
     write_flip_events_csv(result.events, emitter.path("flip_events.csv"))
@@ -201,20 +182,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     baseline = harvest_report(src, stage, 0.0)
     sshc = harvest_report(src, stage, eta)
     emitter = _Emitter(args.out_dir)
-    _write_table(
-        emitter.path("compare.csv"),
-        ["mode", "q_gen_C", "q_wasted_C", "q_harvested_C", "power_W", "eta"],
-        (
-            [
-                mode,
-                _fmt(r.q_generated_halfcycle),
-                _fmt(r.q_wasted_halfcycle),
-                _fmt(r.q_harvested_halfcycle),
-                _fmt(r.power_out),
-                _fmt(r.flip_efficiency_used),
-            ]
-            for mode, r in (("full_bridge", baseline), ("sshc", sshc))
-        ),
+    write_reports_csv(
+        emitter.path("compare.csv"), "mode", "s", ["full_bridge", "sshc"], [baseline, sshc]
     )
     emitter.write_manifest("compare", cfg.echo())
     return 0

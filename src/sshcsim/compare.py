@@ -10,11 +10,11 @@ C_P*V0*(1-eta); the passive bridge (eta = 0, no flip) wastes the full
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
 from .circuit import FixedVoltage, PiezoSource, RectifierStage, conduction_threshold
+from .csvout import write_csv
 from .flip import FlipRatios, steady_state_efficiency
 
 
@@ -33,36 +33,36 @@ class SweepResult:
     reports: Tuple[HarvestReport, ...]
 
     def write_csv(self, out: Union[str, IO[str]]) -> None:
-        rows = (
-            [
-                _fmt(x),
-                _fmt(r.q_generated_halfcycle),
-                _fmt(r.q_wasted_halfcycle),
-                _fmt(r.q_harvested_halfcycle),
-                _fmt(r.power_out),
-                _fmt(r.flip_efficiency_used),
-            ]
-            for x, r in zip(self.axis_values, self.reports)
+        write_reports_csv(out, "axis", "g", self.axis_values, self.reports)
+
+
+def write_reports_csv(
+    out: Union[str, IO[str]],
+    label: str,
+    label_kind: str,
+    labels: Sequence,
+    reports: Sequence[HarvestReport],
+) -> None:
+    """One row per report: its label (kind as in csvout.write_csv), then the
+    charge budget, power and flip efficiency."""
+    values = [
+        x
+        for name, r in zip(labels, reports)
+        for x in (
+            name,
+            r.q_generated_halfcycle,
+            r.q_wasted_halfcycle,
+            r.q_harvested_halfcycle,
+            r.power_out,
+            r.flip_efficiency_used,
         )
-        _write_rows(
-            out,
-            ["axis", "q_gen_C", "q_wasted_C", "q_harvested_C", "power_W", "eta"],
-            rows,
-        )
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
-def _write_rows(out: Union[str, IO[str]], header: Sequence[str], rows) -> None:
-    if isinstance(out, str):
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            _write_rows(fh, header, rows)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    ]
+    write_csv(
+        out,
+        [label, "q_gen_C", "q_wasted_C", "q_harvested_C", "power_W", "eta"],
+        label_kind + "ggggg",
+        [("", values)],
+    )
 
 
 def harvest_report(src: PiezoSource, stage: RectifierStage, eta: float) -> HarvestReport:

@@ -1,7 +1,8 @@
 """Flat key=value config files with engineering unit suffixes.
 
 Values accept an optional SI prefix and unit, e.g. ``10nF``, ``50uA``,
-``100Hz``, ``2.0V``, ``1e-6s``, ``inf``. ``cap_ct`` additionally accepts the
+``100Hz``, ``2.0V``, ``1e-6s``. Every resolved number must be finite, except
+``res_rp = inf``, which means no leakage. ``cap_ct`` additionally accepts the
 ratio shorthand ``Nx`` meaning N times ``cap_cp``. Command-line overrides win
 over file keys, which win over the documented defaults.
 """
@@ -234,11 +235,15 @@ def parse_config(
     if n_cycles < 1:
         raise ConfigError("n_cycles", "must be >= 1")
 
+    res_rp = parse_quantity(raw["res_rp"], "res_rp")
+    if res_rp != math.inf:  # inf is the documented "no leakage" value
+        _positive(res_rp, "res_rp")
+
     resolved = ResolvedConfig(
         amplitude_ip=_positive(parse_quantity(raw["amplitude_ip"], "amplitude_ip"), "amplitude_ip"),
         frequency=frequency,
         cap_cp=cap_cp,
-        res_rp=_positive(parse_quantity(raw["res_rp"], "res_rp"), "res_rp"),
+        res_rp=res_rp,
         diode_drop_vd=_non_negative(parse_quantity(raw["diode_drop_vd"], "diode_drop_vd"), "diode_drop_vd"),
         storage_vs=_non_negative(parse_quantity(raw["storage_vs"], "storage_vs"), "storage_vs"),
         storage_cs=storage_cs,
@@ -254,13 +259,19 @@ def parse_config(
     return resolved
 
 
+def _finite(value: float, key: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {value!r}")
+    return value
+
+
 def _positive(value: float, key: str) -> float:
-    if not value > 0:
+    if not _finite(value, key) > 0:
         raise ConfigError(key, f"must be > 0, got {value!r}")
     return value
 
 
 def _non_negative(value: float, key: str) -> float:
-    if value < 0:
+    if _finite(value, key) < 0:
         raise ConfigError(key, f"must be >= 0, got {value!r}")
     return value

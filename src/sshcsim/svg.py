@@ -1,13 +1,24 @@
-"""Minimal deterministic SVG line charts. CSV is the data contract; these
-plots exist for quick visual inspection only."""
+"""Minimal deterministic SVG line charts. CSV is the full-resolution data
+contract; these plots exist for quick visual inspection only.
+
+A series is drawn from a per-pixel min/max envelope: its points are grouped by
+the pixel column of the 680-px plot width they fall in, and each column keeps
+its first, lowest, highest and last point, in order. The drawn line has the
+same extremes in every column as the full series, at no more than four points
+per column. A series with at most four points in every column is drawn point
+for point.
+"""
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 _WIDTH = 800
 _HEIGHT = 480
 _MARGIN = 60
+_PLOT_WIDTH = _WIDTH - 2 * _MARGIN  # pixel columns of the plot area
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
@@ -23,22 +34,28 @@ def line_chart(
     xlabel: str = "",
     ylabel: str = "",
 ) -> None:
-    if not x:
+    x = np.asarray(x, dtype=np.float64)
+    if x.size == 0:
         raise ValueError("x must be non-empty")
-    x_min, x_max = min(x), max(x)
-    all_y = [v for ys in series.values() for v in ys]
-    if not all_y:
+    ys_all = {name: np.asarray(ys, dtype=np.float64) for name, ys in series.items()}
+    all_y = np.concatenate([np.empty(0), *ys_all.values()])
+    if all_y.size == 0:
         raise ValueError("series must be non-empty")
-    y_min, y_max = min(all_y), max(all_y)
+    x_min, x_max = float(x.min()), float(x.max())
+    y_min, y_max = float(all_y.min()), float(all_y.max())
     if x_max == x_min:
         x_max = x_min + 1.0
     if y_max == y_min:
         y_max = y_min + 1.0
 
-    def sx(v: float) -> float:
-        return _MARGIN + (v - x_min) / (x_max - x_min) * (_WIDTH - 2 * _MARGIN)
+    # Keep the operation order of a per-point scalar transform, so every
+    # coordinate written is the one a point-by-point rendering would write.
+    offset = (x - x_min) / (x_max - x_min) * _PLOT_WIDTH
+    px = _MARGIN + offset
+    column = np.minimum(offset.astype(np.int64), _PLOT_WIDTH - 1)
+    starts = np.flatnonzero(np.diff(column, prepend=-1))
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _HEIGHT - _MARGIN - (v - y_min) / (y_max - y_min) * (_HEIGHT - 2 * _MARGIN)
 
     parts = [
@@ -83,9 +100,11 @@ def line_chart(
         f'<text x="{_MARGIN - 4}" y="{_MARGIN + 4}" text-anchor="end" '
         f'font-family="sans-serif" font-size="10">{_fmt(y_max)}</text>'
     )
-    for idx, (name, ys) in enumerate(series.items()):
+    for idx, (name, ys) in enumerate(ys_all.items()):
         color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(f"{sx(xi):.2f},{sy(yi):.2f}" for xi, yi in zip(x, ys))
+        keep = _envelope(ys, starts)
+        xy = np.column_stack((px[keep], sy(ys[keep]))).ravel().tolist()
+        points = " ".join(["%.2f,%.2f"] * len(keep)) % tuple(xy)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"/>'
         )
@@ -96,3 +115,31 @@ def line_chart(
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def _envelope(ys: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Indices of the points to draw: per run of points in one pixel column
+    (runs begin at `starts`), its first, lowest, highest and last point, in
+    index order; every index when no column holds more than four points."""
+    n = len(ys)
+    index = np.arange(n)
+    ends = np.append(starts[1:], n)
+    counts = ends - starts
+    if counts.max() <= 4:
+        return index
+    # First index of each column's minimum and maximum: mask the points equal
+    # to their column's extreme, then take the smallest masked index. A NaN
+    # extreme matches no point, so its column keeps its last point instead.
+    last = ends - 1
+    lowest = np.minimum.reduceat(
+        np.where(ys == np.repeat(np.minimum.reduceat(ys, starts), counts), index, n), starts
+    )
+    highest = np.minimum.reduceat(
+        np.where(ys == np.repeat(np.maximum.reduceat(ys, starts), counts), index, n), starts
+    )
+    picks = np.sort(
+        np.column_stack((starts, np.minimum(lowest, last), np.minimum(highest, last), last)), axis=1
+    )
+    fresh = np.ones(picks.shape, dtype=bool)
+    fresh[:, 1:] = picks[:, 1:] != picks[:, :-1]
+    return picks[fresh]

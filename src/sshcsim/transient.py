@@ -10,12 +10,11 @@ boundaries so the flip staircase is visible on the timeline.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,7 +27,11 @@ from .circuit import (
     conduction_threshold,
     full_swing_supported,
 )
+from .csvout import fmt, write_csv
 from .flip import charge_share
+
+_TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
+_CHUNK = 4096  # waveform rows formatted per CSV step
 
 
 class Phase(enum.Enum):
@@ -139,29 +142,42 @@ class ChargeLedger:
 
 @dataclass
 class Waveform:
-    """Sampled trajectory; uniform dt plus extra samples at phase boundaries."""
+    """Sampled trajectory; uniform dt plus extra samples at phase boundaries.
 
-    t: List[float]
-    vpt: List[float]
-    vt: List[float]
-    vs: List[float]
-    phase: List[str]
+    t, vpt, vt and vs are float64 arrays of equal length; phase holds the
+    matching phase tokens (Idle, PhiP, Phi0, PhiN) as a '<U4' array.
+    """
+
+    t: np.ndarray
+    vpt: np.ndarray
+    vt: np.ndarray
+    vs: np.ndarray
+    phase: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def samples(self):
-        return zip(self.t, self.vpt, self.vt, self.vs, self.phase)
-
     def write_csv(self, out: Union[str, IO[str]]) -> None:
-        _write_rows(
-            out,
-            ["t_s", "vpt_V", "vt_V", "vs_V", "phase"],
-            (
-                [_fmt(t), _fmt(v), _fmt(w), _fmt(s), p]
-                for t, v, w, s, p in self.samples()
-            ),
-        )
+        write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], "gg", self._csv_blocks())
+
+    def _csv_blocks(self) -> Iterator[Tuple[str, list]]:
+        """(t, vpt) pairs in blocks of rows that share vt, vs and phase.
+
+        Between flips those three columns do not change, so each run of equal
+        values is formatted once, as the tail of its block. The columns are
+        read _CHUNK rows at a time, so no whole-column copy is made.
+        """
+        for start in range(0, len(self), _CHUNK):
+            stop = min(start + _CHUNK, len(self))
+            vt = self.vt[start:stop]
+            vs = self.vs[start:stop]
+            phase = self.phase[start:stop]
+            changed = np.ones(stop - start, dtype=bool)
+            changed[1:] = (vt[1:] != vt[:-1]) | (vs[1:] != vs[:-1]) | (phase[1:] != phase[:-1])
+            bounds = np.flatnonzero(changed).tolist() + [stop - start]
+            pairs = np.column_stack((self.t[start:stop], self.vpt[start:stop])).ravel().tolist()
+            for a, b in zip(bounds, bounds[1:]):
+                yield f"{fmt(vt[a])},{fmt(vs[a])},{phase[a]}", pairs[2 * a : 2 * b]
 
 
 @dataclass
@@ -173,28 +189,12 @@ class RunResult:
     initial_state: CircuitState
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
-def _write_rows(out: Union[str, IO[str]], header: Sequence[str], rows) -> None:
-    if isinstance(out, str):
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            _write_rows(fh, header, rows)
-        return
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def write_flip_events_csv(events: Sequence[FlipEvent], out: Union[str, IO[str]]) -> None:
-    _write_rows(
-        out,
-        ["cycle", "t_s", "v_before_V", "v_after_V", "efficiency"],
-        (
-            [str(e.cycle_index), _fmt(e.t), _fmt(e.v_before), _fmt(e.v_after), _fmt(e.efficiency)]
-            for e in events
-        ),
+    values = [
+        x for e in events for x in (e.cycle_index, e.t, e.v_before, e.v_after, e.efficiency)
+    ]
+    write_csv(
+        out, ["cycle", "t_s", "v_before_V", "v_after_V", "efficiency"], "dgggg", [("", values)]
     )
 
 
@@ -317,29 +317,48 @@ def step(
 
 
 class _WaveformBuilder:
+    """Collects samples as numpy segments and joins them once in build().
+
+    Integration segments arrive as arrays. The few single samples (the initial
+    state and the switch phases) are buffered as rows and become a segment
+    when the next array segment arrives.
+    """
+
+    _DTYPES = (np.float64, np.float64, np.float64, np.float64, _TOKEN)  # t, vpt, vt, vs, phase
+
     def __init__(self):
-        self.t: List[float] = []
-        self.vpt: List[float] = []
-        self.vt: List[float] = []
-        self.vs: List[float] = []
-        self.phase: List[str] = []
+        self._columns: Tuple[List[np.ndarray], ...] = tuple([] for _ in self._DTYPES)
+        self._rows: List[Tuple[float, float, float, float, str]] = []
 
     def add(self, state: CircuitState) -> None:
-        self.t.append(state.t)
-        self.vpt.append(state.vpt)
-        self.vt.append(state.vt)
-        self.vs.append(state.vs)
-        self.phase.append(state.phase.value)
+        self._rows.append((state.t, state.vpt, state.vt, state.vs, state.phase.value))
 
-    def add_arrays(self, t, vpt, vt: float, vs: float) -> None:
-        self.t.extend(t.tolist())
-        self.vpt.extend(vpt.tolist())
-        self.vt.extend([vt] * len(t))
-        self.vs.extend([vs] * len(t))
-        self.phase.extend([Phase.IDLE.value] * len(t))
+    def add_arrays(self, t: np.ndarray, vpt: np.ndarray, vt: float, vs) -> None:
+        """An Idle segment; vs is a float, or an array like t."""
+        self._flush()
+        shape = t.shape
+        self._append(
+            t, vpt, np.full(shape, vt), np.full(shape, vs), np.full(shape, Phase.IDLE.value, _TOKEN)
+        )
+
+    def _flush(self) -> None:
+        if self._rows:
+            self._append(*(np.array(c, dtype) for c, dtype in zip(zip(*self._rows), self._DTYPES)))
+            self._rows = []
+
+    def _append(self, *segment: np.ndarray) -> None:
+        for column, part in zip(self._columns, segment):
+            column.append(part)
 
     def build(self) -> Waveform:
-        return Waveform(self.t, self.vpt, self.vt, self.vs, self.phase)
+        self._flush()
+        joined = []
+        for parts in self._columns:
+            # Release each column's segments as soon as it is joined, so the
+            # peak is the waveform plus one column of segments.
+            joined.append(np.concatenate(parts))
+            parts.clear()
+        return Waveform(*joined)
 
 
 def _integrate_segment(
@@ -358,10 +377,16 @@ def _integrate_segment(
         cfg.stage.storage, FixedVoltage
     )
     if not fast:
+        # Stepping leaves vt and the Idle phase as they are; only t, vpt and
+        # vs change per sample.
+        t, vpt, vs = [], [], []
         while state.t < t_end - 1e-15 * t_end:
             h = min(cfg.dt, t_end - state.t)
             state = step(state, cfg, ledger, dt=h)
-            wf.add(state)
+            t.append(state.t)
+            vpt.append(state.vpt)
+            vs.append(state.vs)
+        wf.add_arrays(np.array(t), np.array(vpt), state.vt, np.array(vs))
         return state
 
     src = cfg.src

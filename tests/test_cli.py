@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from sshcsim import WeakExcitationWarning
 from sshcsim.cli import main
 from sshcsim.config import ConfigError, parse_config, parse_quantity
 
@@ -66,6 +67,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(overrides={"dt": "-1e-6"})
         assert "dt" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("amplitude_ip", "inf"),
+            ("cap_cp", "inf"),
+            ("amplitude_ip", "NaN"),
+            ("diode_drop_vd", "NaN"),
+            ("cap_ct", "infx"),
+        ],
+    )
+    def test_non_finite_value_named(self, key, value):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(overrides={key: value})
+        assert exc.value.key == key
+
+    def test_infinite_leakage_resistance_allowed(self):
+        assert math.isinf(parse_config(overrides={"res_rp": "inf"}).res_rp)
 
     def test_echo_round_trips(self):
         cfg = parse_config(overrides={"cap_ct": "3x", "frequency": "217Hz"})
@@ -201,6 +220,19 @@ class TestManifestAndErrors:
         code = main(["simulate", "--set", "dt=-1", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "error: config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["amplitude_ip", "cap_cp"])
+    def test_infinite_value_exit_code(self, tmp_path, capsys, key):
+        code = main(["simulate", "--cycles", "1", "--set", f"{key}=inf", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_weak_excitation_warns_once(self, tmp_path, capsys):
+        argv = ["simulate", "--cycles", "1", "--set", "amplitude_ip=1uA", "--out-dir", str(tmp_path)]
+        with pytest.warns(WeakExcitationWarning) as record:
+            assert main(argv) == 0
+        assert len(record) == 1
+        assert "swing" not in capsys.readouterr().err
 
     def test_unknown_key_exit_code(self, tmp_path):
         assert main(["analyze", "--set", "bogus=1", "--out-dir", str(tmp_path)]) == 2

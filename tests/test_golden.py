@@ -1,0 +1,94 @@
+"""Byte-identity of every CSV the CLI writes, and of the small SVG charts.
+
+The digests were taken from the per-module writers that the shared CSV writer
+replaced; any change to the 12-significant-digit serialization, the row order
+or the schemas shows up here as a digest mismatch.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from sshcsim.cli import main
+
+GOLDEN = {
+    "default": (
+        ["simulate", "--cycles", "2"],
+        {
+            "waveform.csv": "87c1d9c611f9227770dc051d05375fb90214080a714a1cd4438351e3ecc26bbe",
+            "flip_events.csv": "47d6c63bc465daffa5720eda1807989bdffc437b9291de7247d0c3c9c39253c8",
+        },
+    ),
+    "full_bridge": (
+        ["simulate", "--cycles", "2", "--full-bridge"],
+        {
+            "waveform.csv": "8699ebf7d408c52311b449c51e20bebcb611ca319bebaf935892ac823c821afb",
+            "flip_events.csv": "a65e41f46a6a40ce99fe2a101f98bd85586252514d0fc341cd92c3c9cfe0280d",
+        },
+    ),
+    "leaky": (
+        ["simulate", "--cycles", "2", "--set", "res_rp=10Mohm"],
+        {
+            "waveform.csv": "de884cb86f8429590204c178c8a4b0e1597a8018037418e74175f89f4cad0fe8",
+            "flip_events.csv": "b7dddc5d79996fbdc770db4ffe5e2b2204af3637c72431171ca27ae1dcbda0df",
+        },
+    ),
+    "finite_storage": (
+        ["simulate", "--cycles", "2", "--set", "storage_cs=1uF"],
+        {
+            "waveform.csv": "28ff934e8d4de989c002ac527c774b734abf2ecee848a7e1f5382dd978789ef9",
+            "flip_events.csv": "495e2936c6d87a8959e8a6b82ffbba5385dfd1b819f7b48159699981832bc52b",
+        },
+    ),
+    "analyze": (
+        ["analyze", "--ct-ratio", "3", "--cycles", "40", "--svg"],
+        {
+            "flip_series.csv": "66c0874d6bae3d7d85d2c7d8dfc00e34bdee7b8d75fab7c3031fb3295851579d",
+            "summary.csv": "b213b757f41efb27aeeafcadb781f235bef14d1b8e006501a025b6e84cd32b46",
+            "flip_series.svg": "61ef66789438abec3a72203328bb9579badd87f66fba5696b6f15834c583a4d4",
+        },
+    ),
+    "analyze_500_cycles": (
+        ["analyze", "--ct-ratio", "100", "--cycles", "500", "--svg"],
+        {
+            "flip_series.csv": "ad856dac51de20c9c579362ad28bdd012770210a6a2bba139208a87c5baae950",
+            "summary.csv": "33a30ce5a3ad8ce4ba408dc3873696bc31a1eca6ef9c865193963c440ec2b910",
+            "flip_series.svg": "d95909455fb2eef6b4a0ad0f4b1f0d50094d2ad053005122caf6640a40fb4668",
+        },
+    ),
+    "sweep_ct": (
+        ["sweep", "--axis", "ct", "--min", "0.1", "--max", "100", "--points", "25", "--svg"],
+        {
+            "sweep_ct.csv": "a6cd41841102c935869862dd29dbde1efd653914d60af24a580dcb2cab07de00",
+            "sweep_ct.svg": "a38d71dd64d51e3a10f7b816966cfddda794fab7dbd03d9662f3ad2c1be53736",
+        },
+    ),
+    "sweep_vs": (
+        ["sweep", "--axis", "vs", "--min", "0", "--max", "10", "--points", "25", "--svg"],
+        {
+            "sweep_vs.csv": "528874b39a5778640ccb25ae43f2b0002b41e70dfe8a864cb3744a33774369c5",
+            "sweep_vs.svg": "cd69c339a6c6bd3831f81ecd13a39490847962192e51fae26eef4c91c75883a2",
+        },
+    ),
+    "compare": (
+        ["compare", "--ct-ratio", "2"],
+        {
+            "compare.csv": "2377671ab1b100b0f5964ea17b1beee5de238b9c728bb36b3d5560932245cee0",
+        },
+    ),
+}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_byte_identical(case, tmp_path):
+    argv, digests = GOLDEN[case]
+    out = str(tmp_path)
+    assert main(argv + ["--out-dir", out]) == 0
+    for name, expected in digests.items():
+        assert _sha256(os.path.join(out, name)) == expected, name

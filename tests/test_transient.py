@@ -310,6 +310,26 @@ class TestCsvExport:
         assert len(first) == 5
         assert first[4] in ("Idle", "PhiP", "Phi0", "PhiN")
 
+    @pytest.mark.parametrize(
+        "cfg_kwargs",
+        [
+            {},
+            {"src": make_source(rp=1e7)},
+            {"stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
+        ],
+        ids=["ideal", "leaky", "finite_storage"],
+    )
+    def test_waveform_columns_are_float64_arrays(self, cfg_kwargs):
+        wf = run(make_sim_config(n_cycles=1, **cfg_kwargs)).waveform
+        for column in (wf.t, wf.vpt, wf.vt, wf.vs):
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.float64
+            assert column.shape == (len(wf),)
+        assert wf.phase.shape == (len(wf),)
+        buf = io.StringIO()
+        wf.write_csv(buf)
+        assert buf.getvalue().count("\n") == len(wf) + 1
+
     def test_flip_events_schema(self):
         result = run(make_sim_config(n_cycles=1))
         buf = io.StringIO()
