@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ from .compare import harvest_report, sweep_ct_ratio, sweep_storage_voltage, writ
 from .config import ConfigError, ResolvedConfig, parse_config
 from .csvout import fmt, write_csv
 from .flip import (
-    FlipRatios,
     closed_form_efficiency,
     cycles_to_converge,
     flip_efficiency_series,
@@ -79,7 +79,7 @@ def _resolve(args: argparse.Namespace) -> ResolvedConfig:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    ratios = FlipRatios.from_caps(cfg.cap_cp, cfg.cap_ct)
+    ratios = cfg.ratios()
     v0 = conduction_threshold(cfg.rectifier_stage())
     if v0 <= 0:
         v0 = 1.0  # degenerate zero-threshold stage: report normalized series
@@ -143,19 +143,38 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
+    """The axis of `sweep`. A --min, --max or --points value that the sweep
+    functions would reject raises ConfigError naming the flag."""
+    if args.points < 1:
+        raise ConfigError("--points", f"must be >= 1, got {args.points}")
+    if args.axis == "vs":
+        if args.min < 0:
+            raise ConfigError("--min", f"must be >= 0 on the vs axis, got {args.min!r}")
+        values = np.linspace(args.min, args.max, args.points).tolist()
+    else:
+        # The end ratios bound the sharing ratios of every value between them.
+        for flag, ratio in (("--min", args.min), ("--max", args.max)):
+            try:
+                replace(cfg, cap_ct=ratio * cfg.cap_cp).ratios()
+            except ValueError as exc:
+                raise ConfigError(flag, f"C_T/C_P = {ratio!r}: {exc}") from None
+        values = np.logspace(math.log10(args.min), math.log10(args.max), args.points).tolist()
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError("--min/--max/--points", "axis values must be strictly increasing")
+    return values
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    values = _sweep_axis(args, cfg)
     src = cfg.piezo_source()
     emitter = _Emitter(args.out_dir)
     if args.axis == "ct":
-        values = np.logspace(
-            math.log10(args.min), math.log10(args.max), args.points
-        ).tolist()
         result = sweep_ct_ratio(src, cfg.rectifier_stage(), values)
         name = "sweep_ct.csv"
         xlabel = "C_T / C_P"
     else:
-        values = np.linspace(args.min, args.max, args.points).tolist()
         ct_ratio = None if cfg.full_bridge else cfg.cap_ct / cfg.cap_cp
         result = sweep_storage_voltage(src, cfg.diode_drop_vd, values, ct_ratio)
         name = "sweep_vs.csv"
@@ -178,7 +197,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     src = cfg.piezo_source()
     stage = cfg.rectifier_stage()
-    eta = steady_state_efficiency(FlipRatios.from_caps(cfg.cap_cp, cfg.cap_ct))
+    eta = steady_state_efficiency(cfg.ratios())
     baseline = harvest_report(src, stage, 0.0)
     sshc = harvest_report(src, stage, eta)
     emitter = _Emitter(args.out_dir)

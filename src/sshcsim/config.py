@@ -2,18 +2,22 @@
 
 Values accept an optional SI prefix and unit, e.g. ``10nF``, ``50uA``,
 ``100Hz``, ``2.0V``, ``1e-6s``. Every resolved number must be finite, except
-``res_rp = inf``, which means no leakage. ``cap_ct`` additionally accepts the
-ratio shorthand ``Nx`` meaning N times ``cap_cp``. Command-line overrides win
-over file keys, which win over the documented defaults.
+``res_rp = inf``, which means no leakage. ``cap_ct`` also accepts ``Nx``, N
+times ``cap_cp``; the ratio C_T/C_P must be one that floats can represent,
+from about 1e-16 to 1e16. Overrides (the CLI's ``--full-bridge``, ``--set``,
+``--ct-ratio`` and ``--cycles``, in that order) win over config file keys,
+which win over the defaults. Each key is declared once, in ``_TABLE``, and
+every rejected value raises ConfigError naming its key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .circuit import FiniteCap, FixedVoltage, PiezoSource, RectifierStage, SshcNetwork
+from .flip import FlipRatios
 from .transient import SimConfig
 
 
@@ -35,26 +39,6 @@ _SI_PREFIXES = {
 }
 _UNIT_NAMES = ("Hz", "Ohm", "ohm", "F", "A", "V", "s", "W")
 
-_DEFAULTS: Dict[str, str] = {
-    # Chosen so the conduction threshold is 2.4 V and the open-circuit swing
-    # comfortably re-reaches the clamp every half cycle.
-    "amplitude_ip": "50uA",
-    "frequency": "100Hz",
-    "cap_cp": "10nF",
-    "res_rp": "inf",
-    "diode_drop_vd": "0.2V",
-    "storage_vs": "2.0V",
-    "storage_cs": "none",
-    "cap_ct": "1x",
-    "full_bridge": "false",
-    "dt": "auto",          # period / 10000
-    "n_cycles": "10",
-    "phase_pulse_width": "auto",  # period / 500
-    "phase_gap": "auto",          # period / 2000
-}
-
-_KEYS = frozenset(_DEFAULTS)
-
 
 def parse_quantity(text: str, key: str = "value") -> float:
     """Parse a number with optional SI prefix and unit; 'inf' is accepted."""
@@ -75,13 +59,94 @@ def parse_quantity(text: str, key: str = "value") -> float:
         raise ConfigError(key, f"cannot parse quantity {text!r}") from None
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    t = text.strip().lower()
+def _in_range(value: float, key: str, strict: bool) -> float:
+    """value, if finite and > 0 (strict) or >= 0."""
+    if not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, got {value!r}")
+    if value < 0 or (strict and value == 0):
+        raise ConfigError(key, f"must be {'>' if strict else '>='} 0, got {value!r}")
+    return value
+
+
+# A parser takes the stripped text, the key, and the values resolved so far.
+Parser = Callable[[str, str, Dict[str, object]], object]
+
+
+def _positive(text: str, key: str, got: Dict[str, object]) -> float:
+    return _in_range(parse_quantity(text, key), key, strict=True)
+
+
+def _non_negative(text: str, key: str, got: Dict[str, object]) -> float:
+    return _in_range(parse_quantity(text, key), key, strict=False)
+
+
+def _resistance(text: str, key: str, got: Dict[str, object]) -> float:
+    value = parse_quantity(text, key)
+    return value if value == math.inf else _in_range(value, key, strict=True)
+
+
+def _optional_cap(text: str, key: str, got: Dict[str, object]) -> Optional[float]:
+    return None if text.lower() == "none" else _positive(text, key, got)
+
+
+def _cap_ct(text: str, key: str, got: Dict[str, object]) -> float:
+    if not text.endswith("x"):
+        return _positive(text, key, got)
+    try:
+        ratio = float(text[:-1])
+    except ValueError:
+        raise ConfigError(key, f"cannot parse ratio {text!r}") from None
+    return _in_range(ratio, key, strict=True) * got["cap_cp"]
+
+
+def _bool(text: str, key: str, got: Dict[str, object]) -> bool:
+    t = text.lower()
     if t in ("true", "1", "yes", "on"):
         return True
     if t in ("false", "0", "no", "off"):
         return False
     raise ConfigError(key, f"cannot parse boolean {text!r}")
+
+
+def _count(text: str, key: str, got: Dict[str, object]) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise ConfigError(key, f"cannot parse integer {text!r}") from None
+    if n < 1:
+        raise ConfigError(key, "must be >= 1")
+    return n
+
+
+def _auto(divisor: float, parse: Parser) -> Parser:
+    """A parser that reads 'auto' as period / divisor and defers the rest."""
+
+    def parse_auto(text: str, key: str, got: Dict[str, object]) -> float:
+        return 1.0 / got["frequency"] / divisor if text == "auto" else parse(text, key, got)
+
+    return parse_auto
+
+
+# key -> (default, parser), in ResolvedConfig field order. Keys are resolved
+# top to bottom, so a parser may read the keys above it: cap_ct reads cap_cp,
+# the auto timings read frequency.
+_TABLE: Dict[str, Tuple[str, Parser]] = {
+    # Chosen so the conduction threshold is 2.4 V and the open-circuit swing
+    # comfortably re-reaches the clamp every half cycle.
+    "amplitude_ip": ("50uA", _positive),
+    "frequency": ("100Hz", _positive),
+    "cap_cp": ("10nF", _positive),
+    "res_rp": ("inf", _resistance),
+    "diode_drop_vd": ("0.2V", _non_negative),
+    "storage_vs": ("2.0V", _non_negative),
+    "storage_cs": ("none", _optional_cap),
+    "cap_ct": ("1x", _cap_ct),
+    "full_bridge": ("false", _bool),
+    "dt": ("auto", _auto(10_000.0, _positive)),
+    "n_cycles": ("10", _count),
+    "phase_pulse_width": ("auto", _auto(500.0, _positive)),
+    "phase_gap": ("auto", _auto(2_000.0, _non_negative)),
+}
 
 
 @dataclass(frozen=True)
@@ -103,33 +168,23 @@ class ResolvedConfig:
     phase_gap: float
 
     def echo(self) -> Dict[str, str]:
-        """Canonical key=value form; re-parsing it reproduces this config."""
-        return {
-            "amplitude_ip": repr(self.amplitude_ip),
-            "frequency": repr(self.frequency),
-            "cap_cp": repr(self.cap_cp),
-            "res_rp": "inf" if math.isinf(self.res_rp) else repr(self.res_rp),
-            "diode_drop_vd": repr(self.diode_drop_vd),
-            "storage_vs": repr(self.storage_vs),
-            "storage_cs": "none" if self.storage_cs is None else repr(self.storage_cs),
-            "cap_ct": repr(self.cap_ct),
-            "full_bridge": "true" if self.full_bridge else "false",
-            "dt": repr(self.dt),
-            "n_cycles": str(self.n_cycles),
-            "phase_pulse_width": repr(self.phase_pulse_width),
-            "phase_gap": repr(self.phase_gap),
-        }
+        """Canonical key=value form; re-parsing it reproduces this config.
+
+        str() of a float is its repr, and lower() spells True, False and None
+        as the parsers read them."""
+        return {f.name: str(getattr(self, f.name)).lower() for f in fields(self)}
+
+    def ratios(self) -> FlipRatios:
+        """The sharing ratios of cap_cp and cap_ct, as every subcommand uses them."""
+        return FlipRatios.from_caps(self.cap_cp, self.cap_ct)
 
     def piezo_source(self) -> PiezoSource:
-        try:
-            return PiezoSource(
-                amplitude_ip=self.amplitude_ip,
-                frequency=self.frequency,
-                cap_cp=self.cap_cp,
-                res_rp=self.res_rp,
-            )
-        except ValueError as exc:
-            raise ConfigError("amplitude_ip/frequency/cap_cp/res_rp", str(exc)) from exc
+        return PiezoSource(
+            amplitude_ip=self.amplitude_ip,
+            frequency=self.frequency,
+            cap_cp=self.cap_cp,
+            res_rp=self.res_rp,
+        )
 
     def rectifier_stage(self) -> RectifierStage:
         storage = (
@@ -137,34 +192,26 @@ class ResolvedConfig:
             if self.storage_cs is None
             else FiniteCap(self.storage_cs, self.storage_vs)
         )
-        try:
-            return RectifierStage(diode_drop_vd=self.diode_drop_vd, storage=storage)
-        except ValueError as exc:
-            raise ConfigError("diode_drop_vd/storage_vs/storage_cs", str(exc)) from exc
-
-    def sshc_network(self) -> Optional[SshcNetwork]:
-        if self.full_bridge:
-            return None
-        try:
-            return SshcNetwork(cap_ct=self.cap_ct)
-        except ValueError as exc:
-            raise ConfigError("cap_ct", str(exc)) from exc
+        return RectifierStage(diode_drop_vd=self.diode_drop_vd, storage=storage)
 
     def sim_config(self) -> SimConfig:
+        src = self.piezo_source()
+        stage = self.rectifier_stage()
+        sshc = None if self.full_bridge else SshcNetwork(cap_ct=self.cap_ct)
         try:
             return SimConfig(
-                src=self.piezo_source(),
-                stage=self.rectifier_stage(),
-                sshc=self.sshc_network(),
+                src=src,
+                stage=stage,
+                sshc=sshc,
                 dt=self.dt,
                 n_cycles=self.n_cycles,
                 phase_pulse_width=self.phase_pulse_width,
                 phase_gap=self.phase_gap,
             )
-        except ConfigError:
-            raise
         except ValueError as exc:
-            raise ConfigError("dt/n_cycles/phase_pulse_width/phase_gap", str(exc)) from exc
+            # The table has checked each key alone; these are SimConfig's
+            # checks of the timings against the period and each other.
+            raise ConfigError("dt/phase_pulse_width/phase_gap", str(exc)) from exc
 
 
 def read_config_file(path: str) -> Dict[str, str]:
@@ -186,92 +233,22 @@ def parse_config(
 ) -> ResolvedConfig:
     """Resolve defaults, optional config file, then overrides into a validated
     parameter set. Unknown keys and out-of-range values name the offending key."""
-    raw = dict(_DEFAULTS)
+    raw = {key: default for key, (default, _) in _TABLE.items()}
     for source in (read_config_file(path) if path else {}, overrides or {}):
         for key, value in source.items():
-            if key not in _KEYS:
+            if key not in _TABLE:
                 raise ConfigError(key, "unknown key")
             raw[key] = str(value)
 
-    frequency = _positive(parse_quantity(raw["frequency"], "frequency"), "frequency")
-    period = 1.0 / frequency
-    cap_cp = _positive(parse_quantity(raw["cap_cp"], "cap_cp"), "cap_cp")
-
-    ct_text = raw["cap_ct"].strip()
-    if ct_text.endswith("x"):
-        try:
-            ratio = float(ct_text[:-1])
-        except ValueError:
-            raise ConfigError("cap_ct", f"cannot parse ratio {ct_text!r}") from None
-        cap_ct = _positive(ratio, "cap_ct") * cap_cp
-    else:
-        cap_ct = _positive(parse_quantity(ct_text, "cap_ct"), "cap_ct")
-
-    cs_text = raw["storage_cs"].strip().lower()
-    storage_cs = None if cs_text == "none" else _positive(
-        parse_quantity(raw["storage_cs"], "storage_cs"), "storage_cs"
-    )
-
-    dt = (
-        period / 10_000.0
-        if raw["dt"].strip() == "auto"
-        else _positive(parse_quantity(raw["dt"], "dt"), "dt")
-    )
-    pulse_width = (
-        period / 500.0
-        if raw["phase_pulse_width"].strip() == "auto"
-        else _positive(parse_quantity(raw["phase_pulse_width"], "phase_pulse_width"), "phase_pulse_width")
-    )
-    gap = (
-        period / 2_000.0
-        if raw["phase_gap"].strip() == "auto"
-        else _non_negative(parse_quantity(raw["phase_gap"], "phase_gap"), "phase_gap")
-    )
-
+    got: Dict[str, object] = {}
+    for key, (_, parse) in _TABLE.items():
+        got[key] = parse(raw[key].strip(), key, got)
+    resolved = ResolvedConfig(**got)
     try:
-        n_cycles = int(raw["n_cycles"])
-    except ValueError:
-        raise ConfigError("n_cycles", f"cannot parse integer {raw['n_cycles']!r}") from None
-    if n_cycles < 1:
-        raise ConfigError("n_cycles", "must be >= 1")
-
-    res_rp = parse_quantity(raw["res_rp"], "res_rp")
-    if res_rp != math.inf:  # inf is the documented "no leakage" value
-        _positive(res_rp, "res_rp")
-
-    resolved = ResolvedConfig(
-        amplitude_ip=_positive(parse_quantity(raw["amplitude_ip"], "amplitude_ip"), "amplitude_ip"),
-        frequency=frequency,
-        cap_cp=cap_cp,
-        res_rp=res_rp,
-        diode_drop_vd=_non_negative(parse_quantity(raw["diode_drop_vd"], "diode_drop_vd"), "diode_drop_vd"),
-        storage_vs=_non_negative(parse_quantity(raw["storage_vs"], "storage_vs"), "storage_vs"),
-        storage_cs=storage_cs,
-        cap_ct=cap_ct,
-        full_bridge=_parse_bool(raw["full_bridge"], "full_bridge"),
-        dt=dt,
-        n_cycles=n_cycles,
-        phase_pulse_width=pulse_width,
-        phase_gap=gap,
-    )
+        resolved.ratios()
+    except ValueError as exc:
+        ratio = resolved.cap_ct / resolved.cap_cp
+        raise ConfigError("cap_ct", f"C_T/C_P = {ratio!r}: {exc}") from None
     # Surface range violations (e.g. dt too coarse) with a config error now.
     resolved.sim_config()
     return resolved
-
-
-def _finite(value: float, key: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(key, f"must be finite, got {value!r}")
-    return value
-
-
-def _positive(value: float, key: str) -> float:
-    if not _finite(value, key) > 0:
-        raise ConfigError(key, f"must be > 0, got {value!r}")
-    return value
-
-
-def _non_negative(value: float, key: str) -> float:
-    if _finite(value, key) < 0:
-        raise ConfigError(key, f"must be >= 0, got {value!r}")
-    return value

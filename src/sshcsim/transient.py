@@ -478,12 +478,12 @@ def run(cfg: SimConfig) -> RunResult:
     wf = _WaveformBuilder()
     wf.add(state)
     events: List[FlipEvent] = []
-    half = 0.5 / cfg.src.frequency
-    for k in range(2 * cfg.n_cycles):
-        sign = 1 if k % 2 == 0 else -1
-        state = _integrate_segment(state, (k + 1) * half, sign, cfg, ledger, wf)
+    for k, (t_cross, direction) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
+        # The current is positive before a positive-to-negative crossing.
+        sign = 1 if direction is FlipDirection.POS_TO_NEG else -1
+        state = _integrate_segment(state, t_cross, sign, cfg, ledger, wf)
         if cfg.sshc is not None:
-            state, event = _execute_flip(state, k + 1, cfg, ledger, wf)
+            state, event = _execute_flip(state, k, cfg, ledger, wf)
             events.append(event)
     return RunResult(wf.build(), events, ledger, state, initial)
 

@@ -236,3 +236,32 @@ class TestManifestAndErrors:
 
     def test_unknown_key_exit_code(self, tmp_path):
         assert main(["analyze", "--set", "bogus=1", "--out-dir", str(tmp_path)]) == 2
+
+
+class TestExitCodes:
+    """Inputs that reach a check after parsing exit 2 and name what to fix."""
+
+    @pytest.mark.parametrize(
+        "argv,code,name",
+        [
+            (["simulate", "--cycles", "1", "--set", "cap_ct=1e17x"], 2, "cap_ct"),
+            (["analyze", "--set", "cap_ct=1e17x"], 2, "cap_ct"),
+            (["compare", "--set", "cap_ct=1e17x"], 2, "cap_ct"),
+            (["analyze", "--set", "cap_ct=1e-30"], 2, "cap_ct"),
+            (["sweep", "--axis", "ct", "--min", "0", "--max", "10"], 2, "--min"),
+            (["sweep", "--axis", "ct", "--min", "1", "--max", "10", "--points", "0"], 2, "--points"),
+            (["sweep", "--axis", "ct", "--min", "10", "--max", "1"], 2, "--max"),
+            (["sweep", "--axis", "ct", "--min", "1", "--max", "1e20"], 2, "--max"),
+            (["sweep", "--axis", "vs", "--min", "-1", "--max", "10"], 2, "--min"),
+            (["sweep", "--axis", "vs", "--min", "1", "--max", "1", "--points", "2"], 2, "--points"),
+            (["sweep", "--axis", "vs", "--min", "1", "--max", "1", "--points", "1"], 0, None),
+            (["sweep", "--axis", "ct", "--min", "1", "--max", "1", "--points", "1"], 0, None),
+        ],
+    )
+    def test_exit_code_names_key_or_flag(self, tmp_path, capsys, argv, code, name):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        if name is None:
+            assert err == ""
+        else:
+            assert err.startswith("error: config:") and name in err

@@ -1,0 +1,68 @@
+"""Property: every subcommand agrees on whether a config is valid.
+
+A config that parse_config accepts runs simulate, analyze, compare and both
+sweeps to exit 0, with a closed charge ledger and no numpy RuntimeWarning; a
+config it rejects exits 2 on all of them. The draws span many decades per key.
+"""
+
+import math
+import tempfile
+import warnings
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sshcsim import WeakExcitationWarning, cli, conduction_threshold, run
+
+SUBCOMMANDS = [
+    ["simulate"],
+    ["analyze"],
+    ["compare"],
+    ["sweep", "--axis", "ct", "--min", "0.1", "--max", "100", "--points", "5"],
+    ["sweep", "--axis", "vs", "--min", "0", "--max", "10", "--points", "5"],
+]
+
+
+def log_uniform(lo, hi):
+    """lo * (hi/lo)**u for u in [0, 1]; drawing u rather than the exponent
+    lets hypothesis reach both ends of the range."""
+    return st.floats(0.0, 1.0).map(lambda u: 10.0 ** (math.log10(lo) + u * math.log10(hi / lo)))
+
+
+CONFIGS = st.fixed_dictionaries(
+    {
+        "amplitude_ip": log_uniform(1e-12, 1e3).map(repr),
+        "frequency": log_uniform(1e-3, 1e7).map(repr),
+        "cap_cp": log_uniform(1e-15, 1e-3).map(repr),
+        "res_rp": st.one_of(st.just("inf"), log_uniform(1.0, 1e12).map(repr)),
+        "storage_cs": st.one_of(st.just("none"), log_uniform(1e-12, 0.1).map(repr)),
+        "cap_ct": log_uniform(1e-20, 1e20).map(lambda r: f"{r!r}x"),
+        "n_cycles": st.just("1"),
+    }
+)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(CONFIGS)
+def test_subcommands_agree_on_validity(overrides):
+    sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+    runs = []  # (SimConfig, RunResult) of the simulate call
+
+    def kept_run(cfg):
+        runs.append((cfg, run(cfg)))
+        return runs[-1][1]
+
+    with warnings.catch_warnings(record=True) as caught, tempfile.TemporaryDirectory() as out:
+        warnings.simplefilter("always")
+        with mock.patch.object(cli, "run", kept_run):
+            codes = [cli.main(sub + sets + ["--out-dir", out]) for sub in SUBCOMMANDS]
+
+    assert codes in ([0] * len(SUBCOMMANDS), [2] * len(SUBCOMMANDS))
+    unexpected = [w for w in caught if not issubclass(w.category, WeakExcitationWarning)]
+    assert not unexpected, [str(w.message) for w in unexpected]
+    assert len(runs) == (1 if codes[0] == 0 else 0)
+    for cfg, result in runs:
+        residual = result.ledger.residual(result.initial_state, result.final_state, cfg)
+        scale = max(abs(result.ledger.q_source), cfg.src.cap_cp * conduction_threshold(cfg.stage))
+        assert abs(residual) < 1e-9 * scale
