@@ -148,6 +148,9 @@ def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
     functions would reject raises ConfigError naming the flag."""
     if args.points < 1:
         raise ConfigError("--points", f"must be >= 1, got {args.points}")
+    for flag, value in (("--min", args.min), ("--max", args.max)):
+        if not math.isfinite(value):
+            raise ConfigError(flag, f"must be finite, got {value!r}")
     if args.axis == "vs":
         if args.min < 0:
             raise ConfigError("--min", f"must be >= 0 on the vs axis, got {args.min!r}")

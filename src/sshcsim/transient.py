@@ -62,7 +62,7 @@ class SimConfig:
     dt: float = 0.0                     # 0 -> period / 10000
     n_cycles: int = 10
     phase_pulse_width: float = 0.0      # 0 -> period / 500
-    phase_gap: float = 0.0              # 0 -> period / 2000
+    phase_gap: Optional[float] = None   # None -> period / 2000; 0 is legal
     vpt_initial: float = 0.0
 
     def __post_init__(self):
@@ -71,7 +71,7 @@ class SimConfig:
             object.__setattr__(self, "dt", period / 10_000.0)
         if self.phase_pulse_width == 0.0:
             object.__setattr__(self, "phase_pulse_width", period / 500.0)
-        if self.phase_gap == 0.0:
+        if self.phase_gap is None:
             object.__setattr__(self, "phase_gap", period / 2_000.0)
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
@@ -276,7 +276,13 @@ def step(
     dt: Optional[float] = None,
 ) -> CircuitState:
     """One explicit Euler step of width dt (defaults to cfg.dt): leakage decay,
-    source charge into C_P, then algebraic projection onto the diode clamp."""
+    source charge into C_P, then algebraic projection onto the diode clamp.
+
+    This is the reference for the Euler arithmetic. run() does not call it:
+    _euler_segment repeats these float operations in this order on local
+    floats, and tests/test_transient.py pins the two against each other bit
+    for bit.
+    """
     h = cfg.dt if dt is None else dt
     src = cfg.src
     cp = src.cap_cp
@@ -370,24 +376,15 @@ def _integrate_segment(
     wf: _WaveformBuilder,
 ) -> CircuitState:
     """Advance from state.t to t_end through one (partial) half cycle during
-    which the source current has constant sign."""
+    which the source current has constant sign.
+
+    A leaky C_P or a finite storage cap runs the Euler kernel _euler_segment;
+    the ideal fixed rail is integrated with numpy in one pass.
+    """
     if t_end <= state.t:
         return state
-    fast = (not math.isfinite(cfg.src.res_rp)) and isinstance(
-        cfg.stage.storage, FixedVoltage
-    )
-    if not fast:
-        # Stepping leaves vt and the Idle phase as they are; only t, vpt and
-        # vs change per sample.
-        t, vpt, vs = [], [], []
-        while state.t < t_end - 1e-15 * t_end:
-            h = min(cfg.dt, t_end - state.t)
-            state = step(state, cfg, ledger, dt=h)
-            t.append(state.t)
-            vpt.append(state.vpt)
-            vs.append(state.vs)
-        wf.add_arrays(np.array(t), np.array(vpt), state.vt, np.array(vs))
-        return state
+    if math.isfinite(cfg.src.res_rp) or not isinstance(cfg.stage.storage, FixedVoltage):
+        return _euler_segment(state, t_end, cfg, ledger, wf)
 
     src = cfg.src
     cp = src.cap_cp
@@ -416,6 +413,82 @@ def _integrate_segment(
         vpt=v_end,
         q_harvested=state.q_harvested + sign * routed,
     )
+
+
+def _euler_segment(
+    state: CircuitState,
+    t_end: float,
+    cfg: SimConfig,
+    ledger: ChargeLedger,
+    wf: _WaveformBuilder,
+) -> CircuitState:
+    """The Euler kernel: repeated step() calls from state.t to t_end, each of
+    width min(cfg.dt, t_end - t), on local floats.
+
+    Every step does step()'s float operations in step()'s order, so the
+    samples, the ledger and the final state are bit-identical to a loop of
+    step() calls. The parameters and the full-step leak factor are read once
+    per segment; the ledger and the state are written back once.
+    """
+    src = cfg.src
+    ip = src.amplitude_ip
+    omega = src.omega
+    cp = src.cap_cp
+    rp = src.res_rp
+    leaky = math.isfinite(rp)
+    storage = cfg.stage.storage
+    cs = storage.cs if isinstance(storage, FiniteCap) else None
+    two_vd = 2.0 * cfg.stage.diode_drop_vd
+    dt = cfg.dt
+    decay_dt = math.exp(-dt / (rp * cp)) if leaky else 1.0
+    sin = math.sin
+
+    t, vpt, vs, q_harvested = state.t, state.vpt, state.vs, state.q_harvested
+    q_source, q_storage, q_leak = ledger.q_source, ledger.q_storage, ledger.q_leak
+    vth = vs + two_vd
+    t_stop = t_end - 1e-15 * t_end
+    # Stepping leaves vt and the Idle phase as they are; only t, vpt and vs
+    # change per sample.
+    ts, vpts, vss = [], [], []
+    add_t, add_vpt, add_vs = ts.append, vpts.append, vss.append
+    while t < t_stop:
+        h = t_end - t
+        if h < dt:  # the shorter final step
+            decay = math.exp(-h / (rp * cp)) if leaky else 1.0
+        else:
+            h = dt
+            decay = decay_dt
+        if leaky:
+            decayed = vpt * decay
+            q_leak += cp * (vpt - decayed)
+            vpt = decayed
+        dq = ip * sin(omega * t) * h
+        q_source += dq
+        vpt += dq / cp
+        if vpt > vth:
+            excess = cp * (vpt - vth)
+            vpt = vth
+            q_harvested += excess
+            q_storage += excess
+            if cs is not None:
+                vs += excess / cs
+                vth = vs + two_vd
+        elif vpt < -vth:
+            excess = cp * (-vth - vpt)
+            vpt = -vth
+            q_harvested += excess
+            q_storage += -excess
+            if cs is not None:
+                vs += excess / cs
+                vth = vs + two_vd
+        t = t + h
+        add_t(t)
+        add_vpt(vpt)
+        add_vs(vs)
+
+    ledger.q_source, ledger.q_storage, ledger.q_leak = q_source, q_storage, q_leak
+    wf.add_arrays(np.array(ts), np.array(vpts), state.vt, np.array(vss))
+    return replace(state, t=t, vpt=vpt, vs=vs, q_harvested=q_harvested)
 
 
 def _execute_flip(

@@ -1,10 +1,11 @@
 import json
 import math
 import os
+from unittest import mock
 
 import pytest
 
-from sshcsim import WeakExcitationWarning
+from sshcsim import WeakExcitationWarning, cli, run
 from sshcsim.cli import main
 from sshcsim.config import ConfigError, parse_config, parse_quantity
 
@@ -200,6 +201,19 @@ class TestSweepAndCompare:
 
 
 class TestManifestAndErrors:
+    def test_zero_phase_gap_runs_as_echoed(self, tmp_path):
+        out = str(tmp_path)
+        configs = []
+
+        def kept_run(cfg):
+            configs.append(cfg)
+            return run(cfg)
+
+        with mock.patch.object(cli, "run", kept_run):
+            assert main(["simulate", "--cycles", "1", "--set", "phase_gap=0", "--out-dir", out]) == 0
+        assert read_manifest(out)["config_echo"]["phase_gap"] == "0.0"
+        assert [cfg.phase_gap for cfg in configs] == [0.0]
+
     def test_manifest_lists_every_file(self, tmp_path):
         out = str(tmp_path)
         main(["simulate", "--cycles", "1", "--svg", "--out-dir", out])
@@ -256,6 +270,11 @@ class TestExitCodes:
             (["sweep", "--axis", "vs", "--min", "1", "--max", "1", "--points", "2"], 2, "--points"),
             (["sweep", "--axis", "vs", "--min", "1", "--max", "1", "--points", "1"], 0, None),
             (["sweep", "--axis", "ct", "--min", "1", "--max", "1", "--points", "1"], 0, None),
+            (["sweep", "--axis", "vs", "--min", "0", "--max", "inf", "--points", "1"], 2, "--max"),
+            (["sweep", "--axis", "vs", "--min", "nan", "--max", "1", "--points", "2"], 2, "--min"),
+            (["sweep", "--axis", "vs", "--min=-inf", "--max", "1"], 2, "--min"),
+            (["sweep", "--axis", "ct", "--min", "1", "--max", "inf"], 2, "--max"),
+            (["sweep", "--axis", "ct", "--min", "nan", "--max", "10"], 2, "--min"),
         ],
     )
     def test_exit_code_names_key_or_flag(self, tmp_path, capsys, argv, code, name):

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,18 @@ class TestSimConfigValidation:
         period = cfg.src.period
         assert cfg.dt == pytest.approx(period / 10_000)
         assert 3 * cfg.phase_pulse_width + 2 * cfg.phase_gap < 0.02 * period
+
+    def test_phase_gap_zero_is_kept(self):
+        # None asks for the default gap; an explicit 0 means no gap.
+        period = make_sim_config().src.period
+        assert make_sim_config().phase_gap == period / 2_000
+        assert make_sim_config(phase_gap=0.0).phase_gap == 0.0
+        result = run(make_sim_config(phase_gap=0.0, n_cycles=1))
+        wf = result.waveform
+        flip_t = wf.t[wf.phase != "Idle"][:3]
+        t_cross = result.events[0].t
+        w = make_sim_config().phase_pulse_width
+        assert flip_t.tolist() == [t_cross + w, t_cross + 2 * w, t_cross + 3 * w]
 
     def test_rejects_coarse_dt(self):
         with pytest.raises(ValueError):
@@ -171,6 +184,74 @@ class TestStep:
         assert new.vs - 2.0 == pytest.approx(new.q_harvested / cs, rel=1e-12)
 
 
+def step_reference(cfg):
+    """run() rebuilt from public step() and apply_phase() calls.
+
+    Returns the waveform samples as (t, vpt, vs) lists, the flip events as
+    tuples, the ledger, the final state and the number of steps shorter than
+    cfg.dt.
+    """
+    state = CircuitState(
+        t=0.0,
+        vpt=cfg.vpt_initial,
+        vt=cfg.sshc.volt_vt if cfg.sshc is not None else 0.0,
+        vs=cfg.stage.storage_voltage,
+        q_harvested=0.0,
+    )
+    ledger = ChargeLedger()
+    samples = [state]
+    events = []
+    short_steps = 0
+    for k, (t_cross, _) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
+        while state.t < t_cross - 1e-15 * t_cross:
+            h = min(cfg.dt, t_cross - state.t)
+            short_steps += h < cfg.dt
+            state = step(state, cfg, ledger, dt=h)
+            samples.append(state)
+        if cfg.sshc is None:
+            continue
+        t0, v_before = state.t, state.vpt
+        order = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N)
+        w, g = cfg.phase_pulse_width, cfg.phase_gap
+        for j, phase in enumerate(order if v_before >= 0.0 else order[::-1]):
+            state = replace(apply_phase(state, phase, cfg, ledger), t=t0 + (j + 1) * w + j * g)
+            samples.append(state)
+        state = replace(
+            state, t=t0 + 3.0 * w + 2.0 * g, phase=Phase.IDLE, last_share_phase=Phase.IDLE
+        )
+        events.append((k, t0, v_before, state.vpt, abs(state.vpt) / abs(v_before)))
+    columns = tuple([getattr(s, name) for s in samples] for name in ("t", "vpt", "vs"))
+    return columns, events, ledger, state, short_steps
+
+
+class TestKernelMatchesStep:
+    """run()'s Euler kernel against a loop of step() calls, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg_kwargs",
+        [
+            {"src": make_source(rp=1e6)},
+            {"stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
+            {"src": make_source(f=217.0, rp=1e7), "stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
+        ],
+        ids=["leaky", "finite_storage", "leaky_finite_storage_217Hz"],
+    )
+    def test_bit_identical_to_step_loop(self, cfg_kwargs):
+        cfg = make_sim_config(n_cycles=2, **cfg_kwargs)
+        (t, vpt, vs), events, ledger, final, short_steps = step_reference(cfg)
+        result = run(cfg)
+        wf = result.waveform
+        assert wf.t.tolist() == t
+        assert wf.vpt.tolist() == vpt
+        assert wf.vs.tolist() == vs
+        got = [(e.cycle_index, e.t, e.v_before, e.v_after, e.efficiency) for e in result.events]
+        assert got == events
+        assert vars(result.ledger) == vars(ledger)
+        assert result.final_state == final
+        # Each segment ends with a step shorter than dt, so that path ran too.
+        assert short_steps > 0
+
+
 class TestRunFullBridge:
     def test_morphology_plateaus_and_recharge(self):
         cfg = make_sim_config(ct=None, n_cycles=3)
@@ -248,6 +329,16 @@ class TestRunSshc:
             residual = result.ledger.residual(result.initial_state, result.final_state, cfg)
             scale = max(abs(result.ledger.q_source), 1e-15)
             assert abs(residual) < 1e-9 * scale
+
+    @pytest.mark.parametrize("rp", [math.inf, 1e7], ids=["finite_storage", "leaky_finite_storage"])
+    def test_charge_ledger_closes_with_finite_storage(self, rp):
+        stage = make_stage(storage=FiniteCap(1e-6, 2.0))
+        cfg = make_sim_config(src=make_source(rp=rp), stage=stage, n_cycles=3, dt=1e-5 / 2)
+        result = run(cfg)
+        assert result.final_state.vs > 2.0
+        residual = result.ledger.residual(result.initial_state, result.final_state, cfg)
+        scale = max(abs(result.ledger.q_source), 1e-15)
+        assert abs(residual) < 1e-9 * scale
 
     def test_step_size_convergence(self):
         q = {}
