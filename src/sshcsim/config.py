@@ -18,7 +18,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .circuit import FiniteCap, FixedVoltage, PiezoSource, RectifierStage, SshcNetwork
 from .flip import FlipRatios
-from .transient import SimConfig
+from .transient import PERIOD_DIVISORS, SimConfig
 
 
 class ConfigError(ValueError):
@@ -118,11 +118,14 @@ def _count(text: str, key: str, got: Dict[str, object]) -> int:
     return n
 
 
-def _auto(divisor: float, parse: Parser) -> Parser:
-    """A parser that reads 'auto' as period / divisor and defers the rest."""
+def _auto(parse: Parser) -> Parser:
+    """A parser that reads 'auto' as the period over the key's entry in
+    transient.PERIOD_DIVISORS, SimConfig's default, and defers the rest."""
 
     def parse_auto(text: str, key: str, got: Dict[str, object]) -> float:
-        return 1.0 / got["frequency"] / divisor if text == "auto" else parse(text, key, got)
+        if text == "auto":
+            return 1.0 / got["frequency"] / PERIOD_DIVISORS[key]
+        return parse(text, key, got)
 
     return parse_auto
 
@@ -142,10 +145,10 @@ _TABLE: Dict[str, Tuple[str, Parser]] = {
     "storage_cs": ("none", _optional_cap),
     "cap_ct": ("1x", _cap_ct),
     "full_bridge": ("false", _bool),
-    "dt": ("auto", _auto(10_000.0, _positive)),
+    "dt": ("auto", _auto(_positive)),
     "n_cycles": ("10", _count),
-    "phase_pulse_width": ("auto", _auto(500.0, _positive)),
-    "phase_gap": ("auto", _auto(2_000.0, _non_negative)),
+    "phase_pulse_width": ("auto", _auto(_positive)),
+    "phase_gap": ("auto", _auto(_non_negative)),
 }
 
 

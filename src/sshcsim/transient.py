@@ -1,11 +1,16 @@
-"""Fixed-step time-domain simulator with event-aligned switching.
+"""Time-domain simulator with event-aligned switching.
 
-The source current is integrated into C_P with explicit Euler steps; the diode
-bridge is an exact algebraic clamp at +/-(vs + 2*vd) with the excess charge
-routed to storage. At every source zero crossing the three switch phases run in
-the polarity-correct order (share, short, reversed dump) as instantaneous
-charge redistributions, with extra waveform samples inserted at the pulse
-boundaries so the flip staircase is visible on the timeline.
+Between zero crossings the circuit is linear and the source a sinusoid, so
+run() integrates each half cycle in closed form: the node voltage follows
+x' = k*sin(wt) - g*x piece by piece, free on C_P, then clamped by the diode
+bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
+a leaky C_P, free again once the source current falls below the leak's. The
+pieces are sampled on a uniform dt grid, and the charge ledger comes from
+their exact integrals. At every source zero crossing the three switch phases
+run in the polarity-correct order (share, short, reversed dump) as
+instantaneous charge redistributions, with extra waveform samples inserted at
+the pulse boundaries so the flip staircase is visible on the timeline. step()
+is the explicit-Euler reference of the same circuit.
 """
 
 from __future__ import annotations
@@ -13,22 +18,18 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .circuit import (
-    FiniteCap,
-    FixedVoltage,
-    PiezoSource,
-    RectifierStage,
-    SshcNetwork,
-    conduction_threshold,
-    full_swing_supported,
-)
+from .circuit import FiniteCap, PiezoSource, RectifierStage, SshcNetwork, full_swing_supported
 from .csvout import fmt, write_csv
 from .flip import charge_share
+
+# The default timings as divisors of the period: dt, the switch pulse width
+# and the gap between pulses.
+PERIOD_DIVISORS = {"dt": 10_000.0, "phase_pulse_width": 500.0, "phase_gap": 2_000.0}
 
 _TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
 _CHUNK = 4096  # waveform rows formatted per CSV step
@@ -59,20 +60,17 @@ class SimConfig:
     src: PiezoSource
     stage: RectifierStage
     sshc: Optional[SshcNetwork] = None  # None = full-bridge baseline
-    dt: float = 0.0                     # 0 -> period / 10000
+    dt: float = 0.0                     # 0 -> the default in PERIOD_DIVISORS
     n_cycles: int = 10
-    phase_pulse_width: float = 0.0      # 0 -> period / 500
-    phase_gap: Optional[float] = None   # None -> period / 2000; 0 is legal
+    phase_pulse_width: float = 0.0      # 0 -> the default in PERIOD_DIVISORS
+    phase_gap: Optional[float] = None   # None -> the default; 0 is legal
     vpt_initial: float = 0.0
 
     def __post_init__(self):
         period = self.src.period
-        if self.dt == 0.0:
-            object.__setattr__(self, "dt", period / 10_000.0)
-        if self.phase_pulse_width == 0.0:
-            object.__setattr__(self, "phase_pulse_width", period / 500.0)
-        if self.phase_gap is None:
-            object.__setattr__(self, "phase_gap", period / 2_000.0)
+        for name, unset in (("dt", 0.0), ("phase_pulse_width", 0.0), ("phase_gap", None)):
+            if getattr(self, name) == unset:
+                object.__setattr__(self, name, period / PERIOD_DIVISORS[name])
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if self.dt > period / 1_000.0:
@@ -278,10 +276,9 @@ def step(
     """One explicit Euler step of width dt (defaults to cfg.dt): leakage decay,
     source charge into C_P, then algebraic projection onto the diode clamp.
 
-    This is the reference for the Euler arithmetic. run() does not call it:
-    _euler_segment repeats these float operations in this order on local
-    floats, and tests/test_transient.py pins the two against each other bit
-    for bit.
+    This is the first-order reference for run()'s closed form; run() does not
+    call it. tests/test_transient.py checks that a loop of step() calls
+    converges to run() at first order in dt.
     """
     h = cfg.dt if dt is None else dt
     src = cfg.src
@@ -339,13 +336,11 @@ class _WaveformBuilder:
     def add(self, state: CircuitState) -> None:
         self._rows.append((state.t, state.vpt, state.vt, state.vs, state.phase.value))
 
-    def add_arrays(self, t: np.ndarray, vpt: np.ndarray, vt: float, vs) -> None:
-        """An Idle segment; vs is a float, or an array like t."""
+    def add_arrays(self, t: np.ndarray, vpt: np.ndarray, vt: float, vs: np.ndarray) -> None:
+        """An Idle segment, over which vt is constant."""
         self._flush()
         shape = t.shape
-        self._append(
-            t, vpt, np.full(shape, vt), np.full(shape, vs), np.full(shape, Phase.IDLE.value, _TOKEN)
-        )
+        self._append(t, vpt, np.full(shape, vt), vs, np.full(shape, Phase.IDLE.value, _TOKEN))
 
     def _flush(self) -> None:
         if self._rows:
@@ -367,6 +362,41 @@ class _WaveformBuilder:
         return Waveform(*joined)
 
 
+def _grid(t0: float, t_end: float, dt: float) -> np.ndarray:
+    """t0, t0 + dt, t0 + 2*dt, ... while short of t_end, then t_end; a
+    remainder under 1e-9 dt joins the last step, so rounding leaves no sliver."""
+    n = max(0, int(math.floor((t_end - t0) / dt - 1e-9)))
+    return np.append(t0 + dt * np.arange(n + 1), t_end)
+
+
+def _rise(t, t0: float, x0: float, k: float, g: float, w: float):
+    """x(t) - x0 for x' = k*sin(w*t) - g*x from x(t0) = x0 (g = 0: no decay),
+    at a time or an array of times t >= t0. x0 stays out of the sum, so a
+    small rise on a large x0 keeps its digits."""
+    if g == 0.0:
+        return k / w * (np.cos(w * t0) - np.cos(w * t))
+    a = k / (g * g + w * w)  # the forced response is a*(g*sin(w*t) - w*cos(w*t))
+    forced0 = a * (g * math.sin(w * t0) - w * math.cos(w * t0))
+    forced = a * (g * np.sin(w * t) - w * np.cos(w * t))
+    return forced - forced0 + (x0 - forced0) * np.expm1(-g * (t - t0))
+
+
+def _crossing(f, a: float, b: float) -> float:
+    """The first time in [a, b] at which the vectorised f turns >= 0, to float
+    precision: each pass samples the bracket at 64 steps and keeps the step in
+    which f turns; 10 passes take a bracket of 2**60 ulps down to one."""
+    for _ in range(10):
+        s = np.linspace(a, b, 65)
+        up = f(s) >= 0.0
+        k = int(np.argmax(up)) if up.any() else 64
+        if k == 0:
+            return float(a)
+        a, b = s[k - 1], s[k]
+        if b - a <= 2.0 * np.spacing(b):
+            break
+    return float(b)
+
+
 def _integrate_segment(
     state: CircuitState,
     t_end: float,
@@ -375,120 +405,84 @@ def _integrate_segment(
     ledger: ChargeLedger,
     wf: _WaveformBuilder,
 ) -> CircuitState:
-    """Advance from state.t to t_end through one (partial) half cycle during
-    which the source current has constant sign.
+    """Advance from state.t to t_end, a (partial) half cycle in which the
+    source current has the sign `sign`, in closed form (see _rise).
 
-    A leaky C_P or a finite storage cap runs the Euler kernel _euler_segment;
-    the ideal fixed rail is integrated with numpy in one pass.
+    The node is free on C_P (k = I_P/C_P, g = 1/(R_P C_P)) until it reaches the
+    rail sign*(vs + 2*vd); clamped, C_P and C_S charge together (k and g over
+    C_P+C_S; a fixed rail, C_S = inf, holds); with leakage, free again once
+    sign*I(t) < sign*v/R_P. Samples are the pieces on _grid(); the clamp start
+    and the release are refined where a later piece or the ledger needs them.
+    A start beyond a rail is first clipped onto it, as step() clips it.
     """
     if t_end <= state.t:
         return state
-    if math.isfinite(cfg.src.res_rp) or not isinstance(cfg.stage.storage, FixedVoltage):
-        return _euler_segment(state, t_end, cfg, ledger, wf)
+    src, storage, two_vd = cfg.src, cfg.stage.storage, 2.0 * cfg.stage.diode_drop_vd
+    ip, w, cp, leak = src.amplitude_ip, src.omega, src.cap_cp, 1.0 / src.res_rp
+    cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
+    t0, v0, vs0, q_harvested = state.t, state.vpt, state.vs, state.q_harvested
+    excess = cp * (abs(v0) - (vs0 + two_vd))
+    if excess > 0.0:  # through the bridge, into storage
+        v0 = math.copysign(vs0 + two_vd, v0)
+        ledger.q_storage += math.copysign(excess, v0)
+        q_harvested += excess
+        vs0 += excess / cs
+    vth = vs0 + two_vd
+    rail = sign * vth
 
-    src = cfg.src
-    cp = src.cap_cp
-    vth = state.vs + 2.0 * cfg.stage.diode_drop_vd
-    n_full = max(0, int(math.floor((t_end - state.t) / cfg.dt - 1e-9)))
-    edges = state.t + cfg.dt * np.arange(n_full + 1)
-    edges = np.append(edges, t_end)
-    widths = np.diff(edges)
-    dq = src.amplitude_ip * np.sin(src.omega * edges[:-1]) * widths
-    total_dq = float(np.sum(dq))
-    v_unclamped = state.vpt + np.cumsum(dq) / cp
-    # Within a half cycle the unclamped trajectory is monotone toward the
-    # clamp, so elementwise clipping equals per-step projection.
-    if sign > 0:
-        v = np.minimum(v_unclamped, vth)
+    t = _grid(t0, t_end, cfg.dt)
+    v = v0 + _rise(t, t0, v0, ip / cp, leak / cp, w)
+    rise = np.zeros_like(t)  # how far a finite storage cap has carried the clamp
+    reached = sign * v >= vth
+    # A node that starts on the rail stays there unless the leak pulls it off.
+    reached[0] = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
+    i = int(np.argmax(reached)) if reached.any() else len(t)
+    t_clamp, t_release = t0, t_end
+    if 0 < i < len(t) and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
+
+        def over(s):
+            return sign * (v0 + _rise(s, t0, v0, ip / cp, leak / cp, w)) - vth
+
+        t_clamp = _crossing(over, t[i - 1], t[i])
+    hold = (t_clamp, rail, ip / (cp + cs), leak / (cp + cs), w)
+    if cs < math.inf:
+        rise[i:] = _rise(t[i:], *hold)
+    v[i:] = rail + rise[i:]
+    if leak and i < len(t):
+
+        def backward(s):  # > 0 once the leak outweighs the source: the bridge would reverse
+            return sign * ((rail + _rise(s, *hold)) * leak - ip * np.sin(w * s))
+
+        out = backward(t[i:]) >= 0.0
+        if out.any():
+            j = i + int(np.argmax(out))
+            t_release = _crossing(backward, t[j - 1] if j > i else t_clamp, t[j])
+            rise[j:] = _rise(t_release, *hold)
+            off = rail + rise[j]
+            free = off + _rise(t[j:], t_release, off, ip / cp, leak / cp, w)
+            # Released, the node only falls away from the rail; the clip drops
+            # the rounding of a very stiff leak (g >> w).
+            v[j:] = sign * np.minimum(sign * free, sign * off)
+
+    v_end, rise_end = float(v[-1]), float(rise[-1])
+    q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
+    if cs < math.inf:
+        q_storage = cs * rise_end
+    elif i == len(t):
+        q_storage = 0.0
+    elif leak:
+        q_storage = ip / w * (math.cos(w * t_clamp) - math.cos(w * t_release)) - (
+            rail * leak * (t_release - t_clamp)
+        )
     else:
-        v = np.maximum(v_unclamped, -vth)
-    v_end = float(v[-1])
-    routed = total_dq - cp * (v_end - state.vpt)  # signed charge to storage
-    ledger.q_source += total_dq
-    ledger.q_storage += routed
-    wf.add_arrays(edges[1:], v, state.vt, state.vs)
-    return replace(
-        state,
-        t=t_end,
-        vpt=v_end,
-        q_harvested=state.q_harvested + sign * routed,
-    )
-
-
-def _euler_segment(
-    state: CircuitState,
-    t_end: float,
-    cfg: SimConfig,
-    ledger: ChargeLedger,
-    wf: _WaveformBuilder,
-) -> CircuitState:
-    """The Euler kernel: repeated step() calls from state.t to t_end, each of
-    width min(cfg.dt, t_end - t), on local floats.
-
-    Every step does step()'s float operations in step()'s order, so the
-    samples, the ledger and the final state are bit-identical to a loop of
-    step() calls. The parameters and the full-step leak factor are read once
-    per segment; the ledger and the state are written back once.
-    """
-    src = cfg.src
-    ip = src.amplitude_ip
-    omega = src.omega
-    cp = src.cap_cp
-    rp = src.res_rp
-    leaky = math.isfinite(rp)
-    storage = cfg.stage.storage
-    cs = storage.cs if isinstance(storage, FiniteCap) else None
-    two_vd = 2.0 * cfg.stage.diode_drop_vd
-    dt = cfg.dt
-    decay_dt = math.exp(-dt / (rp * cp)) if leaky else 1.0
-    sin = math.sin
-
-    t, vpt, vs, q_harvested = state.t, state.vpt, state.vs, state.q_harvested
-    q_source, q_storage, q_leak = ledger.q_source, ledger.q_storage, ledger.q_leak
-    vth = vs + two_vd
-    t_stop = t_end - 1e-15 * t_end
-    # Stepping leaves vt and the Idle phase as they are; only t, vpt and vs
-    # change per sample.
-    ts, vpts, vss = [], [], []
-    add_t, add_vpt, add_vs = ts.append, vpts.append, vss.append
-    while t < t_stop:
-        h = t_end - t
-        if h < dt:  # the shorter final step
-            decay = math.exp(-h / (rp * cp)) if leaky else 1.0
-        else:
-            h = dt
-            decay = decay_dt
-        if leaky:
-            decayed = vpt * decay
-            q_leak += cp * (vpt - decayed)
-            vpt = decayed
-        dq = ip * sin(omega * t) * h
-        q_source += dq
-        vpt += dq / cp
-        if vpt > vth:
-            excess = cp * (vpt - vth)
-            vpt = vth
-            q_harvested += excess
-            q_storage += excess
-            if cs is not None:
-                vs += excess / cs
-                vth = vs + two_vd
-        elif vpt < -vth:
-            excess = cp * (-vth - vpt)
-            vpt = -vth
-            q_harvested += excess
-            q_storage += -excess
-            if cs is not None:
-                vs += excess / cs
-                vth = vs + two_vd
-        t = t + h
-        add_t(t)
-        add_vpt(vpt)
-        add_vs(vs)
-
-    ledger.q_source, ledger.q_storage, ledger.q_leak = q_source, q_storage, q_leak
-    wf.add_arrays(np.array(ts), np.array(vpts), state.vt, np.array(vss))
-    return replace(state, t=t, vpt=vpt, vs=vs, q_harvested=q_harvested)
+        q_storage = q_source - cp * (v_end - v0)
+    ledger.q_source += q_source
+    ledger.q_storage += q_storage
+    if leak:
+        ledger.q_leak += q_source - cp * (v_end - v0) - q_storage
+    wf.add_arrays(t[1:], v[1:], state.vt, vs0 + sign * rise[1:])
+    q_harvested += sign * q_storage
+    return replace(state, t=t_end, vpt=v_end, vs=vs0 + sign * rise_end, q_harvested=q_harvested)
 
 
 def _execute_flip(

@@ -165,6 +165,20 @@ class TestSimulateCommand:
                 assert f1.read() == f2.read()
 
 
+    @pytest.mark.parametrize(
+        "sets",
+        [["res_rp=1Mohm"], ["storage_cs=1uF"], ["res_rp=1Mohm", "frequency=217Hz"]],
+        ids=["leaky", "finite_storage", "leaky_217Hz"],
+    )
+    def test_no_repeated_timestamps(self, tmp_path, sets):
+        out = str(tmp_path)
+        argv = ["simulate", "--cycles", "2", "--out-dir", out]
+        assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+        with open(os.path.join(out, "waveform.csv"), encoding="utf-8") as fh:
+            t_s = [line.split(",", 1)[0] for line in fh.read().splitlines()[1:]]
+        assert [a for a, b in zip(t_s, t_s[1:]) if a == b] == []
+
+
 class TestSweepAndCompare:
     def test_sweep_ct_schema(self, tmp_path):
         out = str(tmp_path)

@@ -2,7 +2,9 @@
 
 The digests were taken from the per-module writers that the shared CSV writer
 replaced; any change to the 12-significant-digit serialization, the row order
-or the schemas shows up here as a digest mismatch.
+or the schemas shows up here as a digest mismatch. The simulate digests pin
+the closed-form transient engine: its samples on the dt grid, and the flip
+events of the leaky and finite-storage runs.
 """
 
 import hashlib
@@ -16,29 +18,29 @@ GOLDEN = {
     "default": (
         ["simulate", "--cycles", "2"],
         {
-            "waveform.csv": "87c1d9c611f9227770dc051d05375fb90214080a714a1cd4438351e3ecc26bbe",
+            "waveform.csv": "db9277eb2043d33d4fe747816e982f97c3301258a96de889aeecc7f5e1f10008",
             "flip_events.csv": "47d6c63bc465daffa5720eda1807989bdffc437b9291de7247d0c3c9c39253c8",
         },
     ),
     "full_bridge": (
         ["simulate", "--cycles", "2", "--full-bridge"],
         {
-            "waveform.csv": "8699ebf7d408c52311b449c51e20bebcb611ca319bebaf935892ac823c821afb",
+            "waveform.csv": "a477604de462df84cdb267c4e8ab3e5dd2ea0a64ae0bfcdc53b04a5e2372befa",
             "flip_events.csv": "a65e41f46a6a40ce99fe2a101f98bd85586252514d0fc341cd92c3c9cfe0280d",
         },
     ),
     "leaky": (
         ["simulate", "--cycles", "2", "--set", "res_rp=10Mohm"],
         {
-            "waveform.csv": "de884cb86f8429590204c178c8a4b0e1597a8018037418e74175f89f4cad0fe8",
-            "flip_events.csv": "b7dddc5d79996fbdc770db4ffe5e2b2204af3637c72431171ca27ae1dcbda0df",
+            "waveform.csv": "f6d0530decd66604a36a53f542c95480fc7feee6c660cbbfaa099ebbe9fc8036",
+            "flip_events.csv": "071314eba8d1330cbad3e2229015ebfab15967eb00c630791cbd2b74cb181a9c",
         },
     ),
     "finite_storage": (
         ["simulate", "--cycles", "2", "--set", "storage_cs=1uF"],
         {
-            "waveform.csv": "28ff934e8d4de989c002ac527c774b734abf2ecee848a7e1f5382dd978789ef9",
-            "flip_events.csv": "495e2936c6d87a8959e8a6b82ffbba5385dfd1b819f7b48159699981832bc52b",
+            "waveform.csv": "c2a4e47edb0d4e9a5ed1f9b6e123f7b962beea6d8d8c53a2cf62d9cf448f6fbb",
+            "flip_events.csv": "ca6ad7182e32da2f73ce9e9cd6f5a73136638ff47773a82ab0cbb2edbb89a798",
         },
     ),
     "analyze": (

@@ -185,12 +185,8 @@ class TestStep:
 
 
 def step_reference(cfg):
-    """run() rebuilt from public step() and apply_phase() calls.
-
-    Returns the waveform samples as (t, vpt, vs) lists, the flip events as
-    tuples, the ledger, the final state and the number of steps shorter than
-    cfg.dt.
-    """
+    """run() rebuilt from public step() and apply_phase() calls: the explicit
+    Euler reference. Returns the flip events as tuples and the final state."""
     state = CircuitState(
         t=0.0,
         vpt=cfg.vpt_initial,
@@ -198,58 +194,55 @@ def step_reference(cfg):
         vs=cfg.stage.storage_voltage,
         q_harvested=0.0,
     )
-    ledger = ChargeLedger()
-    samples = [state]
     events = []
-    short_steps = 0
     for k, (t_cross, _) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
         while state.t < t_cross - 1e-15 * t_cross:
-            h = min(cfg.dt, t_cross - state.t)
-            short_steps += h < cfg.dt
-            state = step(state, cfg, ledger, dt=h)
-            samples.append(state)
+            state = step(state, cfg, dt=min(cfg.dt, t_cross - state.t))
         if cfg.sshc is None:
             continue
         t0, v_before = state.t, state.vpt
         order = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N)
         w, g = cfg.phase_pulse_width, cfg.phase_gap
         for j, phase in enumerate(order if v_before >= 0.0 else order[::-1]):
-            state = replace(apply_phase(state, phase, cfg, ledger), t=t0 + (j + 1) * w + j * g)
-            samples.append(state)
+            state = replace(apply_phase(state, phase, cfg), t=t0 + (j + 1) * w + j * g)
         state = replace(
             state, t=t0 + 3.0 * w + 2.0 * g, phase=Phase.IDLE, last_share_phase=Phase.IDLE
         )
         events.append((k, t0, v_before, state.vpt, abs(state.vpt) / abs(v_before)))
-    columns = tuple([getattr(s, name) for s in samples] for name in ("t", "vpt", "vs"))
-    return columns, events, ledger, state, short_steps
+    return events, state
 
 
-class TestKernelMatchesStep:
-    """run()'s Euler kernel against a loop of step() calls, bit for bit."""
+REGIMES = {
+    "ideal": {},
+    "leaky": {"src": make_source(rp=1e6)},
+    "finite_storage": {"stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
+    "leaky_finite_storage_217Hz": {
+        "src": make_source(f=217.0, rp=1e7),
+        "stage": make_stage(storage=FiniteCap(1e-6, 2.0)),
+    },
+}
 
-    @pytest.mark.parametrize(
-        "cfg_kwargs",
-        [
-            {"src": make_source(rp=1e6)},
-            {"stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
-            {"src": make_source(f=217.0, rp=1e7), "stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
-        ],
-        ids=["leaky", "finite_storage", "leaky_finite_storage_217Hz"],
-    )
-    def test_bit_identical_to_step_loop(self, cfg_kwargs):
-        cfg = make_sim_config(n_cycles=2, **cfg_kwargs)
-        (t, vpt, vs), events, ledger, final, short_steps = step_reference(cfg)
-        result = run(cfg)
-        wf = result.waveform
-        assert wf.t.tolist() == t
-        assert wf.vpt.tolist() == vpt
-        assert wf.vs.tolist() == vs
-        got = [(e.cycle_index, e.t, e.v_before, e.v_after, e.efficiency) for e in result.events]
-        assert got == events
-        assert vars(result.ledger) == vars(ledger)
-        assert result.final_state == final
-        # Each segment ends with a step shorter than dt, so that path ran too.
-        assert short_steps > 0
+
+class TestStepConvergesToRun:
+    """A loop of Euler step() calls approaches run()'s closed form at first
+    order in dt: q_harvested relative to itself, the last v_after relative to
+    the conduction threshold, since the leak shrinks it."""
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_first_order_in_dt(self, regime):
+        base = make_sim_config(n_cycles=2, **REGIMES[regime])
+        exact = run(base)
+        q_exact = exact.final_state.q_harvested
+        v_exact = exact.events[-1].v_after
+        vth = 2.4
+        q_err, v_err = [], []
+        for steps in (1e3, 1e4, 1e5):
+            events, final = step_reference(replace(base, dt=base.src.period / steps))
+            q_err.append(abs(final.q_harvested - q_exact) / q_exact)
+            v_err.append(abs(events[-1][3] - v_exact) / vth)
+        for errors in (q_err, v_err):
+            assert errors[1] <= errors[0] / 8 and errors[2] <= errors[1] / 8, errors
+            assert errors[2] <= 2e-6, errors
 
 
 class TestRunFullBridge:
@@ -286,7 +279,7 @@ class TestRunSshc:
         vt = 0.0
         for event in result.events:
             vpt_out, vt = flip_step(abs(event.v_before), vt, ratios)
-            assert abs(event.v_after) == pytest.approx(abs(vpt_out), rel=1e-6)
+            assert abs(event.v_after) == pytest.approx(abs(vpt_out), rel=1e-12)
             assert event.v_before == pytest.approx(2.4 * (1 if event.cycle_index % 2 else -1), rel=1e-9)
 
     def test_signs_invert_and_efficiency_range(self):
@@ -302,7 +295,7 @@ class TestRunSshc:
         series = flip_efficiency_series(ratios, 2.4, len(result.events))
         traj = extract_efficiency_trajectory(result.events)
         for got, want in zip(traj, series.efficiencies):
-            assert got == pytest.approx(want, rel=1e-6)
+            assert got == pytest.approx(want, rel=1e-12)
         assert all(b >= a - 1e-12 for a, b in zip(traj, traj[1:]))
 
     def test_waveform_timestamps_strictly_increasing(self):
@@ -341,11 +334,13 @@ class TestRunSshc:
         assert abs(residual) < 1e-9 * scale
 
     def test_step_size_convergence(self):
-        q = {}
-        for dt in (1e-6, 5e-7):
-            cfg = make_sim_config(n_cycles=5, dt=dt)
-            q[dt] = run(cfg).final_state.q_harvested
-        assert abs(q[5e-7] - q[1e-6]) / q[1e-6] < 0.005
+        # The closed form does not depend on the sample grid.
+        for regime in ("ideal", "leaky", "finite_storage"):
+            q = {}
+            for dt in (1e-6, 5e-7):
+                cfg = make_sim_config(n_cycles=5, dt=dt, **REGIMES[regime])
+                q[dt] = run(cfg).final_state.q_harvested
+            assert abs(q[5e-7] - q[1e-6]) / q[1e-6] < 1e-12, regime
 
     def test_swapped_phase_order_is_worse(self):
         # Applying the dump-first order against an established C_T polarity
@@ -387,6 +382,46 @@ class TestRunSshc:
         cfg = make_sim_config(n_cycles=4)
         result = run(cfg)
         assert result.final_state.q_harvested > 0
+
+
+class TestExactHarvest:
+    @pytest.mark.parametrize("ratio", [1.0, 100.0])
+    @pytest.mark.parametrize("n_cycles", [2, 10])
+    def test_ideal_rail_matches_closed_form(self, ratio, n_cycles):
+        # From 0 V the first half cycle harvests 2 I_P/w - C_P vth. Every later
+        # one starts W = 3 pulse + 2 gap after its crossing at eta_k * vth on
+        # the driven side, and harvests I_P/w (1 + cos wW) - C_P vth (1 - eta_k).
+        cfg = make_sim_config(ct=ratio * 10e-9, n_cycles=n_cycles)
+        result = run(cfg)
+        src, vth = cfg.src, 2.4
+        q_half = src.amplitude_ip / src.omega
+        window = 3.0 * cfg.phase_pulse_width + 2.0 * cfg.phase_gap
+        expected = 2.0 * q_half - src.cap_cp * vth + sum(
+            q_half * (1.0 + math.cos(src.omega * window)) - src.cap_cp * vth * (1.0 - e.efficiency)
+            for e in result.events[:-1]
+        )
+        assert result.final_state.q_harvested == pytest.approx(expected, rel=1e-12)
+
+
+class TestStartBeyondRails:
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    @pytest.mark.parametrize("regime", ["ideal", "leaky", "finite_storage"])
+    def test_clipped_onto_rails(self, regime, side):
+        # A start beyond either rail is clipped at once, as step() clips it,
+        # and the excess goes through the bridge, not into the leak.
+        cfg = make_sim_config(n_cycles=1, vpt_initial=side * 1.5 * 2.4, **REGIMES[regime])
+        result = run(cfg)
+        wf = result.waveform
+        vth = wf.vs[1:] + 2.0 * cfg.stage.diode_drop_vd
+        assert np.all(np.abs(wf.vpt[1:]) <= vth * (1 + 1e-12))
+        ledger = result.ledger
+        scale = max(abs(ledger.q_source), cfg.src.cap_cp * 2.4)
+        if math.isinf(cfg.src.res_rp):
+            assert abs(ledger.q_leak) <= 1e-12 * scale
+        residual = ledger.residual(result.initial_state, result.final_state, cfg)
+        assert abs(residual) < 1e-9 * scale
+        _, final = step_reference(cfg)
+        assert result.final_state.q_harvested == pytest.approx(final.q_harvested, rel=1e-4)
 
 
 class TestCsvExport:
