@@ -5,12 +5,14 @@ run() integrates each half cycle in closed form: the node voltage follows
 x' = k*sin(wt) - g*x piece by piece, free on C_P, then clamped by the diode
 bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
 a leaky C_P, free again once the source current falls below the leak's. The
-pieces are sampled on a uniform dt grid, and the charge ledger comes from
-their exact integrals. At every source zero crossing the three switch phases
-run in the polarity-correct order (share, short, reversed dump) as
-instantaneous charge redistributions, with extra waveform samples inserted at
-the pulse boundaries so the flip staircase is visible on the timeline. step()
-is the explicit-Euler reference of the same circuit.
+piece boundaries come first, from scalar roots (on a fixed rail the release
+from its arcsin closed form); then each piece is evaluated once, on its slice
+of a uniform dt grid, and the charge ledger comes from their exact integrals.
+At every source zero crossing the three switch phases run in the
+polarity-correct order (share, short, reversed dump) as instantaneous charge
+redistributions, with extra waveform samples inserted at the pulse boundaries
+so the flip staircase is visible on the timeline. step() is the
+explicit-Euler reference of the same circuit.
 """
 
 from __future__ import annotations
@@ -119,10 +121,12 @@ class ChargeLedger:
 
         dQ = q_source - q_storage - q_leak - q_cleared + q_reversal
 
-    holds to floating precision when every transfer is conservative.
+    holds to floating precision when every transfer is conservative. The net
+    q_source cancels over whole cycles; the residual's scale is q_source_gross.
     """
 
     q_source: float = 0.0    # integrated source charge actually applied
+    q_source_gross: float = 0.0  # sum of |q_source| over one-sign segments: all it moved
     q_storage: float = 0.0   # signed charge routed through the bridge to storage
     q_leak: float = 0.0      # signed charge lost through res_rp
     q_cleared: float = 0.0   # signed charge shunted to ground during Phi0
@@ -295,6 +299,7 @@ def step(
     dq = src.current(state.t) * h
     if ledger is not None:
         ledger.q_source += dq
+        ledger.q_source_gross += abs(dq)
     vpt += dq / cp
 
     vth = vs + 2.0 * cfg.stage.diode_drop_vd
@@ -369,31 +374,55 @@ def _grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     return np.append(t0 + dt * np.arange(n + 1), t_end)
 
 
-def _rise(t, t0: float, x0: float, k: float, g: float, w: float):
+def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
     """x(t) - x0 for x' = k*sin(w*t) - g*x from x(t0) = x0 (g = 0: no decay),
-    at a time or an array of times t >= t0. x0 stays out of the sum, so a
-    small rise on a large x0 keeps its digits."""
+    at a time or an array of times t >= t0; m=math evaluates one float. x0
+    stays out of the sum, so a small rise on a large x0 keeps its digits."""
     if g == 0.0:
-        return k / w * (np.cos(w * t0) - np.cos(w * t))
+        return k / w * (m.cos(w * t0) - m.cos(w * t))
     a = k / (g * g + w * w)  # the forced response is a*(g*sin(w*t) - w*cos(w*t))
     forced0 = a * (g * math.sin(w * t0) - w * math.cos(w * t0))
-    forced = a * (g * np.sin(w * t) - w * np.cos(w * t))
-    return forced - forced0 + (x0 - forced0) * np.expm1(-g * (t - t0))
+    forced = a * (g * m.sin(w * t) - w * m.cos(w * t))
+    return forced - forced0 + (x0 - forced0) * m.expm1(-g * (t - t0))
 
 
-def _crossing(f, a: float, b: float) -> float:
-    """The first time in [a, b] at which the vectorised f turns >= 0, to float
-    precision: each pass samples the bracket at 64 steps and keeps the step in
-    which f turns; 10 passes take a bracket of 2**60 ulps down to one."""
-    for _ in range(10):
-        s = np.linspace(a, b, 65)
-        up = f(s) >= 0.0
-        k = int(np.argmax(up)) if up.any() else 64
-        if k == 0:
-            return float(a)
-        a, b = s[k - 1], s[k]
-        if b - a <= 2.0 * np.spacing(b):
+_STRIDE = 64  # grid points between the probes of a boundary search
+
+
+def _first(f, t: np.ndarray, lo: int) -> Optional[int]:
+    """The first index m >= lo with f(t[m])[0] >= 0 (f returns value, slope),
+    from every _STRIDE-th point and the last, then the stride before the first
+    that holds: argmax over t[lo:] when the points that hold are contiguous, as
+    for each boundary of a half cycle. None when no probe holds, since a touch
+    shorter than a stride may lie between two: the caller tests every point."""
+    probes = np.minimum(np.arange(lo, len(t) + _STRIDE - 1, _STRIDE), len(t) - 1)
+    held = f(t[probes])[0] >= 0.0
+    if not held.any():
+        return None
+    c = int(np.argmax(held))
+    if c == 0:
+        return lo
+    a = int(probes[c - 1]) + 1
+    return a + int(np.argmax(f(t[a : probes[c] + 1])[0] >= 0.0))
+
+
+def _root(f, a: float, b: float, x: float) -> float:
+    """The time in [a, b] at which f(s, math)[0] turns >= 0, to 2 ulps, where
+    f(s, math) returns (value, slope): Newton steps from x narrow the bracket;
+    a step that leaves it bisects it, one that stalls moves one ulp."""
+    x = min(max(x, a), b)
+    for _ in range(64):
+        if b - a <= 2.0 * math.ulp(b):
             break
+        fx, slope = f(x, math)
+        if fx >= 0.0:
+            b = x
+        else:
+            a = x
+        nx = x - fx / slope if slope else math.nan
+        if nx == x:
+            nx = math.nextafter(x, a if fx >= 0.0 else b)
+        x = nx if a < nx < b else 0.5 * (a + b)
     return float(b)
 
 
@@ -411,9 +440,11 @@ def _integrate_segment(
     The node is free on C_P (k = I_P/C_P, g = 1/(R_P C_P)) until it reaches the
     rail sign*(vs + 2*vd); clamped, C_P and C_S charge together (k and g over
     C_P+C_S; a fixed rail, C_S = inf, holds); with leakage, free again once
-    sign*I(t) < sign*v/R_P. Samples are the pieces on _grid(); the clamp start
-    and the release are refined where a later piece or the ledger needs them.
-    A start beyond a rail is first clipped onto it, as step() clips it.
+    sign*I(t) < sign*v/R_P. The boundaries come first: grid indices i and j
+    from _first, then t_clamp and t_release from _root (the release on a fixed
+    rail from arcsin) where a later piece or the ledger needs them. Each piece
+    is then evaluated once, on its slice of _grid(). A start beyond a rail is
+    first clipped onto it, as step() does.
     """
     if t_end <= state.t:
         return state
@@ -429,46 +460,62 @@ def _integrate_segment(
         vs0 += excess / cs
     vth = vs0 + two_vd
     rail = sign * vth
+    kf, gf, kh, gh = ip / cp, leak / cp, ip / (cp + cs), leak / (cp + cs)
+
+    def over(s, m=np):  # how far the free node is past the rail, and its slope
+        x = v0 + _rise(s, t0, v0, kf, gf, w, m)
+        return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x)
 
     t = _grid(t0, t_end, cfg.dt)
-    v = v0 + _rise(t, t0, v0, ip / cp, leak / cp, w)
-    rise = np.zeros_like(t)  # how far a finite storage cap has carried the clamp
-    reached = sign * v >= vth
+    n = len(t)
+    v = np.empty(n)
     # A node that starts on the rail stays there unless the leak pulls it off.
-    reached[0] = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
-    i = int(np.argmax(reached)) if reached.any() else len(t)
-    t_clamp, t_release = t0, t_end
-    if 0 < i < len(t) and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
+    on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
+    i = 0 if on_rail else _first(over, t, 1)
+    if i is None:  # no probe reached the rail: test every sample of the free piece
+        v[1:] = v0 + _rise(t[1:], t0, v0, kf, gf, w)
+        reached = sign * v[1:] >= vth
+        i = 1 + int(np.argmax(reached)) if reached.any() else n
+    else:
+        v[1:i] = v0 + _rise(t[1:i], t0, v0, kf, gf, w)
+    j, t_clamp, t_release = n, t0, t_end
+    if 0 < i < n and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
+        t_clamp = _root(over, t[i - 1], t[i], t[i])
+    hold = (t_clamp, rail, kh, gh, w)
 
-        def over(s):
-            return sign * (v0 + _rise(s, t0, v0, ip / cp, leak / cp, w)) - vth
+    def backward(s, m=np):  # >= 0 once the leak outweighs the source: the bridge would reverse
+        x, sin = rail + _rise(s, *hold, m) if cs < math.inf else rail, m.sin(w * s)
+        slope = leak * (kh * sin - gh * x) - ip * w * m.cos(w * s)
+        return sign * (x * leak - ip * sin), sign * slope
 
-        t_clamp = _crossing(over, t[i - 1], t[i])
-    hold = (t_clamp, rail, ip / (cp + cs), leak / (cp + cs), w)
+    if leak and i < n:
+        j = _first(backward, t, i)
+        if j is None:
+            out = backward(t[i:])[0] >= 0.0
+            j = i + int(np.argmax(out)) if out.any() else n
+        if j < n:
+            # On a fixed rail the release is sin(w*(t_end - t)) = vth/(R_P*I_P).
+            guess = t[j] if cs < math.inf else t_end - math.asin(min(vth * leak / ip, 1.0)) / w
+            t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
+
+    rise = np.zeros(n)  # how far a finite storage cap has carried the clamp
     if cs < math.inf:
-        rise[i:] = _rise(t[i:], *hold)
-    v[i:] = rail + rise[i:]
-    if leak and i < len(t):
-
-        def backward(s):  # > 0 once the leak outweighs the source: the bridge would reverse
-            return sign * ((rail + _rise(s, *hold)) * leak - ip * np.sin(w * s))
-
-        out = backward(t[i:]) >= 0.0
-        if out.any():
-            j = i + int(np.argmax(out))
-            t_release = _crossing(backward, t[j - 1] if j > i else t_clamp, t[j])
+        rise[i:j] = _rise(t[i:j], *hold)
+    v[i:j] = rail + rise[i:j]
+    if j < n:
+        if cs < math.inf:
             rise[j:] = _rise(t_release, *hold)
-            off = rail + rise[j]
-            free = off + _rise(t[j:], t_release, off, ip / cp, leak / cp, w)
-            # Released, the node only falls away from the rail; the clip drops
-            # the rounding of a very stiff leak (g >> w).
-            v[j:] = sign * np.minimum(sign * free, sign * off)
+        off = rail + rise[j]
+        free = off + _rise(t[j:], t_release, off, kf, gf, w)
+        # Released, the node only falls away from the rail; the clip drops
+        # the rounding of a very stiff leak (g >> w).
+        v[j:] = sign * np.minimum(sign * free, sign * off)
 
     v_end, rise_end = float(v[-1]), float(rise[-1])
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
     if cs < math.inf:
         q_storage = cs * rise_end
-    elif i == len(t):
+    elif i == n:
         q_storage = 0.0
     elif leak:
         q_storage = ip / w * (math.cos(w * t_clamp) - math.cos(w * t_release)) - (
@@ -477,6 +524,7 @@ def _integrate_segment(
     else:
         q_storage = q_source - cp * (v_end - v0)
     ledger.q_source += q_source
+    ledger.q_source_gross += abs(q_source)
     ledger.q_storage += q_storage
     if leak:
         ledger.q_leak += q_source - cp * (v_end - v0) - q_storage

@@ -119,8 +119,8 @@ class TestAcceptance:
                 result = run(cfg)
 
             residual = result.ledger.residual(result.initial_state, result.final_state, cfg)
-            scale = max(abs(result.ledger.q_source), cp * vth)
-            assert abs(residual) < 1e-9 * scale, f"config {i}: ledger residual {residual}"
+            scale = result.ledger.q_source_gross
+            assert abs(residual) < 1e-12 * scale, f"config {i}: ledger residual {residual}"
 
             wf = result.waveform
             ct = sshc.cap_ct

@@ -13,7 +13,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sshcsim import WeakExcitationWarning, cli, conduction_threshold, run
+from sshcsim import WeakExcitationWarning, cli, run
 
 SUBCOMMANDS = [
     ["simulate"],
@@ -64,5 +64,4 @@ def test_subcommands_agree_on_validity(overrides):
     assert len(runs) == (1 if codes[0] == 0 else 0)
     for cfg, result in runs:
         residual = result.ledger.residual(result.initial_state, result.final_state, cfg)
-        scale = max(abs(result.ledger.q_source), cfg.src.cap_cp * conduction_threshold(cfg.stage))
-        assert abs(residual) < 1e-9 * scale
+        assert abs(residual) < 1e-12 * result.ledger.q_source_gross
