@@ -13,11 +13,20 @@ from dataclasses import dataclass, field
 from typing import Union
 
 
+def require_finite(obj: object, *names: str) -> None:
+    """Raise ValueError naming the first of obj's float fields that is NaN or
+    infinite; a non-finite value would run on silently into NaN events."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PiezoSource:
     """Sinusoidal current source I(t) = amplitude_ip * sin(2*pi*frequency*t)
     in parallel with plate capacitance cap_cp and leakage res_rp
-    (math.inf = no leakage)."""
+    (math.inf = no leakage, the one non-finite value any field takes)."""
 
     amplitude_ip: float  # A
     frequency: float     # Hz
@@ -25,6 +34,7 @@ class PiezoSource:
     res_rp: float = math.inf  # ohm
 
     def __post_init__(self):
+        require_finite(self, "amplitude_ip", "frequency", "cap_cp")
         if not self.amplitude_ip > 0:
             raise ValueError("amplitude_ip must be > 0")
         if not self.frequency > 0:
@@ -54,6 +64,7 @@ class FixedVoltage:
     vs: float  # V
 
     def __post_init__(self):
+        require_finite(self, "vs")
         if self.vs < 0:
             raise ValueError("vs must be >= 0")
 
@@ -66,6 +77,7 @@ class FiniteCap:
     vs_initial: float = 0.0  # V
 
     def __post_init__(self):
+        require_finite(self, "cs", "vs_initial")
         if not self.cs > 0:
             raise ValueError("cs must be > 0")
         if self.vs_initial < 0:
@@ -83,6 +95,7 @@ class RectifierStage:
     storage: Storage = field(default_factory=lambda: FixedVoltage(0.0))
 
     def __post_init__(self):
+        require_finite(self, "diode_drop_vd")
         if self.diode_drop_vd < 0:
             raise ValueError("diode_drop_vd must be >= 0")
 
@@ -106,6 +119,7 @@ class SshcNetwork:
     volt_vt: float = 0.0  # V
 
     def __post_init__(self):
+        require_finite(self, "cap_ct", "volt_vt")
         if not self.cap_ct > 0:
             raise ValueError("cap_ct must be > 0")
 

@@ -5,14 +5,14 @@ run() integrates each half cycle in closed form: the node voltage follows
 x' = k*sin(wt) - g*x piece by piece, free on C_P, then clamped by the diode
 bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
 a leaky C_P, free again once the source current falls below the leak's. The
-piece boundaries come first, from scalar roots (on a fixed rail the release
-from its arcsin closed form); then each piece is evaluated once, on its slice
-of a uniform dt grid, and the charge ledger comes from their exact integrals.
-At every source zero crossing the three switch phases run in the
-polarity-correct order (share, short, reversed dump) as instantaneous charge
-redistributions, with extra waveform samples inserted at the pulse boundaries
-so the flip staircase is visible on the timeline. step() is the
-explicit-Euler reference of the same circuit.
+timeline comes first: each half cycle's uniform dt grid, then, at its zero
+crossing, one row per switch pulse. Each half cycle then fills its slice in
+place: the piece boundaries from scalar roots (on a fixed rail the release
+from its arcsin closed form), then each piece evaluated once, and the charge
+ledger from their exact integrals. The three switch phases of a flip run in
+the polarity-correct order (share, short, reversed dump) as instantaneous
+charge redistributions, one pulse row each, so the flip staircase is visible
+on the timeline. step() is the explicit-Euler reference of the same circuit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circuit import FiniteCap, PiezoSource, RectifierStage, SshcNetwork, full_swing_supported
+from .circuit import require_finite
 from .csvout import fmt, write_csv
 from .flip import charge_share
 
@@ -49,6 +50,10 @@ class FlipDirection(enum.Enum):
     NEG_TO_POS = "neg_to_pos"  # pulse order PhiN -> Phi0 -> PhiP
 
 
+# The switch phases of a flip from a node at or above zero; reversed below it.
+_FLIP_ORDER = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N)
+
+
 class PhaseOrderError(ValueError):
     """A switch phase arrived out of the polarity-correct sequence."""
 
@@ -69,6 +74,7 @@ class SimConfig:
     vpt_initial: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "vpt_initial")
         period = self.src.period
         for name, unset in (("dt", 0.0), ("phase_pulse_width", 0.0), ("phase_gap", None)):
             if getattr(self, name) == unset:
@@ -238,22 +244,29 @@ def apply_phase(
             f"phase {phase.value} illegal after {state.phase.value} "
             f"(vpt={state.vpt:+.3g} V)"
         )
-    cp = cfg.src.cap_cp
-    ct = cfg.sshc.cap_ct
+    cp, ct = cfg.src.cap_cp, cfg.sshc.cap_ct
+    vpt, vt = _switch(phase, state.vpt, state.vt, cp, ct, ledger or ChargeLedger())
+    share = state.last_share_phase if phase is Phase.PHI_0 else phase
+    return replace(state, vpt=vpt, vt=vt, phase=phase, last_share_phase=share)
+
+
+def _switch(
+    phase: Phase, vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger
+) -> Tuple[float, float]:
+    """The charge-share algebra of one switch phase: (vpt, vt) after it. Both
+    run() and apply_phase() switch through here."""
     if phase is Phase.PHI_P:
-        v_new = charge_share(state.vpt, cp, state.vt, ct)
-        return replace(state, vpt=v_new, vt=v_new, phase=phase, last_share_phase=phase)
+        v_new = charge_share(vpt, cp, vt, ct)
+        return v_new, v_new
     if phase is Phase.PHI_0:
-        if ledger is not None:
-            ledger.q_cleared += cp * state.vpt
-        return replace(state, vpt=0.0, phase=phase)
+        ledger.q_cleared += cp * vpt
+        return 0.0, vt
     if phase is Phase.PHI_N:
         # Node equalizes against the reversed plate at -vt; the reference
         # plate lands at the negated node voltage.
-        v_new = charge_share(state.vpt, cp, -state.vt, ct)
-        if ledger is not None:
-            ledger.q_reversal += -2.0 * ct * (v_new + state.vt)
-        return replace(state, vpt=v_new, vt=-v_new, phase=phase, last_share_phase=phase)
+        v_new = charge_share(vpt, cp, -vt, ct)
+        ledger.q_reversal += -2.0 * ct * (v_new + vt)
+        return v_new, -v_new
     raise ValueError("cannot apply the Idle phase")
 
 
@@ -324,54 +337,28 @@ def step(
     return replace(state, t=state.t + h, vpt=vpt, vs=vs, q_harvested=q_harvested)
 
 
-class _WaveformBuilder:
-    """Collects samples as numpy segments and joins them once in build().
-
-    Integration segments arrive as arrays. The few single samples (the initial
-    state and the switch phases) are buffered as rows and become a segment
-    when the next array segment arrives.
-    """
-
-    _DTYPES = (np.float64, np.float64, np.float64, np.float64, _TOKEN)  # t, vpt, vt, vs, phase
-
-    def __init__(self):
-        self._columns: Tuple[List[np.ndarray], ...] = tuple([] for _ in self._DTYPES)
-        self._rows: List[Tuple[float, float, float, float, str]] = []
-
-    def add(self, state: CircuitState) -> None:
-        self._rows.append((state.t, state.vpt, state.vt, state.vs, state.phase.value))
-
-    def add_arrays(self, t: np.ndarray, vpt: np.ndarray, vt: float, vs: np.ndarray) -> None:
-        """An Idle segment, over which vt is constant."""
-        self._flush()
-        shape = t.shape
-        self._append(t, vpt, np.full(shape, vt), vs, np.full(shape, Phase.IDLE.value, _TOKEN))
-
-    def _flush(self) -> None:
-        if self._rows:
-            self._append(*(np.array(c, dtype) for c, dtype in zip(zip(*self._rows), self._DTYPES)))
-            self._rows = []
-
-    def _append(self, *segment: np.ndarray) -> None:
-        for column, part in zip(self._columns, segment):
-            column.append(part)
-
-    def build(self) -> Waveform:
-        self._flush()
-        joined = []
-        for parts in self._columns:
-            # Release each column's segments as soon as it is joined, so the
-            # peak is the waveform plus one column of segments.
-            joined.append(np.concatenate(parts))
-            parts.clear()
-        return Waveform(*joined)
-
-
-def _grid(t0: float, t_end: float, dt: float) -> np.ndarray:
-    """t0, t0 + dt, t0 + 2*dt, ... while short of t_end, then t_end; a
-    remainder under 1e-9 dt joins the last step, so rounding leaves no sliver."""
-    n = max(0, int(math.floor((t_end - t0) / dt - 1e-9)))
-    return np.append(t0 + dt * np.arange(n + 1), t_end)
+def _timeline(
+    crossings: Sequence[Tuple[float, FlipDirection]], cfg: SimConfig
+) -> Tuple[np.ndarray, List[int]]:
+    """run()'s t column and the row of each zero crossing. Each half cycle
+    adds t0 + dt, t0 + 2*dt, ... while short of its crossing, then the
+    crossing, where t0 is the previous row; a remainder under 1e-9 dt joins
+    the last step, so rounding leaves no sliver. A flip adds its pulse rows."""
+    dt, w, g = cfg.dt, cfg.phase_pulse_width, cfg.phase_gap
+    pulses = range(3 if cfg.sshc is not None else 0)
+    layout, t0 = [], 0.0
+    for t_cross, _ in crossings:
+        tail = [t_cross] + [t_cross + (j + 1) * w + j * g for j in pulses]
+        layout.append((t0, max(0, int(math.floor((t_cross - t0) / dt - 1e-9))), tail))
+        t0 = tail[-1]
+    t = np.empty(1 + sum(n + len(tail) for _, n, tail in layout))
+    t[0], row, ends = 0.0, 1, []
+    for t0, n, tail in layout:
+        t[row : row + n] = t0 + dt * np.arange(1, n + 1)
+        ends.append(row + n)
+        t[row + n : row + n + len(tail)] = tail
+        row += n + len(tail)
+    return t, ends
 
 
 def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
@@ -427,31 +414,32 @@ def _root(f, a: float, b: float, x: float) -> float:
 
 
 def _integrate_segment(
-    state: CircuitState,
-    t_end: float,
+    t: np.ndarray,
+    v: np.ndarray,
+    vs: np.ndarray,
+    q_harvested: float,
     sign: int,
     cfg: SimConfig,
     ledger: ChargeLedger,
-    wf: _WaveformBuilder,
-) -> CircuitState:
-    """Advance from state.t to t_end, a (partial) half cycle in which the
-    source current has the sign `sign`, in closed form (see _rise).
+) -> Tuple[float, float, float]:
+    """Fill one (partial) half cycle, in which the source current has the sign
+    `sign`, in closed form (see _rise); return its end (vpt, vs, q_harvested).
 
-    The node is free on C_P (k = I_P/C_P, g = 1/(R_P C_P)) until it reaches the
-    rail sign*(vs + 2*vd); clamped, C_P and C_S charge together (k and g over
-    C_P+C_S; a fixed rail, C_S = inf, holds); with leakage, free again once
-    sign*I(t) < sign*v/R_P. The boundaries come first: grid indices i and j
-    from _first, then t_clamp and t_release from _root (the release on a fixed
-    rail from arcsin) where a later piece or the ledger needs them. Each piece
-    is then evaluated once, on its slice of _grid(). A start beyond a rail is
-    first clipped onto it, as step() does.
+    t is the half cycle's slice of the timeline and v, vs the vpt and vs
+    columns over it. Row 0 is the previous row, which holds the start; only
+    rows 1 on are written. The node is free on C_P (k = I_P/C_P,
+    g = 1/(R_P C_P)) until it reaches the rail sign*(vs + 2*vd); clamped, C_P
+    and C_S charge together (k and g over C_P+C_S; a fixed rail, C_S = inf,
+    holds); with leakage, free again once sign*I(t) < sign*v/R_P. The
+    boundaries come first: grid indices i and j from _first, then t_clamp and
+    t_release from _root (the release on a fixed rail from arcsin) where a
+    later piece or the ledger needs them. Each piece is then evaluated once, on
+    its rows. A start beyond a rail is first clipped onto it, as step() does.
     """
-    if t_end <= state.t:
-        return state
     src, storage, two_vd = cfg.src, cfg.stage.storage, 2.0 * cfg.stage.diode_drop_vd
     ip, w, cp, leak = src.amplitude_ip, src.omega, src.cap_cp, 1.0 / src.res_rp
     cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
-    t0, v0, vs0, q_harvested = state.t, state.vpt, state.vs, state.q_harvested
+    t0, t_end, v0, vs0 = float(t[0]), float(t[-1]), float(v[0]), float(vs[0])
     excess = cp * (abs(v0) - (vs0 + two_vd))
     if excess > 0.0:  # through the bridge, into storage
         v0 = math.copysign(vs0 + two_vd, v0)
@@ -466,9 +454,7 @@ def _integrate_segment(
         x = v0 + _rise(s, t0, v0, kf, gf, w, m)
         return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x)
 
-    t = _grid(t0, t_end, cfg.dt)
     n = len(t)
-    v = np.empty(n)
     # A node that starts on the rail stays there unless the leak pulls it off.
     on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
     i = 0 if on_rail else _first(over, t, 1)
@@ -499,17 +485,18 @@ def _integrate_segment(
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
 
     rise = np.zeros(n)  # how far a finite storage cap has carried the clamp
+    a, b = max(i, 1), max(j, 1)  # the clamped and released rows; row 0 is not ours
     if cs < math.inf:
-        rise[i:j] = _rise(t[i:j], *hold)
-    v[i:j] = rail + rise[i:j]
+        rise[a:j] = _rise(t[a:j], *hold)
+    v[a:j] = rail + rise[a:j]
     if j < n:
         if cs < math.inf:
             rise[j:] = _rise(t_release, *hold)
         off = rail + rise[j]
-        free = off + _rise(t[j:], t_release, off, kf, gf, w)
+        free = off + _rise(t[b:], t_release, off, kf, gf, w)
         # Released, the node only falls away from the rail; the clip drops
         # the rounding of a very stiff leak (g >> w).
-        v[j:] = sign * np.minimum(sign * free, sign * off)
+        v[b:] = sign * np.minimum(sign * free, sign * off)
 
     v_end, rise_end = float(v[-1]), float(rise[-1])
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
@@ -528,47 +515,8 @@ def _integrate_segment(
     ledger.q_storage += q_storage
     if leak:
         ledger.q_leak += q_source - cp * (v_end - v0) - q_storage
-    wf.add_arrays(t[1:], v[1:], state.vt, vs0 + sign * rise[1:])
-    q_harvested += sign * q_storage
-    return replace(state, t=t_end, vpt=v_end, vs=vs0 + sign * rise_end, q_harvested=q_harvested)
-
-
-def _execute_flip(
-    state: CircuitState,
-    flip_index: int,
-    cfg: SimConfig,
-    ledger: ChargeLedger,
-    wf: _WaveformBuilder,
-) -> Tuple[CircuitState, FlipEvent]:
-    v_before = state.vpt
-    t_cross = state.t
-    if v_before >= 0.0:
-        sequence = [Phase.PHI_P, Phase.PHI_0, Phase.PHI_N]
-    else:
-        sequence = [Phase.PHI_N, Phase.PHI_0, Phase.PHI_P]
-    w = cfg.phase_pulse_width
-    g = cfg.phase_gap
-    for j, ph in enumerate(sequence):
-        state = apply_phase(state, ph, cfg, ledger)
-        state = replace(state, t=t_cross + (j + 1) * w + j * g)
-        wf.add(state)
-    # Integration resumes at the end of the switching window; the next grid
-    # sample carries the Idle token.
-    state = replace(
-        state,
-        t=t_cross + 3.0 * w + 2.0 * g,
-        phase=Phase.IDLE,
-        last_share_phase=Phase.IDLE,
-    )
-    efficiency = abs(state.vpt) / abs(v_before) if v_before != 0.0 else 0.0
-    event = FlipEvent(
-        cycle_index=flip_index,
-        t=t_cross,
-        v_before=v_before,
-        v_after=state.vpt,
-        efficiency=efficiency,
-    )
-    return state, event
+    vs[1:] = vs0 + sign * rise[1:]
+    return v_end, vs0 + sign * rise_end, q_harvested + sign * q_storage
 
 
 def run(cfg: SimConfig) -> RunResult:
@@ -581,26 +529,40 @@ def run(cfg: SimConfig) -> RunResult:
             WeakExcitationWarning,
             stacklevel=2,
         )
-    state = CircuitState(
+    initial = CircuitState(
         t=0.0,
         vpt=cfg.vpt_initial,
         vt=cfg.sshc.volt_vt if cfg.sshc is not None else 0.0,
         vs=cfg.stage.storage_voltage,
         q_harvested=0.0,
     )
-    initial = state
+    crossings = zero_crossing_times(cfg.src, cfg.n_cycles)
+    t, ends = _timeline(crossings, cfg)
+    n = len(t)
+    wf = Waveform(t, np.empty(n), np.empty(n), np.empty(n), np.full(n, Phase.IDLE.value, _TOKEN))
+    vpt, vt, vs, q = initial.vpt, initial.vt, initial.vs, initial.q_harvested
+    wf.vpt[0], wf.vt[0], wf.vs[0] = vpt, vt, vs
     ledger = ChargeLedger()
-    wf = _WaveformBuilder()
-    wf.add(state)
     events: List[FlipEvent] = []
-    for k, (t_cross, direction) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
+    row = 0
+    for k, ((t_cross, direction), end) in enumerate(zip(crossings, ends), 1):
         # The current is positive before a positive-to-negative crossing.
         sign = 1 if direction is FlipDirection.POS_TO_NEG else -1
-        state = _integrate_segment(state, t_cross, sign, cfg, ledger, wf)
-        if cfg.sshc is not None:
-            state, event = _execute_flip(state, k, cfg, ledger, wf)
-            events.append(event)
-    return RunResult(wf.build(), events, ledger, state, initial)
+        rows = slice(row, end + 1)
+        wf.vt[row + 1 : end + 1] = vt
+        vpt, vs, q = _integrate_segment(t[rows], wf.vpt[rows], wf.vs[rows], q, sign, cfg, ledger)
+        row = end
+        if cfg.sshc is None:
+            continue
+        v_before = vpt
+        for phase in _FLIP_ORDER if v_before >= 0.0 else _FLIP_ORDER[::-1]:
+            vpt, vt = _switch(phase, vpt, vt, cfg.src.cap_cp, cfg.sshc.cap_ct, ledger)
+            row += 1
+            wf.vpt[row], wf.vt[row], wf.vs[row], wf.phase[row] = vpt, vt, vs, phase.value
+        efficiency = abs(vpt) / abs(v_before) if v_before != 0.0 else 0.0
+        events.append(FlipEvent(k, t_cross, v_before, vpt, efficiency))
+    final = CircuitState(t=float(t[-1]), vpt=vpt, vt=vt, vs=vs, q_harvested=q)
+    return RunResult(wf, events, ledger, final, initial)
 
 
 def extract_efficiency_trajectory(events: Sequence[FlipEvent]) -> List[float]:

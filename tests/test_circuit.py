@@ -30,6 +30,16 @@ class TestValidation:
             PiezoSource(amplitude_ip=1e-6, frequency=100.0, cap_cp=0.0)
         with pytest.raises(ValueError):
             PiezoSource(amplitude_ip=1e-6, frequency=100.0, cap_cp=1e-9, res_rp=-5.0)
+        # A non-finite value would run on silently into NaN events or a NaN
+        # ledger, so each float field is rejected by name; only res_rp = inf
+        # is legal.
+        good = {"amplitude_ip": 1e-6, "frequency": 100.0, "cap_cp": 1e-9}
+        for name in good:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=name):
+                    PiezoSource(**{**good, name: bad})
+        with pytest.raises(ValueError, match="res_rp"):
+            PiezoSource(**good, res_rp=math.nan)
 
     def test_source_accepts_infinite_leakage(self):
         src = PiezoSource(amplitude_ip=1e-6, frequency=100.0, cap_cp=1e-9)
@@ -38,14 +48,29 @@ class TestValidation:
     def test_stage_rejects_negative_drop(self):
         with pytest.raises(ValueError):
             RectifierStage(diode_drop_vd=-0.1, storage=FixedVoltage(1.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="diode_drop_vd"):
+                RectifierStage(diode_drop_vd=bad, storage=FixedVoltage(1.0))
+            with pytest.raises(ValueError, match="vs"):
+                FixedVoltage(bad)
 
     def test_finite_cap_requires_positive_cs(self):
         with pytest.raises(ValueError):
             FiniteCap(cs=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="cs"):
+                FiniteCap(cs=bad)
+            with pytest.raises(ValueError, match="vs_initial"):
+                FiniteCap(cs=1e-6, vs_initial=bad)
 
     def test_sshc_requires_positive_ct(self):
         with pytest.raises(ValueError):
             SshcNetwork(cap_ct=-1e-9)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="cap_ct"):
+                SshcNetwork(cap_ct=bad)
+            with pytest.raises(ValueError, match="volt_vt"):
+                SshcNetwork(cap_ct=1e-9, volt_vt=bad)
 
     def test_storage_voltage_both_modes(self):
         assert make_stage(vs=1.5).storage_voltage == 1.5

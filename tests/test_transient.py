@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,13 @@ class TestSimConfigValidation:
     def test_rejects_nonpositive_cycles(self):
         with pytest.raises(ValueError):
             make_sim_config(n_cycles=0)
+
+    def test_rejects_non_finite_start(self):
+        # A NaN start would run on into NaN flip events, an infinite one into
+        # an infinite harvest and a NaN ledger residual.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="vpt_initial"):
+                make_sim_config(vpt_initial=bad)
 
 
 class TestZeroCrossings:
@@ -609,10 +617,11 @@ class TestPieceBoundaries:
 
     @pytest.mark.parametrize("g", [0.0, 1e2], ids=["no_decay", "decay"])
     def test_rise_on_a_slice_is_bit_identical(self, g):
-        # Each piece is evaluated on its own slice of the grid; that must give
-        # the bits of one evaluation over the whole grid.
+        # Each piece is evaluated on its own slice of the grid, from row 1 at
+        # the earliest; that must give the bits of one evaluation over the
+        # whole grid.
         t0 = 1.23e-3
-        t = transient._grid(t0, t0 + 0.01, 1e-6)
+        t = t0 + 1e-6 * np.arange(10_001)
         piece = (t0, -0.7, 5e3, g, 2 * math.pi * 100.0)
         whole = transient._rise(t, *piece)
         for length in (1, 7, 64, 5000):
@@ -634,3 +643,103 @@ class TestPieceBoundaries:
         monkeypatch.setattr(transient, "_rise", counting)
         result = run(make_sim_config(n_cycles=10, **BOUNDARY_CASES[case]))
         assert seen[0] <= len(result.waveform) * (1 + 1 / 16), seen[0] / len(result.waveform)
+
+
+def pulse_rows(wf):
+    """The three pulse rows of each flip, one flip per row of the result."""
+    return np.flatnonzero(wf.phase != "Idle").reshape(-1, 3)
+
+
+def with_sshc(cfg, ratio, volt_vt):
+    return replace(cfg, sshc=SshcNetwork(cap_ct=ratio * cfg.src.cap_cp, volt_vt=volt_vt))
+
+
+class TestFlipMatchesApplyPhase:
+    """run() switches through the algebra of apply_phase(): from each pre-flip
+    row, an apply_phase loop gives the same bits."""
+
+    @pytest.mark.parametrize(
+        "ratio, volt_vt",
+        [(1.0, 0.0), (100.0, 0.0), (1.0, 0.7)],
+        ids=["ct=cp", "ct=100cp", "vt=0.7"],
+    )
+    def test_pulse_rows_events_and_ledger(self, ratio, volt_vt):
+        cfg = with_sshc(make_sim_config(n_cycles=1), ratio, volt_vt)
+        result = run(cfg)
+        wf = result.waveform
+        ledger = ChargeLedger()
+        order = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N)
+        signs = []
+        for rows, event in zip(pulse_rows(wf), result.events):
+            pre = rows[0] - 1
+            state = CircuitState(
+                t=float(wf.t[pre]),
+                vpt=float(wf.vpt[pre]),
+                vt=float(wf.vt[pre]),
+                vs=float(wf.vs[pre]),
+                q_harvested=0.0,
+            )
+            assert state.vpt == event.v_before
+            signs.append(math.copysign(1.0, state.vpt))
+            for row, phase in zip(rows, order if state.vpt >= 0.0 else order[::-1]):
+                state = apply_phase(state, phase, cfg, ledger)
+                got = (wf.vpt[row], wf.vt[row], wf.vs[row], wf.phase[row])
+                assert got == (state.vpt, state.vt, state.vs, phase.value)
+            assert event.v_after == state.vpt
+            assert event.efficiency == abs(state.vpt) / abs(event.v_before)
+        assert signs == [1.0, -1.0]  # both polarities
+        assert result.ledger.q_cleared == ledger.q_cleared
+        assert result.ledger.q_reversal == ledger.q_reversal
+
+
+class TestRowOwnership:
+    """A half cycle's slice of the timeline starts at the previous row, which
+    it must not write: row 0 keeps the start and each flip's last pulse row
+    its post-flip value, even where the next half cycle clips that value."""
+
+    @pytest.mark.parametrize("start", [1.5, 1.0, -1.5], ids=["above", "on_rail", "below"])
+    @pytest.mark.parametrize("regime", ["ideal", "leaky", "finite_storage"])
+    def test_row_zero_keeps_the_start(self, regime, start):
+        cfg = make_sim_config(n_cycles=1, vpt_initial=start * 2.4, **REGIMES[regime])
+        wf = run(cfg).waveform
+        row = (wf.t[0], wf.vpt[0], wf.vt[0], wf.vs[0], wf.phase[0])
+        assert row == (0.0, cfg.vpt_initial, 0.0, 2.0, "Idle")
+
+    @pytest.mark.parametrize("regime", ["ideal", "leaky", "finite_storage"])
+    def test_pulse_rows_keep_the_flip(self, regime):
+        # A C_T precharged to 8 V flips the node past the next half cycle's
+        # rail, so that half cycle starts by clipping it onto the rail.
+        cfg = with_sshc(make_sim_config(n_cycles=2, **REGIMES[regime]), 10.0, 8.0)
+        result = run(cfg)
+        wf = result.waveform
+        assert len(pulse_rows(wf)) == len(result.events) == 4
+        assert abs(result.events[0].v_after) > 2.4
+        for (_, _, last), event in zip(pulse_rows(wf), result.events):
+            assert wf.vpt[last] == event.v_after
+
+    @pytest.mark.parametrize("ct", [10e-9, None], ids=["sshc", "full_bridge"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_final_state_is_the_last_row(self, regime, ct):
+        result = run(make_sim_config(ct=ct, n_cycles=2, **REGIMES[regime]))
+        wf, final = result.waveform, result.final_state
+        last = (wf.t[-1], wf.vpt[-1], wf.vt[-1], wf.vs[-1])
+        assert (final.t, final.vpt, final.vt, final.vs) == last
+
+
+class TestMemory:
+    @pytest.mark.parametrize("regime", ["ideal", "leaky", "finite_storage", "full_bridge"])
+    def test_peak_stays_near_the_columns(self, regime):
+        # Traced bytes, not time, so the bound is deterministic. The columns
+        # are allocated once at their final length and filled in place, so the
+        # peak is the five returned columns plus one half cycle's temporaries.
+        kwargs = {"ct": None} if regime == "full_bridge" else REGIMES[regime]
+        cfg = make_sim_config(n_cycles=10, **kwargs)
+        run(cfg)  # one-time allocations stay out of the trace
+        tracemalloc.start()
+        try:
+            wf = run(cfg).waveform
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(c.nbytes for c in (wf.t, wf.vpt, wf.vt, wf.vs, wf.phase))
+        assert peak <= 1.25 * columns, peak / columns
