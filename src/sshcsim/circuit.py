@@ -9,17 +9,31 @@ parameters; time-domain behavior lives in :mod:`sshcsim.transient`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
 
-def require_finite(obj: object, *names: str) -> None:
-    """Raise ValueError naming the first of obj's float fields that is NaN or
-    infinite; a non-finite value would run on silently into NaN events."""
+class FieldError(ValueError):
+    """A value out of its range, naming the field that holds it. str() reads
+    "<field> <message>"; message alone leaves the naming to the caller."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+        self.message = message
+
+
+def require_finite(obj: object, *names: str, sign: str = "") -> None:
+    """Raise FieldError naming the first of obj's fields that is NaN or
+    infinite, which would run on silently into NaN events, or that breaks
+    sign, "> 0" or ">= 0"."""
     for name in names:
         value = getattr(obj, name)
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise FieldError(name, f"must be finite, got {value!r}")
+        if sign and not (value > 0 or (sign == ">= 0" and value == 0)):
+            raise FieldError(name, f"must be {sign}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,15 +48,23 @@ class PiezoSource:
     res_rp: float = math.inf  # ohm
 
     def __post_init__(self):
-        require_finite(self, "amplitude_ip", "frequency", "cap_cp")
-        if not self.amplitude_ip > 0:
-            raise ValueError("amplitude_ip must be > 0")
-        if not self.frequency > 0:
-            raise ValueError("frequency must be > 0")
-        if not self.cap_cp > 0:
-            raise ValueError("cap_cp must be > 0")
+        require_finite(self, "amplitude_ip", "frequency", "cap_cp", sign="> 0")
         if not self.res_rp > 0:
-            raise ValueError("res_rp must be > 0 or math.inf")
+            raise FieldError("res_rp", f"must be > 0 or inf, got {self.res_rp!r}")
+        # C_P must be a normal float, since a subnormal one loses digits in
+        # every charge product, and each rate the engine derives finite.
+        if self.cap_cp < sys.float_info.min:
+            raise FieldError(
+                "cap_cp", f"must be a normal float, >= {sys.float_info.min!r}, got {self.cap_cp!r}"
+            )
+        for name, rate, value in (
+            ("frequency", "the period 1/f", self.period),
+            ("frequency", "omega = 2*pi*f", self.omega),
+            ("cap_cp", "I_P/(C_P*omega)", self.amplitude_ip / self.cap_cp / self.omega),
+            ("res_rp", "1/(R_P*C_P)", 1.0 / self.res_rp / self.cap_cp),
+        ):
+            if not math.isfinite(value):
+                raise FieldError(name, f"must keep {rate} finite, got {getattr(self, name)!r}")
 
     @property
     def omega(self) -> float:
@@ -64,9 +86,7 @@ class FixedVoltage:
     vs: float  # V
 
     def __post_init__(self):
-        require_finite(self, "vs")
-        if self.vs < 0:
-            raise ValueError("vs must be >= 0")
+        require_finite(self, "vs", sign=">= 0")
 
 
 @dataclass(frozen=True)
@@ -77,11 +97,8 @@ class FiniteCap:
     vs_initial: float = 0.0  # V
 
     def __post_init__(self):
-        require_finite(self, "cs", "vs_initial")
-        if not self.cs > 0:
-            raise ValueError("cs must be > 0")
-        if self.vs_initial < 0:
-            raise ValueError("vs_initial must be >= 0")
+        require_finite(self, "cs", sign="> 0")
+        require_finite(self, "vs_initial", sign=">= 0")
 
 
 Storage = Union[FixedVoltage, FiniteCap]
@@ -95,9 +112,7 @@ class RectifierStage:
     storage: Storage = field(default_factory=lambda: FixedVoltage(0.0))
 
     def __post_init__(self):
-        require_finite(self, "diode_drop_vd")
-        if self.diode_drop_vd < 0:
-            raise ValueError("diode_drop_vd must be >= 0")
+        require_finite(self, "diode_drop_vd", sign=">= 0")
 
     @property
     def storage_voltage(self) -> float:
@@ -119,9 +134,8 @@ class SshcNetwork:
     volt_vt: float = 0.0  # V
 
     def __post_init__(self):
-        require_finite(self, "cap_ct", "volt_vt")
-        if not self.cap_ct > 0:
-            raise ValueError("cap_ct must be > 0")
+        require_finite(self, "cap_ct", sign="> 0")
+        require_finite(self, "volt_vt")
 
 
 def conduction_threshold(stage: RectifierStage) -> float:

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .circuit import conduction_threshold
+from .circuit import FixedVoltage, conduction_threshold
 from .compare import harvest_report, sweep_ct_ratio, sweep_storage_voltage, write_reports_csv
 from .config import ConfigError, ResolvedConfig, parse_config
 from .csvout import fmt, write_csv
@@ -148,20 +148,20 @@ def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
     functions would reject raises ConfigError naming the flag."""
     if args.points < 1:
         raise ConfigError("--points", f"must be >= 1, got {args.points}")
+    # Each end must fit the type that will hold it; the ends bound the
+    # values between them.
     for flag, value in (("--min", args.min), ("--max", args.max)):
-        if not math.isfinite(value):
-            raise ConfigError(flag, f"must be finite, got {value!r}")
+        try:
+            if args.axis == "vs":
+                FixedVoltage(value)
+            else:
+                replace(cfg, cap_ct=value * cfg.cap_cp).ratios()
+        except ValueError as exc:
+            where = "" if args.axis == "vs" else f"C_T/C_P = {value!r}: "
+            raise ConfigError(flag, f"{where}{exc}") from None
     if args.axis == "vs":
-        if args.min < 0:
-            raise ConfigError("--min", f"must be >= 0 on the vs axis, got {args.min!r}")
         values = np.linspace(args.min, args.max, args.points).tolist()
     else:
-        # The end ratios bound the sharing ratios of every value between them.
-        for flag, ratio in (("--min", args.min), ("--max", args.max)):
-            try:
-                replace(cfg, cap_ct=ratio * cfg.cap_cp).ratios()
-            except ValueError as exc:
-                raise ConfigError(flag, f"C_T/C_P = {ratio!r}: {exc}") from None
         values = np.logspace(math.log10(args.min), math.log10(args.max), args.points).tolist()
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("--min/--max/--points", "axis values must be strictly increasing")

@@ -93,8 +93,6 @@ def sweep_ct_ratio(
     src: PiezoSource, stage: RectifierStage, ratios: Sequence[float]
 ) -> SweepResult:
     """Harvest reports over C_T = ratio * C_P at the steady-state flip efficiency."""
-    if any(r <= 0 for r in ratios):
-        raise ValueError("all C_T/C_P ratios must be > 0")
     _check_axis(ratios)
     reports = []
     for r in ratios:
@@ -114,8 +112,6 @@ def sweep_storage_voltage(
     Exposes the harvest cutoff where the generated charge just covers the waste.
     """
     _check_axis(vs_values)
-    if any(v < 0 for v in vs_values):
-        raise ValueError("vs values must be >= 0")
     if ct_ratio is None:
         eta = 0.0
     else:

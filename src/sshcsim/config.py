@@ -1,24 +1,26 @@
 """Flat key=value config files with engineering unit suffixes.
 
 Values accept an optional SI prefix and unit, e.g. ``10nF``, ``50uA``,
-``100Hz``, ``2.0V``, ``1e-6s``. Every resolved number must be finite, except
-``res_rp = inf``, which means no leakage. ``cap_ct`` also accepts ``Nx``, N
-times ``cap_cp``; the ratio C_T/C_P must be one that floats can represent,
-from about 1e-16 to 1e16. Overrides (the CLI's ``--full-bridge``, ``--set``,
-``--ct-ratio`` and ``--cycles``, in that order) win over config file keys,
-which win over the defaults. Each key is declared once, in ``_TABLE``, and
-every rejected value raises ConfigError naming its key.
+``100Hz``, ``2.0V``, ``1e-6s``. ``cap_ct`` also accepts ``Nx``, N times
+``cap_cp``, and the timings accept ``auto``, SimConfig's default. Overrides
+(the CLI's ``--full-bridge``, ``--set``, ``--ct-ratio`` and ``--cycles``, in
+that order) win over config file keys, which win over the defaults. Each key
+is declared once, in ``_TABLE``, whose parsers only turn text into values.
+The range rules live in the value types that hold the values (every number
+finite except ``res_rp = inf``, which means no leakage; a ratio C_T/C_P that
+floats can represent, from about 1e-16 to 1e16). parse_config builds them
+once and turns each rejection into a ConfigError naming its key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from .circuit import FiniteCap, FixedVoltage, PiezoSource, RectifierStage, SshcNetwork
+from .circuit import FieldError, FiniteCap, FixedVoltage, PiezoSource, RectifierStage, SshcNetwork
 from .flip import FlipRatios
-from .transient import PERIOD_DIVISORS, SimConfig
+from .transient import SimConfig
 
 
 class ConfigError(ValueError):
@@ -59,44 +61,31 @@ def parse_quantity(text: str, key: str = "value") -> float:
         raise ConfigError(key, f"cannot parse quantity {text!r}") from None
 
 
-def _in_range(value: float, key: str, strict: bool) -> float:
-    """value, if finite and > 0 (strict) or >= 0."""
-    if not math.isfinite(value):
-        raise ConfigError(key, f"must be finite, got {value!r}")
-    if value < 0 or (strict and value == 0):
-        raise ConfigError(key, f"must be {'>' if strict else '>='} 0, got {value!r}")
-    return value
-
-
 # A parser takes the stripped text, the key, and the values resolved so far.
 Parser = Callable[[str, str, Dict[str, object]], object]
 
 
-def _positive(text: str, key: str, got: Dict[str, object]) -> float:
-    return _in_range(parse_quantity(text, key), key, strict=True)
-
-
-def _non_negative(text: str, key: str, got: Dict[str, object]) -> float:
-    return _in_range(parse_quantity(text, key), key, strict=False)
-
-
-def _resistance(text: str, key: str, got: Dict[str, object]) -> float:
-    value = parse_quantity(text, key)
-    return value if value == math.inf else _in_range(value, key, strict=True)
+def _quantity(text: str, key: str, got: Dict[str, object]) -> float:
+    return parse_quantity(text, key)
 
 
 def _optional_cap(text: str, key: str, got: Dict[str, object]) -> Optional[float]:
-    return None if text.lower() == "none" else _positive(text, key, got)
+    return None if text.lower() == "none" else parse_quantity(text, key)
+
+
+def _auto(text: str, key: str, got: Dict[str, object]) -> Optional[float]:
+    """'auto' as None: SimConfig's default, the period over the key's entry
+    in transient.PERIOD_DIVISORS."""
+    return None if text == "auto" else parse_quantity(text, key)
 
 
 def _cap_ct(text: str, key: str, got: Dict[str, object]) -> float:
     if not text.endswith("x"):
-        return _positive(text, key, got)
+        return parse_quantity(text, key)
     try:
-        ratio = float(text[:-1])
+        return float(text[:-1]) * got["cap_cp"]
     except ValueError:
         raise ConfigError(key, f"cannot parse ratio {text!r}") from None
-    return _in_range(ratio, key, strict=True) * got["cap_cp"]
 
 
 def _bool(text: str, key: str, got: Dict[str, object]) -> bool:
@@ -110,46 +99,33 @@ def _bool(text: str, key: str, got: Dict[str, object]) -> bool:
 
 def _count(text: str, key: str, got: Dict[str, object]) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise ConfigError(key, f"cannot parse integer {text!r}") from None
-    if n < 1:
-        raise ConfigError(key, "must be >= 1")
-    return n
-
-
-def _auto(parse: Parser) -> Parser:
-    """A parser that reads 'auto' as the period over the key's entry in
-    transient.PERIOD_DIVISORS, SimConfig's default, and defers the rest."""
-
-    def parse_auto(text: str, key: str, got: Dict[str, object]) -> float:
-        if text == "auto":
-            return 1.0 / got["frequency"] / PERIOD_DIVISORS[key]
-        return parse(text, key, got)
-
-    return parse_auto
 
 
 # key -> (default, parser), in ResolvedConfig field order. Keys are resolved
-# top to bottom, so a parser may read the keys above it: cap_ct reads cap_cp,
-# the auto timings read frequency.
+# top to bottom, so a parser may read the keys above it: cap_ct reads cap_cp.
 _TABLE: Dict[str, Tuple[str, Parser]] = {
     # Chosen so the conduction threshold is 2.4 V and the open-circuit swing
     # comfortably re-reaches the clamp every half cycle.
-    "amplitude_ip": ("50uA", _positive),
-    "frequency": ("100Hz", _positive),
-    "cap_cp": ("10nF", _positive),
-    "res_rp": ("inf", _resistance),
-    "diode_drop_vd": ("0.2V", _non_negative),
-    "storage_vs": ("2.0V", _non_negative),
+    "amplitude_ip": ("50uA", _quantity),
+    "frequency": ("100Hz", _quantity),
+    "cap_cp": ("10nF", _quantity),
+    "res_rp": ("inf", _quantity),
+    "diode_drop_vd": ("0.2V", _quantity),
+    "storage_vs": ("2.0V", _quantity),
     "storage_cs": ("none", _optional_cap),
     "cap_ct": ("1x", _cap_ct),
     "full_bridge": ("false", _bool),
-    "dt": ("auto", _auto(_positive)),
+    "dt": ("auto", _auto),
     "n_cycles": ("10", _count),
-    "phase_pulse_width": ("auto", _auto(_positive)),
-    "phase_gap": ("auto", _auto(_non_negative)),
+    "phase_pulse_width": ("auto", _auto),
+    "phase_gap": ("auto", _auto),
 }
+
+# The fields of the value types whose config key has another name.
+_KEY_OF_FIELD = {"vs": "storage_vs", "vs_initial": "storage_vs", "cs": "storage_cs"}
 
 
 @dataclass(frozen=True)
@@ -165,10 +141,12 @@ class ResolvedConfig:
     storage_cs: Optional[float]
     cap_ct: float
     full_bridge: bool
-    dt: float
+    # The timings are None for 'auto' until parse_config stores SimConfig's
+    # resolved values.
+    dt: Optional[float]
     n_cycles: int
-    phase_pulse_width: float
-    phase_gap: float
+    phase_pulse_width: Optional[float]
+    phase_gap: Optional[float]
 
     def echo(self) -> Dict[str, str]:
         """Canonical key=value form; re-parsing it reproduces this config.
@@ -201,20 +179,15 @@ class ResolvedConfig:
         src = self.piezo_source()
         stage = self.rectifier_stage()
         sshc = None if self.full_bridge else SshcNetwork(cap_ct=self.cap_ct)
-        try:
-            return SimConfig(
-                src=src,
-                stage=stage,
-                sshc=sshc,
-                dt=self.dt,
-                n_cycles=self.n_cycles,
-                phase_pulse_width=self.phase_pulse_width,
-                phase_gap=self.phase_gap,
-            )
-        except ValueError as exc:
-            # The table has checked each key alone; these are SimConfig's
-            # checks of the timings against the period and each other.
-            raise ConfigError("dt/phase_pulse_width/phase_gap", str(exc)) from exc
+        return SimConfig(
+            src=src,
+            stage=stage,
+            sshc=sshc,
+            dt=self.dt,
+            n_cycles=self.n_cycles,
+            phase_pulse_width=self.phase_pulse_width,
+            phase_gap=self.phase_gap,
+        )
 
 
 def read_config_file(path: str) -> Dict[str, str]:
@@ -247,11 +220,17 @@ def parse_config(
     for key, (_, parse) in _TABLE.items():
         got[key] = parse(raw[key].strip(), key, got)
     resolved = ResolvedConfig(**got)
+    # The value types own the range rules; a rejection names its field. The
+    # source comes first, so a bad cap_cp is not reported as a bad ratio.
+    try:
+        sim = resolved.sim_config()
+    except FieldError as exc:
+        raise ConfigError(_KEY_OF_FIELD.get(exc.field, exc.field), exc.message) from None
     try:
         resolved.ratios()
     except ValueError as exc:
         ratio = resolved.cap_ct / resolved.cap_cp
         raise ConfigError("cap_ct", f"C_T/C_P = {ratio!r}: {exc}") from None
-    # Surface range violations (e.g. dt too coarse) with a config error now.
-    resolved.sim_config()
-    return resolved
+    return replace(
+        resolved, dt=sim.dt, phase_pulse_width=sim.phase_pulse_width, phase_gap=sim.phase_gap
+    )

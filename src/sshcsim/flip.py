@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+from .circuit import FieldError
+
 
 @dataclass(frozen=True)
 class FlipRatios:
@@ -23,15 +25,18 @@ class FlipRatios:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0 and 0.0 < self.beta < 1.0):
-            raise ValueError("alpha and beta must lie strictly inside (0, 1)")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise FieldError(name, f"must lie strictly inside (0, 1), got {value!r}")
         if abs(self.alpha + self.beta - 1.0) > 1e-15:
-            raise ValueError("alpha + beta must equal 1")
+            raise FieldError("beta", f"must equal 1 - alpha, got {self.beta!r}")
 
     @classmethod
     def from_caps(cls, cap_cp: float, cap_ct: float) -> "FlipRatios":
-        if not cap_cp > 0 or not cap_ct > 0:
-            raise ValueError("capacitances must be > 0")
+        for name, cap in (("cap_cp", cap_cp), ("cap_ct", cap_ct)):
+            if not cap > 0:
+                raise FieldError(name, f"must be > 0, got {cap!r}")
         total = cap_cp + cap_ct
         alpha = cap_cp / total
         return cls(alpha=alpha, beta=1.0 - alpha)

@@ -26,7 +26,7 @@ from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .circuit import FiniteCap, PiezoSource, RectifierStage, SshcNetwork, full_swing_supported
-from .circuit import require_finite
+from .circuit import FieldError, require_finite
 from .csvout import fmt, write_csv
 from .flip import charge_share
 
@@ -66,33 +66,36 @@ class WeakExcitationWarning(UserWarning):
 class SimConfig:
     src: PiezoSource
     stage: RectifierStage
-    sshc: Optional[SshcNetwork] = None  # None = full-bridge baseline
-    dt: float = 0.0                     # 0 -> the default in PERIOD_DIVISORS
+    sshc: Optional[SshcNetwork] = None         # None = full-bridge baseline
+    # None asks for a timing's default, the period over its PERIOD_DIVISORS
+    # entry; __post_init__ stores the resolved value. A phase_gap of 0 is legal.
+    dt: Optional[float] = None
     n_cycles: int = 10
-    phase_pulse_width: float = 0.0      # 0 -> the default in PERIOD_DIVISORS
-    phase_gap: Optional[float] = None   # None -> the default; 0 is legal
+    phase_pulse_width: Optional[float] = None
+    phase_gap: Optional[float] = None
     vpt_initial: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "vpt_initial")
         period = self.src.period
-        for name, unset in (("dt", 0.0), ("phase_pulse_width", 0.0), ("phase_gap", None)):
-            if getattr(self, name) == unset:
-                object.__setattr__(self, name, period / PERIOD_DIVISORS[name])
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        for name, divisor in PERIOD_DIVISORS.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, period / divisor)
+        require_finite(self, "vpt_initial")
+        require_finite(self, "dt", "phase_pulse_width", sign="> 0")
+        require_finite(self, "phase_gap", sign=">= 0")
         if self.dt > period / 1_000.0:
-            raise ValueError("dt must be <= period / 1000")
+            raise FieldError("dt", f"must be <= period / 1000 = {period / 1e3!r}, got {self.dt!r}")
         if self.n_cycles < 1:
-            raise ValueError("n_cycles must be >= 1")
-        if not self.phase_pulse_width > 0:
-            raise ValueError("phase_pulse_width must be > 0")
-        if self.phase_gap < 0:
-            raise ValueError("phase_gap must be >= 0")
-        window = 3.0 * self.phase_pulse_width + 2.0 * self.phase_gap
+            raise FieldError("n_cycles", f"must be >= 1, got {self.n_cycles!r}")
+        w, g = self.phase_pulse_width, self.phase_gap
+        window = 3.0 * w + 2.0 * g
         if not window < 0.02 * period:
-            raise ValueError(
-                "3*phase_pulse_width + 2*phase_gap must stay below 2% of the period"
+            # Named after the larger share of the switch window.
+            name, value = ("phase_gap", g) if 2.0 * g > 3.0 * w else ("phase_pulse_width", w)
+            raise FieldError(
+                name,
+                f"must keep the window 3*pulse + 2*gap = {window!r} s below 2% of the "
+                f"period, got {value!r}",
             )
 
 
@@ -284,6 +287,19 @@ def _phase_legal(state: CircuitState, phase: Phase) -> bool:
     return False
 
 
+def _clip(v: float, vs: float, cp: float, cs: float, two_vd: float) -> Tuple[float, float, float]:
+    """A node v beyond its rail vs + 2*vd conducts through the bridge at once:
+    (v, vs, the charge it moves). C_P falls and a storage cap cs rises until
+    both meet at one rail; a fixed rail (cs = inf) holds."""
+    excess = cp * (abs(v) - (vs + two_vd))
+    if not excess > 0.0:
+        return v, vs, 0.0
+    if cs < math.inf:
+        shared = (cp * (abs(v) - two_vd) + cs * vs) / (cp + cs)
+        excess, vs = cs * (shared - vs), shared
+    return math.copysign(vs + two_vd, v), vs, excess
+
+
 def step(
     state: CircuitState,
     cfg: SimConfig,
@@ -315,24 +331,12 @@ def step(
         ledger.q_source_gross += abs(dq)
     vpt += dq / cp
 
-    vth = vs + 2.0 * cfg.stage.diode_drop_vd
-    q_harvested = state.q_harvested
-    if vpt > vth:
-        excess = cp * (vpt - vth)
-        vpt = vth
-        q_harvested += excess
-        if ledger is not None:
-            ledger.q_storage += excess
-        if isinstance(cfg.stage.storage, FiniteCap):
-            vs += excess / cfg.stage.storage.cs
-    elif vpt < -vth:
-        excess = cp * (-vth - vpt)
-        vpt = -vth
-        q_harvested += excess
-        if ledger is not None:
-            ledger.q_storage += -excess
-        if isinstance(cfg.stage.storage, FiniteCap):
-            vs += excess / cfg.stage.storage.cs
+    storage = cfg.stage.storage
+    cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
+    vpt, vs, excess = _clip(vpt, vs, cp, cs, 2.0 * cfg.stage.diode_drop_vd)
+    q_harvested = state.q_harvested + excess
+    if ledger is not None:
+        ledger.q_storage += math.copysign(excess, vpt)
 
     return replace(state, t=state.t + h, vpt=vpt, vs=vs, q_harvested=q_harvested)
 
@@ -434,18 +438,16 @@ def _integrate_segment(
     boundaries come first: grid indices i and j from _first, then t_clamp and
     t_release from _root (the release on a fixed rail from arcsin) where a
     later piece or the ledger needs them. Each piece is then evaluated once, on
-    its rows. A start beyond a rail is first clipped onto it, as step() does.
+    its rows. A start beyond a rail is first clipped onto it by _clip, as
+    step() clips it.
     """
     src, storage, two_vd = cfg.src, cfg.stage.storage, 2.0 * cfg.stage.diode_drop_vd
     ip, w, cp, leak = src.amplitude_ip, src.omega, src.cap_cp, 1.0 / src.res_rp
     cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
     t0, t_end, v0, vs0 = float(t[0]), float(t[-1]), float(v[0]), float(vs[0])
-    excess = cp * (abs(v0) - (vs0 + two_vd))
-    if excess > 0.0:  # through the bridge, into storage
-        v0 = math.copysign(vs0 + two_vd, v0)
-        ledger.q_storage += math.copysign(excess, v0)
-        q_harvested += excess
-        vs0 += excess / cs
+    v0, vs0, excess = _clip(v0, vs0, cp, cs, two_vd)  # a start beyond a rail
+    ledger.q_storage += math.copysign(excess, v0)
+    q_harvested += excess
     vth = vs0 + two_vd
     rail = sign * vth
     kf, gf, kh, gh = ip / cp, leak / cp, ip / (cp + cs), leak / (cp + cs)

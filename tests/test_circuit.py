@@ -16,6 +16,7 @@ from sshcsim import (
     open_circuit_vpp,
     wasted_charge_fullbridge,
 )
+from sshcsim.circuit import FieldError
 
 from conftest import make_source, make_stage
 
@@ -40,6 +41,30 @@ class TestValidation:
                     PiezoSource(**{**good, name: bad})
         with pytest.raises(ValueError, match="res_rp"):
             PiezoSource(**good, res_rp=math.nan)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"cap_cp": 1e-320}, "cap_cp"),  # subnormal: charge products lose digits
+            ({"cap_cp": 1e-320, "amplitude_ip": 1e-12}, "cap_cp"),
+            ({"frequency": 1e-320}, "frequency"),  # infinite period
+            ({"frequency": 1e308}, "frequency"),  # infinite omega
+            ({"amplitude_ip": 1e3, "cap_cp": 1e-306}, "cap_cp"),  # infinite I_P/(C_P*omega)
+            ({"res_rp": 1e-300, "cap_cp": 1e-10}, "res_rp"),  # infinite 1/(R_P*C_P)
+        ],
+    )
+    def test_source_rejects_rates_that_overflow(self, kwargs, name):
+        good = {"amplitude_ip": 1e-6, "frequency": 100.0, "cap_cp": 1e-9}
+        with pytest.raises(FieldError, match=name) as exc:
+            PiezoSource(**{**good, **kwargs})
+        assert exc.value.field == name
+        assert isinstance(exc.value, ValueError)
+
+    def test_rejection_names_field_once(self):
+        with pytest.raises(FieldError) as exc:
+            FiniteCap(cs=1e-6, vs_initial=-1.0)
+        assert (exc.value.field, exc.value.message) == ("vs_initial", "must be >= 0, got -1.0")
+        assert str(exc.value) == "vs_initial must be >= 0, got -1.0"
 
     def test_source_accepts_infinite_leakage(self):
         src = PiezoSource(amplitude_ip=1e-6, frequency=100.0, cap_cp=1e-9)

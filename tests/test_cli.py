@@ -289,6 +289,14 @@ class TestExitCodes:
             (["sweep", "--axis", "vs", "--min=-inf", "--max", "1"], 2, "--min"),
             (["sweep", "--axis", "ct", "--min", "1", "--max", "inf"], 2, "--max"),
             (["sweep", "--axis", "ct", "--min", "nan", "--max", "10"], 2, "--min"),
+            # Sources whose derived rates overflow or lose their digits.
+            (["simulate", "--cycles", "1", "--set", "res_rp=1e-300", "--set", "cap_cp=1e-10"],
+             2, "res_rp"),
+            (["simulate", "--cycles", "1", "--set", "cap_cp=1e-320"], 2, "cap_cp"),
+            (["simulate", "--cycles", "1", "--set", "cap_cp=1e-320", "--set", "amplitude_ip=1e-12"],
+             2, "cap_cp"),
+            (["simulate", "--cycles", "1", "--set", "frequency=1e-320"], 2, "frequency"),
+            (["simulate", "--cycles", "1", "--set", "frequency=1e308"], 2, "frequency"),
         ],
     )
     def test_exit_code_names_key_or_flag(self, tmp_path, capsys, argv, code, name):
@@ -298,3 +306,48 @@ class TestExitCodes:
             assert err == ""
         else:
             assert err.startswith("error: config:") and name in err
+
+
+SUBCOMMANDS = [
+    ["simulate", "--cycles", "1"],
+    ["analyze"],
+    ["compare"],
+    ["sweep", "--axis", "ct", "--min", "0.1", "--max", "100", "--points", "5"],
+    ["sweep", "--axis", "vs", "--min", "0", "--max", "10", "--points", "5"],
+]
+
+
+class TestEveryKeyNamesItself:
+    """One out-of-range value per key: parse_config names the key, and every
+    subcommand exits 2 with the key named once and the rejected value shown."""
+
+    @pytest.mark.parametrize(
+        "key,sets,shown",
+        [
+            ("amplitude_ip", ["amplitude_ip=0"], "got 0.0"),
+            ("frequency", ["frequency=0"], "got 0.0"),
+            ("cap_cp", ["cap_cp=-1nF"], "got -1e-09"),
+            ("res_rp", ["res_rp=0"], "got 0.0"),
+            ("diode_drop_vd", ["diode_drop_vd=-0.1"], "got -0.1"),
+            ("storage_vs", ["storage_vs=-1"], "got -1.0"),
+            ("storage_vs", ["storage_vs=-1", "storage_cs=1uF"], "got -1.0"),
+            ("storage_cs", ["storage_cs=0"], "got 0.0"),
+            ("cap_ct", ["cap_ct=1e17x"], "C_T/C_P = 1e+17"),
+            ("full_bridge", ["full_bridge=maybe"], "'maybe'"),
+            ("dt", ["dt=1e-3"], "got 0.001"),
+            ("n_cycles", ["n_cycles=0"], "got 0"),
+            ("phase_pulse_width", ["phase_pulse_width=0"], "got 0.0"),
+            ("phase_gap", ["phase_gap=-1"], "got -1.0"),
+        ],
+    )
+    def test_key_is_named(self, tmp_path, capsys, key, sets, shown):
+        overrides = dict(s.split("=", 1) for s in sets)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(overrides=overrides)
+        assert exc.value.key == key
+        args = [arg for s in sets for arg in ("--set", s)]
+        for sub in SUBCOMMANDS:
+            assert main(sub + args + ["--out-dir", str(tmp_path)]) == 2, sub
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config: {key}: ") and err.count(key) == 1, err
+            assert shown in err, err

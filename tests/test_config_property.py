@@ -10,7 +10,7 @@ import tempfile
 import warnings
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sshcsim import WeakExcitationWarning, cli, run
@@ -45,6 +45,9 @@ CONFIGS = st.fixed_dictionaries(
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(CONFIGS)
+# A source whose leak rate 1/(R_P C_P) overflows, and a subnormal C_P.
+@example({"res_rp": "1e-300", "cap_cp": "1e-10", "n_cycles": "1"})
+@example({"cap_cp": "1e-320", "n_cycles": "1"})
 def test_subcommands_agree_on_validity(overrides):
     sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
     runs = []  # (SimConfig, RunResult) of the simulate call

@@ -28,6 +28,8 @@ from sshcsim import (
     zero_crossing_times,
 )
 from sshcsim import transient
+from sshcsim.circuit import FieldError
+from sshcsim.config import parse_config
 
 from conftest import make_sim_config, make_source, make_stage
 
@@ -62,6 +64,40 @@ class TestSimConfigValidation:
     def test_rejects_nonpositive_cycles(self):
         with pytest.raises(ValueError):
             make_sim_config(n_cycles=0)
+
+    @pytest.mark.parametrize("name", ["dt", "phase_pulse_width"])
+    def test_zero_timing_is_rejected(self, name):
+        # None, not 0, asks for the default: a zero step or pulse is an error.
+        with pytest.raises(FieldError, match=name) as exc:
+            make_sim_config(**{name: 0.0})
+        assert exc.value.field == name
+
+    @pytest.mark.parametrize("f", [100.0, 217.0, 3.3e5])
+    def test_none_resolves_to_the_period_over_its_divisor(self, f):
+        none = dict.fromkeys(transient.PERIOD_DIVISORS)
+        cfg = make_sim_config(src=make_source(f=f), **none)
+        for name, divisor in transient.PERIOD_DIVISORS.items():
+            assert getattr(cfg, name) == (1.0 / f) / divisor
+
+    def test_config_echo_is_unchanged(self):
+        # The echo prints the timings SimConfig resolved, not 'auto' or None.
+        echo = parse_config(overrides={"frequency": "217Hz", "phase_gap": "0"}).echo()
+        assert echo == {
+            "amplitude_ip": "4.9999999999999996e-05",
+            "frequency": "217.0",
+            "cap_cp": "1e-08",
+            "res_rp": "inf",
+            "diode_drop_vd": "0.2",
+            "storage_vs": "2.0",
+            "storage_cs": "none",
+            "cap_ct": "1e-08",
+            "full_bridge": "false",
+            "dt": "4.6082949308755763e-07",
+            "n_cycles": "10",
+            "phase_pulse_width": "9.216589861751152e-06",
+            "phase_gap": "0.0",
+        }
+        assert parse_config().echo()["dt"] == "1e-06"
 
     def test_rejects_non_finite_start(self):
         # A NaN start would run on into NaN flip events, an infinite one into
@@ -421,6 +457,17 @@ class TestStartBeyondRails:
         wf = result.waveform
         vth = wf.vs[1:] + 2.0 * cfg.stage.diode_drop_vd
         assert np.all(np.abs(wf.vpt[1:]) <= vth * (1 + 1e-12))
+        if regime != "leaky" and side > 0:
+            # The source drives the clipped node on into its rail; a storage
+            # cap has taken its share of the excess, so that is the new rail.
+            assert abs(wf.vpt[1]) == pytest.approx(vth[0], rel=1e-12)
+        if regime == "finite_storage" and side < 0:
+            # The source pulls the node off its rail at once, so row 1 holds
+            # the share: C_P and C_S meet at vs1 + 2*vd with
+            # vs1 = (C_P*(|v0| - 2*vd) + C_S*vs0) / (C_P + C_S).
+            cp, cs = cfg.src.cap_cp, cfg.stage.storage.cs
+            vs1 = (cp * (abs(cfg.vpt_initial) - 0.4) + cs * 2.0) / (cp + cs)
+            assert wf.vs[1] == pytest.approx(vs1, rel=1e-12)
         ledger = result.ledger
         scale = ledger.q_source_gross
         if math.isinf(cfg.src.res_rp):
