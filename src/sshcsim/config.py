@@ -228,9 +228,11 @@ def parse_config(
         raise ConfigError(_KEY_OF_FIELD.get(exc.field, exc.field), exc.message) from None
     try:
         resolved.ratios()
-    except ValueError as exc:
+    except FieldError as exc:
+        # The ratio names cap_ct already; a rule on alpha or beta names its field.
+        detail = exc.message if exc.field == "cap_ct" else str(exc)
         ratio = resolved.cap_ct / resolved.cap_cp
-        raise ConfigError("cap_ct", f"C_T/C_P = {ratio!r}: {exc}") from None
+        raise ConfigError("cap_ct", f"C_T/C_P = {ratio!r}: {detail}") from None
     return replace(
         resolved, dt=sim.dt, phase_pulse_width=sim.phase_pulse_width, phase_gap=sim.phase_gap
     )

@@ -4,24 +4,26 @@ Between zero crossings the circuit is linear and the source a sinusoid, so
 run() integrates each half cycle in closed form: the node voltage follows
 x' = k*sin(wt) - g*x piece by piece, free on C_P, then clamped by the diode
 bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
-a leaky C_P, free again once the source current falls below the leak's. The
-timeline comes first: each half cycle's uniform dt grid, then, at its zero
-crossing, one row per switch pulse. Each half cycle then fills its slice in
-place: the piece boundaries from scalar roots (on a fixed rail the release
-from its arcsin closed form), then each piece evaluated once, and the charge
-ledger from their exact integrals. The three switch phases of a flip run in
-the polarity-correct order (share, short, reversed dump) as instantaneous
-charge redistributions, one pulse row each, so the flip staircase is visible
-on the timeline. step() is the explicit-Euler reference of the same circuit.
+a leaky C_P, free again once the source current falls below the leak's.
+run() plans each half cycle from scalars: its uniform dt grid up to the zero
+crossing, the piece boundaries from scalar roots (on a fixed rail the release
+from its arcsin closed form), and the charge ledger from the pieces' exact
+integrals. It writes no samples. The three switch phases of a flip run in the
+polarity-correct order (share, short, reversed dump) as instantaneous charge
+redistributions, one pulse row each, so the flip staircase is visible on the
+timeline. The Waveform keeps the plans and evaluates its samples, one half
+cycle at a time, whenever a column is read. step() is the explicit-Euler
+reference of the same circuit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
-from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .flip import charge_share
 PERIOD_DIVISORS = {"dt": 10_000.0, "phase_pulse_width": 500.0, "phase_gap": 2_000.0}
 
 _TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
-_CHUNK = 4096  # waveform rows formatted per CSV step
 
 
 class Phase(enum.Enum):
@@ -151,44 +152,92 @@ class ChargeLedger:
         )
 
 
-@dataclass
 class Waveform:
     """Sampled trajectory; uniform dt plus extra samples at phase boundaries.
 
-    t, vpt, vt and vs are float64 arrays of equal length; phase holds the
-    matching phase tokens (Idle, PhiP, Phi0, PhiN) as a '<U4' array.
+    Row 0 is the initial state; each half cycle adds its dt grid rows, its
+    zero crossing and, with an SSHC network, one row per switch pulse. The
+    Waveform holds run()'s plan of each half cycle, not samples: t, vpt, vt
+    and vs are float64 columns and phase the matching tokens (Idle, PhiP,
+    Phi0, PhiN) as a '<U4' array, each evaluated anew on every read and not
+    cached. So bind a column to a name once rather than index it in a loop.
     """
 
-    t: np.ndarray
-    vpt: np.ndarray
-    vt: np.ndarray
-    vs: np.ndarray
-    phase: np.ndarray
+    def __init__(self, cfg: SimConfig, initial: CircuitState, plan: np.ndarray, flips: np.ndarray):
+        """plan holds one _PLAN record per half cycle and flips its pulse rows'
+        (vpt, vt), shaped (half cycles, pulses per flip, 2)."""
+        self._circuit = _Circuit.of(cfg)
+        self._initial = initial
+        self._plan = plan
+        self._flips = flips
+        self._len = 1 + int(plan["n"].sum()) + len(plan) * (1 + flips.shape[1])
 
     def __len__(self) -> int:
-        return len(self.t)
+        return self._len
+
+    t = property(lambda self: self._column("t"), doc="time, s")
+    vpt = property(lambda self: self._column("vpt"), doc="node voltage V_PT, V")
+    vt = property(lambda self: self._column("vt"), doc="C_T reference plate voltage, V")
+    vs = property(lambda self: self._column("vs"), doc="storage voltage, V")
+    phase = property(lambda self: self._column("phase", _TOKEN), doc="switch phase token")
 
     def write_csv(self, out: Union[str, IO[str]]) -> None:
         write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], "gg", self._csv_blocks())
 
+    def _half_cycles(self) -> Iterator[Tuple[_HalfCycle, list]]:
+        """Each half cycle's plan, with its pulse rows as (t, vpt, vt, vs, phase)."""
+        c = self._circuit
+        for plan, flips in zip(self._plan, self._flips):
+            h = _HalfCycle(*plan.item())
+            order = _FLIP_ORDER if h.v_end >= 0.0 else _FLIP_ORDER[::-1]
+            rows = zip(c.pulse_times(h.t_end), flips.tolist(), order)
+            yield h, [(t, vpt, vt, h.vs_end, phase.value) for t, (vpt, vt), phase in rows]
+
+    def _column(self, name: str, dtype=np.float64) -> np.ndarray:
+        field = ("t", "vpt", "vt", "vs", "phase").index(name)
+        c, s = self._circuit, self._initial
+        out = np.empty(len(self), dtype)
+        out[0] = (s.t, s.vpt, s.vt, s.vs, Phase.IDLE.value)[field]
+        row = 1
+        for h, pulses in self._half_cycles():
+            grid = slice(row, row + h.n + 1)
+            if name == "t":
+                out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
+            elif name == "vpt":
+                _fill(h, 1, h.n + 2, c, out[grid])
+            elif name == "vs":
+                out[grid] = h.vs0 + h.sign * _fill(h, 1, h.n + 2, c)
+            else:
+                out[grid] = h.vt if name == "vt" else Phase.IDLE.value
+            row = grid.stop
+            for pulse in pulses:
+                out[row] = pulse[field]
+                row += 1
+        return out
+
     def _csv_blocks(self) -> Iterator[Tuple[str, list]]:
         """(t, vpt) pairs in blocks of rows that share vt, vs and phase.
 
-        Between flips those three columns do not change, so each run of equal
-        values is formatted once, as the tail of its block. The columns are
-        read _CHUNK rows at a time, so no whole-column copy is made.
+        A half cycle's grid rows share vt and the Idle phase, and on a fixed
+        rail vs too, so each run of equal vs is formatted once, as the tail of
+        its block. One half cycle is filled at a time, so no whole column is
+        made.
         """
-        for start in range(0, len(self), _CHUNK):
-            stop = min(start + _CHUNK, len(self))
-            vt = self.vt[start:stop]
-            vs = self.vs[start:stop]
-            phase = self.phase[start:stop]
-            changed = np.ones(stop - start, dtype=bool)
-            changed[1:] = (vt[1:] != vt[:-1]) | (vs[1:] != vs[:-1]) | (phase[1:] != phase[:-1])
-            bounds = np.flatnonzero(changed).tolist() + [stop - start]
-            pairs = np.column_stack((self.t[start:stop], self.vpt[start:stop])).ravel().tolist()
-            for a, b in zip(bounds, bounds[1:]):
-                yield f"{fmt(vt[a])},{fmt(vs[a])},{phase[a]}", pairs[2 * a : 2 * b]
+        c, s = self._circuit, self._initial
+        yield f"{fmt(s.vt)},{fmt(s.vs)},{Phase.IDLE.value}", [s.t, s.vpt]
+        for h, pulses in self._half_cycles():
+            t, vpt = _Grid(h.t0, c.dt, h.n, h.t_end)[1:], np.empty(h.n + 1)
+            vs = h.vs0 + h.sign * _fill(h, 1, h.n + 2, c, vpt)
+            pairs = np.column_stack((t, vpt)).ravel().tolist()
+            head = f"{fmt(h.vt)},"
+            if np.ndim(vs) == 0:
+                yield f"{head}{fmt(vs)},{Phase.IDLE.value}", pairs
+            else:
+                bounds = [0, *(np.flatnonzero(vs[1:] != vs[:-1]) + 1).tolist(), len(vs)]
+                for a, b in zip(bounds, bounds[1:]):
+                    yield f"{head}{fmt(vs[a])},{Phase.IDLE.value}", pairs[2 * a : 2 * b]
+            for t_pulse, vpt_pulse, vt_pulse, vs_pulse, phase in pulses:
+                yield f"{fmt(vt_pulse)},{fmt(vs_pulse)},{phase}", [t_pulse, vpt_pulse]
 
 
 @dataclass
@@ -341,28 +390,103 @@ def step(
     return replace(state, t=state.t + h, vpt=vpt, vs=vs, q_harvested=q_harvested)
 
 
-def _timeline(
-    crossings: Sequence[Tuple[float, FlipDirection]], cfg: SimConfig
-) -> Tuple[np.ndarray, List[int]]:
-    """run()'s t column and the row of each zero crossing. Each half cycle
-    adds t0 + dt, t0 + 2*dt, ... while short of its crossing, then the
-    crossing, where t0 is the previous row; a remainder under 1e-9 dt joins
-    the last step, so rounding leaves no sliver. A flip adds its pulse rows."""
-    dt, w, g = cfg.dt, cfg.phase_pulse_width, cfg.phase_gap
-    pulses = range(3 if cfg.sshc is not None else 0)
-    layout, t0 = [], 0.0
-    for t_cross, _ in crossings:
-        tail = [t_cross] + [t_cross + (j + 1) * w + j * g for j in pulses]
-        layout.append((t0, max(0, int(math.floor((t_cross - t0) / dt - 1e-9))), tail))
-        t0 = tail[-1]
-    t = np.empty(1 + sum(n + len(tail) for _, n, tail in layout))
-    t[0], row, ends = 0.0, 1, []
-    for t0, n, tail in layout:
-        t[row : row + n] = t0 + dt * np.arange(1, n + 1)
-        ends.append(row + n)
-        t[row + n : row + n + len(tail)] = tail
-        row += n + len(tail)
-    return t, ends
+class _Circuit(NamedTuple):
+    """The constants of a run: the grid step, the source, the caps (cs = inf
+    for a fixed rail), the leak conductance 1/R_P, the bridge drop 2*vd, the
+    rates of x' = k*sin(w*t) - g*x free on C_P (kf, gf) and clamped with the
+    storage (kh, gh), and the switch pulse timing (no pulses without SSHC)."""
+
+    dt: float
+    ip: float
+    w: float
+    cp: float
+    cs: float
+    leak: float
+    two_vd: float
+    kf: float
+    gf: float
+    kh: float
+    gh: float
+    pulse_width: float
+    pulse_gap: float
+    pulses: int
+
+    @classmethod
+    def of(cls, cfg: SimConfig) -> _Circuit:
+        src, storage = cfg.src, cfg.stage.storage
+        ip, cp, leak = src.amplitude_ip, src.cap_cp, 1.0 / src.res_rp
+        cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
+        return cls(
+            cfg.dt, ip, src.omega, cp, cs, leak, 2.0 * cfg.stage.diode_drop_vd,
+            ip / cp, leak / cp, ip / (cp + cs), leak / (cp + cs),
+            cfg.phase_pulse_width, cfg.phase_gap, 3 if cfg.sshc is not None else 0,
+        )
+
+    def pulse_times(self, t_cross: float) -> List[float]:
+        """The rows of a flip at the crossing t_cross: one per switch pulse."""
+        w, g = self.pulse_width, self.pulse_gap
+        return [t_cross + (j + 1) * w + j * g for j in range(self.pulses)]
+
+
+class _Grid:
+    """A half cycle's time column, computed when indexed, never stored. Row 0
+    is the previous row t0, rows 1..n are t0 + dt*m (the floats of
+    t0 + dt*np.arange(1, n + 1)) and row n + 1 is the zero crossing t_end.
+    An int index gives a float; a slice or a strictly increasing array of
+    rows in range gives an array."""
+
+    __slots__ = ("t0", "dt", "n", "t_end")
+
+    def __init__(self, t0: float, dt: float, n: int, t_end: float):
+        self.t0, self.dt, self.n, self.t_end = t0, dt, n, t_end
+
+    def __len__(self) -> int:
+        return self.n + 2
+
+    def __getitem__(self, m):
+        if isinstance(m, slice):
+            lo, hi, step = m.indices(self.n + 2)
+            t = np.arange(lo, hi, step, dtype=np.float64)
+            t *= self.dt
+            m = range(lo, hi, step)
+        elif isinstance(m, np.ndarray):
+            t = m * self.dt
+        else:
+            m = operator.index(m) % (self.n + 2)
+            return self.t_end if m > self.n else self.t0 + self.dt * m
+        t += self.t0
+        if len(m) and m[-1] > self.n:  # increasing rows: only the last can be the crossing
+            t[-1] = self.t_end
+        return t
+
+
+class _HalfCycle(NamedTuple):
+    """run()'s plan of one half cycle: all its samples are evaluated from it.
+
+    Its rows are those of _Grid(t0, dt, n, t_end); row 0 belongs to the row
+    before. The source current has the sign `sign`; (v0, vs0) is the start
+    after any clip onto the rail, and vt holds until the flip. The node is
+    free on rows 1..i-1, clamped from row max(i, 1) (at t_clamp) and released
+    from row max(j, 1) (at t_release); i = j = n + 2 means never. v_end and
+    vs_end are the values at the crossing, which the flip starts from."""
+
+    t0: float
+    n: int
+    t_end: float
+    sign: int
+    v0: float
+    vs0: float
+    vt: float
+    i: int
+    j: int
+    t_clamp: float
+    t_release: float
+    v_end: float
+    vs_end: float
+
+
+# The Waveform's record of a _HalfCycle: about 100 bytes however many rows.
+_PLAN = np.dtype([(f, "i8" if f in ("n", "sign", "i", "j") else "f8") for f in _HalfCycle._fields])
 
 
 def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
@@ -418,39 +542,37 @@ def _root(f, a: float, b: float, x: float) -> float:
 
 
 def _integrate_segment(
-    t: np.ndarray,
-    v: np.ndarray,
-    vs: np.ndarray,
+    t: _Grid,
+    v0: float,
+    vs0: float,
+    vt: float,
     q_harvested: float,
     sign: int,
-    cfg: SimConfig,
+    c: _Circuit,
     ledger: ChargeLedger,
-) -> Tuple[float, float, float]:
-    """Fill one (partial) half cycle, in which the source current has the sign
-    `sign`, in closed form (see _rise); return its end (vpt, vs, q_harvested).
+) -> Tuple[_HalfCycle, float]:
+    """Plan one (partial) half cycle, in which the source current has the sign
+    `sign`, from the start (v0, vs0): return its _HalfCycle and the
+    q_harvested at its end, and book its charge on the ledger.
 
-    t is the half cycle's slice of the timeline and v, vs the vpt and vs
-    columns over it. Row 0 is the previous row, which holds the start; only
-    rows 1 on are written. The node is free on C_P (k = I_P/C_P,
-    g = 1/(R_P C_P)) until it reaches the rail sign*(vs + 2*vd); clamped, C_P
-    and C_S charge together (k and g over C_P+C_S; a fixed rail, C_S = inf,
-    holds); with leakage, free again once sign*I(t) < sign*v/R_P. The
-    boundaries come first: grid indices i and j from _first, then t_clamp and
+    t is the half cycle's time column; row 0 is the previous row. The node is
+    free on C_P (kf, gf) until it reaches the rail sign*(vs + 2*vd); clamped,
+    C_P and C_S charge together (kh, gh; a fixed rail, C_S = inf, holds);
+    with leakage, free again once sign*I(t) < sign*v/R_P. The boundaries come
+    from scalar work: grid indices i and j from _first, then t_clamp and
     t_release from _root (the release on a fixed rail from arcsin) where a
-    later piece or the ledger needs them. Each piece is then evaluated once, on
-    its rows. A start beyond a rail is first clipped onto it by _clip, as
-    step() clips it.
+    later piece or the ledger needs them. Only the crossing row is evaluated,
+    by _fill, and the whole free piece where no probe reached the rail. A
+    start beyond a rail is first clipped onto it by _clip, as step() clips it.
     """
-    src, storage, two_vd = cfg.src, cfg.stage.storage, 2.0 * cfg.stage.diode_drop_vd
-    ip, w, cp, leak = src.amplitude_ip, src.omega, src.cap_cp, 1.0 / src.res_rp
-    cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
-    t0, t_end, v0, vs0 = float(t[0]), float(t[-1]), float(v[0]), float(vs[0])
-    v0, vs0, excess = _clip(v0, vs0, cp, cs, two_vd)  # a start beyond a rail
+    ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
+    t0, t_end = t[0], t[-1]
+    v0, vs0, excess = _clip(v0, vs0, c.cp, cs, two_vd)  # a start beyond a rail
     ledger.q_storage += math.copysign(excess, v0)
     q_harvested += excess
     vth = vs0 + two_vd
     rail = sign * vth
-    kf, gf, kh, gh = ip / cp, leak / cp, ip / (cp + cs), leak / (cp + cs)
+    kf, gf, kh, gh = c.kf, c.gf, c.kh, c.gh
 
     def over(s, m=np):  # how far the free node is past the rail, and its slope
         x = v0 + _rise(s, t0, v0, kf, gf, w, m)
@@ -461,11 +583,8 @@ def _integrate_segment(
     on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
     i = 0 if on_rail else _first(over, t, 1)
     if i is None:  # no probe reached the rail: test every sample of the free piece
-        v[1:] = v0 + _rise(t[1:], t0, v0, kf, gf, w)
-        reached = sign * v[1:] >= vth
+        reached = sign * (v0 + _rise(t[1:], t0, v0, kf, gf, w)) >= vth
         i = 1 + int(np.argmax(reached)) if reached.any() else n
-    else:
-        v[1:i] = v0 + _rise(t[1:i], t0, v0, kf, gf, w)
     j, t_clamp, t_release = n, t0, t_end
     if 0 < i < n and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
         t_clamp = _root(over, t[i - 1], t[i], t[i])
@@ -486,21 +605,10 @@ def _integrate_segment(
             guess = t[j] if cs < math.inf else t_end - math.asin(min(vth * leak / ip, 1.0)) / w
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
 
-    rise = np.zeros(n)  # how far a finite storage cap has carried the clamp
-    a, b = max(i, 1), max(j, 1)  # the clamped and released rows; row 0 is not ours
-    if cs < math.inf:
-        rise[a:j] = _rise(t[a:j], *hold)
-    v[a:j] = rail + rise[a:j]
-    if j < n:
-        if cs < math.inf:
-            rise[j:] = _rise(t_release, *hold)
-        off = rail + rise[j]
-        free = off + _rise(t[b:], t_release, off, kf, gf, w)
-        # Released, the node only falls away from the rail; the clip drops
-        # the rounding of a very stiff leak (g >> w).
-        v[b:] = sign * np.minimum(sign * free, sign * off)
-
-    v_end, rise_end = float(v[-1]), float(rise[-1])
+    h = _HalfCycle(t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release, v0, vs0)
+    v = np.empty(1)
+    rise = _fill(h, n - 1, n, c, v)
+    v_end, rise_end = float(v[0]), float(rise[0]) if cs < math.inf else 0.0
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
     if cs < math.inf:
         q_storage = cs * rise_end
@@ -511,19 +619,62 @@ def _integrate_segment(
             rail * leak * (t_release - t_clamp)
         )
     else:
-        q_storage = q_source - cp * (v_end - v0)
+        q_storage = q_source - c.cp * (v_end - v0)
     ledger.q_source += q_source
     ledger.q_source_gross += abs(q_source)
     ledger.q_storage += q_storage
     if leak:
-        ledger.q_leak += q_source - cp * (v_end - v0) - q_storage
-    vs[1:] = vs0 + sign * rise[1:]
-    return v_end, vs0 + sign * rise_end, q_harvested + sign * q_storage
+        ledger.q_leak += q_source - c.cp * (v_end - v0) - q_storage
+    h = h._replace(v_end=v_end, vs_end=vs0 + sign * rise_end)
+    return h, q_harvested + sign * q_storage
+
+
+def _fill(h: _HalfCycle, lo: int, hi: int, c: _Circuit, v: Optional[np.ndarray] = None):
+    """Evaluate rows lo..hi-1 of half cycle h, 1 <= lo < hi <= n + 2, from its
+    plan: write vpt into v, if given, and return rise, how far a finite
+    storage cap has carried the clamp, so that vs = vs0 + sign*rise (on a
+    fixed rail rise is the scalar 0.0). Each piece is one numpy call over its
+    rows, and an element's bits do not depend on the rows around it, so any
+    lo and hi give the bits of the whole half cycle. This is the only code
+    that evaluates samples.
+    """
+    finite = c.cs < math.inf
+    if v is None and not finite:
+        return 0.0
+    t = _Grid(h.t0, c.dt, h.n, h.t_end)
+    rail = h.sign * (h.vs0 + c.two_vd)
+    hold = (h.t_clamp, rail, c.kh, c.gh, c.w)
+    # The pieces' rows within lo..hi-1: free from 1, held from i, released
+    # from j (row 0 is not ours), as rows of t and shifted by lo as rows of v.
+    i, j = min(max(h.i, lo), hi), min(max(h.j, lo), hi)
+    free, held, released = slice(lo, i), slice(i, j), slice(j, hi)
+    v_free, v_held, v_released = slice(0, i - lo), slice(i - lo, j - lo), slice(j - lo, hi - lo)
+    rise = lift = 0.0
+    if finite:
+        rise = np.zeros(hi - lo)
+        if i < j:
+            rise[v_held] = _rise(t[held], *hold)
+        if h.j < h.n + 2:
+            lift = rise[v_released] = _rise(h.t_release, *hold)
+    if v is None:
+        return rise
+    if lo < i:
+        v[v_free] = h.v0 + _rise(t[free], h.t0, h.v0, c.kf, c.gf, c.w)
+    v[v_held] = rail + (rise[v_held] if finite else 0.0)
+    if j < hi:
+        off = rail + lift
+        fall = off + _rise(t[released], h.t_release, off, c.kf, c.gf, c.w)
+        # Released, the node only falls away from the rail; the clip drops
+        # the rounding of a very stiff leak (g >> w).
+        v[v_released] = h.sign * np.minimum(h.sign * fall, h.sign * off)
+    return rise
 
 
 def run(cfg: SimConfig) -> RunResult:
     """Simulate n_cycles vibration periods; with an SSHC network present, flip
-    at every zero crossing and record one FlipEvent per inversion."""
+    at every zero crossing and record one FlipEvent per inversion. The
+    returned Waveform holds each half cycle's plan and the flip rows; its
+    samples are evaluated when read."""
     if cfg.sshc is not None and not full_swing_supported(cfg.src, cfg.stage):
         warnings.warn(
             "open-circuit swing does not exceed twice the conduction threshold; "
@@ -538,33 +689,33 @@ def run(cfg: SimConfig) -> RunResult:
         vs=cfg.stage.storage_voltage,
         q_harvested=0.0,
     )
+    c = _Circuit.of(cfg)
     crossings = zero_crossing_times(cfg.src, cfg.n_cycles)
-    t, ends = _timeline(crossings, cfg)
-    n = len(t)
-    wf = Waveform(t, np.empty(n), np.empty(n), np.empty(n), np.full(n, Phase.IDLE.value, _TOKEN))
-    vpt, vt, vs, q = initial.vpt, initial.vt, initial.vs, initial.q_harvested
-    wf.vpt[0], wf.vt[0], wf.vs[0] = vpt, vt, vs
+    plan = np.empty(len(crossings), _PLAN)
+    flips = np.empty((len(crossings), c.pulses, 2))
+    t0, vpt, vt, vs, q = initial.t, initial.vpt, initial.vt, initial.vs, initial.q_harvested
     ledger = ChargeLedger()
     events: List[FlipEvent] = []
-    row = 0
-    for k, ((t_cross, direction), end) in enumerate(zip(crossings, ends), 1):
+    for k, (t_cross, direction) in enumerate(crossings, 1):
+        # The grid adds t0 + dt, t0 + 2*dt, ... while short of the crossing;
+        # a remainder under 1e-9 dt joins the last step, so no sliver is left.
+        n = max(0, int(math.floor((t_cross - t0) / c.dt - 1e-9)))
         # The current is positive before a positive-to-negative crossing.
         sign = 1 if direction is FlipDirection.POS_TO_NEG else -1
-        rows = slice(row, end + 1)
-        wf.vt[row + 1 : end + 1] = vt
-        vpt, vs, q = _integrate_segment(t[rows], wf.vpt[rows], wf.vs[rows], q, sign, cfg, ledger)
-        row = end
+        h, q = _integrate_segment(_Grid(t0, c.dt, n, t_cross), vpt, vs, vt, q, sign, c, ledger)
+        plan[k - 1] = h
+        vpt, vs = h.v_end, h.vs_end
+        t0 = ([t_cross] + c.pulse_times(t_cross))[-1]
         if cfg.sshc is None:
             continue
         v_before = vpt
-        for phase in _FLIP_ORDER if v_before >= 0.0 else _FLIP_ORDER[::-1]:
-            vpt, vt = _switch(phase, vpt, vt, cfg.src.cap_cp, cfg.sshc.cap_ct, ledger)
-            row += 1
-            wf.vpt[row], wf.vt[row], wf.vs[row], wf.phase[row] = vpt, vt, vs, phase.value
+        for row, phase in enumerate(_FLIP_ORDER if v_before >= 0.0 else _FLIP_ORDER[::-1]):
+            vpt, vt = _switch(phase, vpt, vt, c.cp, cfg.sshc.cap_ct, ledger)
+            flips[k - 1, row] = vpt, vt
         efficiency = abs(vpt) / abs(v_before) if v_before != 0.0 else 0.0
         events.append(FlipEvent(k, t_cross, v_before, vpt, efficiency))
-    final = CircuitState(t=float(t[-1]), vpt=vpt, vt=vt, vs=vs, q_harvested=q)
-    return RunResult(wf, events, ledger, final, initial)
+    final = CircuitState(t=t0, vpt=vpt, vt=vt, vs=vs, q_harvested=q)
+    return RunResult(Waveform(cfg, initial, plan, flips), events, ledger, final, initial)
 
 
 def extract_efficiency_trajectory(events: Sequence[FlipEvent]) -> List[float]:

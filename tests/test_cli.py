@@ -262,6 +262,14 @@ class TestManifestAndErrors:
         assert len(record) == 1
         assert "swing" not in capsys.readouterr().err
 
+    def test_full_bridge_names_a_bad_cap_ct_once(self, tmp_path, capsys):
+        # No SSHC network is built in full-bridge mode, so cap_ct is first
+        # checked by FlipRatios.from_caps, whose error names cap_ct too.
+        argv = ["simulate", "--set", "full_bridge=true", "--set", "cap_ct=0"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cap_ct: ") and err.count("cap_ct") == 1, err
+
     def test_unknown_key_exit_code(self, tmp_path):
         assert main(["analyze", "--set", "bogus=1", "--out-dir", str(tmp_path)]) == 2
 

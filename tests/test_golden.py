@@ -4,7 +4,9 @@ The digests were taken from the per-module writers that the shared CSV writer
 replaced; any change to the 12-significant-digit serialization, the row order
 or the schemas shows up here as a digest mismatch. The simulate digests pin
 the closed-form transient engine: its samples on the dt grid, and the flip
-events of the leaky and finite-storage runs.
+events of the leaky and finite-storage runs. Their SVG digests, taken before
+the waveform was evaluated on demand, pin the whole-column reads the charts
+are drawn from.
 """
 
 import hashlib
@@ -16,10 +18,12 @@ from sshcsim.cli import main
 
 GOLDEN = {
     "default": (
-        ["simulate", "--cycles", "2"],
+        ["simulate", "--cycles", "2", "--svg"],
         {
             "waveform.csv": "db9277eb2043d33d4fe747816e982f97c3301258a96de889aeecc7f5e1f10008",
             "flip_events.csv": "47d6c63bc465daffa5720eda1807989bdffc437b9291de7247d0c3c9c39253c8",
+            "waveform.svg": "67ecbcd49b15b58755633e9fd9a22d36f2303907308526d0a2cd60c0687f2fee",
+            "efficiency.svg": "0534165871aba2fc3d27b0c257c14442e49da160147c4a69db1ddaea871a9778",
         },
     ),
     "full_bridge": (
@@ -30,17 +34,21 @@ GOLDEN = {
         },
     ),
     "leaky": (
-        ["simulate", "--cycles", "2", "--set", "res_rp=10Mohm"],
+        ["simulate", "--cycles", "2", "--set", "res_rp=10Mohm", "--svg"],
         {
             "waveform.csv": "f6d0530decd66604a36a53f542c95480fc7feee6c660cbbfaa099ebbe9fc8036",
             "flip_events.csv": "071314eba8d1330cbad3e2229015ebfab15967eb00c630791cbd2b74cb181a9c",
+            "waveform.svg": "6cd48f965c3ecf4cdee338d249909570830337a4b21e4d1c31c56f9e654099bf",
+            "efficiency.svg": "0534165871aba2fc3d27b0c257c14442e49da160147c4a69db1ddaea871a9778",
         },
     ),
     "finite_storage": (
-        ["simulate", "--cycles", "2", "--set", "storage_cs=1uF"],
+        ["simulate", "--cycles", "2", "--set", "storage_cs=1uF", "--svg"],
         {
             "waveform.csv": "c2a4e47edb0d4e9a5ed1f9b6e123f7b962beea6d8d8c53a2cf62d9cf448f6fbb",
             "flip_events.csv": "ca6ad7182e32da2f73ce9e9cd6f5a73136638ff47773a82ab0cbb2edbb89a798",
+            "waveform.svg": "60398ff6afac2a8412bc5f80dd0341171a9763b9d891ed160240b5f89c8e60e4",
+            "efficiency.svg": "92884684b2e112956c81c0a696379d6f62d1b71bf7c7502153dc0cff4aad0ebb",
         },
     ),
     "analyze": (

@@ -678,8 +678,9 @@ class TestPieceBoundaries:
 
     @pytest.mark.parametrize("case", ["leaky", "finite_storage", "weak_excitation"])
     def test_each_sample_is_evaluated_once(self, monkeypatch, case):
-        # A count, not a timing: _rise sees each sample once, plus the probes
-        # and windows of the boundary searches.
+        # A count, not a timing: run() evaluates the probes and windows of the
+        # boundary searches (and the whole free piece where no probe reached
+        # the rail), and a read of vpt each sample once.
         seen = [0]
         real = transient._rise
 
@@ -688,8 +689,11 @@ class TestPieceBoundaries:
             return real(t, *args)
 
         monkeypatch.setattr(transient, "_rise", counting)
-        result = run(make_sim_config(n_cycles=10, **BOUNDARY_CASES[case]))
-        assert seen[0] <= len(result.waveform) * (1 + 1 / 16), seen[0] / len(result.waveform)
+        wf = run(make_sim_config(n_cycles=10, **BOUNDARY_CASES[case])).waveform
+        planned, seen[0] = seen[0], 0
+        assert len(wf.vpt) == len(wf)
+        assert planned <= len(wf) * (1 + 1 / 16), planned / len(wf)
+        assert seen[0] <= len(wf), seen[0] / len(wf)
 
 
 def pulse_rows(wf):
@@ -776,17 +780,95 @@ class TestRowOwnership:
 class TestMemory:
     @pytest.mark.parametrize("regime", ["ideal", "leaky", "finite_storage", "full_bridge"])
     def test_peak_stays_near_the_columns(self, regime):
-        # Traced bytes, not time, so the bound is deterministic. The columns
-        # are allocated once at their final length and filled in place, so the
-        # peak is the five returned columns plus one half cycle's temporaries.
+        # Traced bytes, not time, so the bound is deterministic. Each read
+        # allocates its column once at full length and fills it one half
+        # cycle at a time, so holding all five columns peaks at their bytes
+        # plus one half cycle's temporaries.
         kwargs = {"ct": None} if regime == "full_bridge" else REGIMES[regime]
         cfg = make_sim_config(n_cycles=10, **kwargs)
-        run(cfg)  # one-time allocations stay out of the trace
+        run(cfg).waveform.phase  # one-time allocations stay out of the trace
         tracemalloc.start()
         try:
             wf = run(cfg).waveform
+            columns = [wf.t, wf.vpt, wf.vt, wf.vs, wf.phase]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        columns = sum(c.nbytes for c in (wf.t, wf.vpt, wf.vt, wf.vs, wf.phase))
-        assert peak <= 1.25 * columns, peak / columns
+        held = sum(c.nbytes for c in columns)
+        assert peak <= 1.25 * held, peak / held
+
+    @pytest.mark.parametrize("divisor", [10_000, 100_000])
+    def test_run_holds_no_samples(self, divisor):
+        # The paper's slow-convergence case, C_T = 100 C_P over 300 cycles,
+        # has 2.96M samples at dt = T/10000 (142 MB of columns when they were
+        # stored) and ten times that at T/100000. run() keeps only each half
+        # cycle's plan and flip rows, so its peak does not grow with dt.
+        cfg = make_sim_config(ct=100 * 10e-9, n_cycles=300, dt=0.01 / divisor)
+        run(make_sim_config(n_cycles=1))  # one-time allocations stay out of the trace
+        tracemalloc.start()
+        try:
+            result = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.events) == 600
+        assert peak < 1_000_000, peak
+
+
+class TestOnDemandSamples:
+    """The Waveform evaluates its samples from each half cycle's plan when
+    read. Each piece is one numpy call over its rows and an element's bits do
+    not depend on its neighbours, so every way of reading gives the same
+    bits."""
+
+    CASES = {
+        **{name: REGIMES[name] for name in ("ideal", "leaky", "finite_storage")},
+        "never_reaches_rail": BOUNDARY_CASES["weak_excitation"],
+    }
+
+    @staticmethod
+    def csv_values(wf, monkeypatch):
+        """Every row write_csv formats, as exact floats: (t, vpt, vt, vs)
+        columns and the phase tokens. The tails' numbers are taken in repr,
+        which round-trips, instead of at 12 digits."""
+        monkeypatch.setattr(transient, "fmt", lambda x: repr(float(x)))
+        rows, tokens = [], []
+        for tail, values in wf._csv_blocks():
+            vt, vs, phase = tail.split(",")
+            for k in range(0, len(values), 2):
+                rows.append((values[k], values[k + 1], float(vt), float(vs)))
+                tokens.append(phase)
+        return np.array(rows).T, tokens
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_columns_equal_the_csv_values(self, monkeypatch, case):
+        wf = run(make_sim_config(n_cycles=3, **self.CASES[case])).waveform
+        (t, vpt, vt, vs), tokens = self.csv_values(wf, monkeypatch)
+        for got, column in ((t, wf.t), (vpt, wf.vpt), (vt, wf.vt), (vs, wf.vs)):
+            assert got.tobytes() == column.tobytes()
+        assert tokens == wf.phase.tolist()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_two_reads_are_identical(self, case):
+        wf = run(make_sim_config(n_cycles=3, **self.CASES[case])).waveform
+        for name in ("t", "vpt", "vt", "vs", "phase"):
+            first, second = getattr(wf, name), getattr(wf, name)
+            assert first is not second
+            assert first.tobytes() == second.tobytes(), name
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_a_half_cycle_filled_in_parts(self, case):
+        cfg = make_sim_config(n_cycles=2, **self.CASES[case])
+        wf = run(cfg).waveform
+        c = transient._Circuit.of(cfg)
+        for h, _ in wf._half_cycles():
+            end = h.n + 2
+            whole = np.empty(end - 1)
+            rise = transient._fill(h, 1, end, c, whole)
+            for split in sorted({2, h.i, h.i + 1, h.j, end // 2, end - 1} & set(range(2, end))):
+                parts = np.empty(end - 1)
+                low = transient._fill(h, 1, split, c, parts[: split - 1])
+                high = transient._fill(h, split, end, c, parts[split - 1 :])
+                assert parts.tobytes() == whole.tobytes(), (h, split)
+                if np.ndim(rise):
+                    assert np.concatenate((low, high)).tobytes() == rise.tobytes()
