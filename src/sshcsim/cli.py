@@ -3,7 +3,9 @@
 Subcommands: analyze (closed-form flip tables), simulate (transient waveforms
 and flip events), sweep (parameter sweeps), compare (full-bridge vs SSHC
 report). Every run writes a manifest.json listing the resolved config and all
-emitted files. Exit codes: 0 success, 2 config error, 3 simulation error.
+emitted files, plus the wall-clock seconds of each stage and the Python and
+numpy versions it ran on. Exit codes: 0 success, 2 config error, 3 simulation
+error.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
@@ -35,14 +38,27 @@ from .transient import extract_efficiency_trajectory, run, write_flip_events_csv
 
 
 class _Emitter:
-    """Collects output paths so the manifest can list every emitted file."""
+    """Collects output paths so the manifest can list every emitted file, and
+    times the stages of the command for it."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.paths: List[str] = []
-        os.makedirs(out_dir, exist_ok=True)
+        # Wall-clock seconds per stage: the one part of the manifest that
+        # differs between identical runs. A stage that does not run stays 0.
+        self.timings_s = dict.fromkeys(("resolve", "engine", "csv", "svg"), 0.0)
+        self._lap_start = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        """Book the seconds since the previous lap, or since the emitter was
+        made, to `stage`."""
+        now = time.perf_counter()
+        self.timings_s[stage] += now - self._lap_start
+        self._lap_start = now
 
     def path(self, name: str) -> str:
+        if not self.paths:  # nothing is made before the first output
+            os.makedirs(self.out_dir, exist_ok=True)
         full = os.path.join(self.out_dir, name)
         self.paths.append(full)
         return full
@@ -54,10 +70,13 @@ class _Emitter:
             "subcommand": subcommand,
             "config_echo": config_echo,
             "output_paths": self.paths,
+            "timings_s": self.timings_s,
+            "python_version": "%d.%d.%d" % sys.version_info[:3],
+            "numpy_version": np.__version__,
         }
         with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # One write: json.dump would write each of its many small chunks.
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         return manifest_path
 
 
@@ -78,29 +97,30 @@ def _resolve(args: argparse.Namespace) -> ResolvedConfig:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    emitter = _Emitter(args.out_dir)
     cfg = _resolve(args)
     ratios = cfg.ratios()
+    emitter.lap("resolve")
     v0 = conduction_threshold(cfg.rectifier_stage())
     if v0 <= 0:
         v0 = 1.0  # degenerate zero-threshold stage: report normalized series
     series = flip_efficiency_series(ratios, v0, cfg.n_cycles)
-    emitter = _Emitter(args.out_dir)
-
     values = []
     for n, (eta, vt) in enumerate(zip(series.efficiencies, series.vt_trajectory), start=1):
         values += (n, eta, vt, closed_form_efficiency(ratios, n))
-    write_csv(
-        emitter.path("flip_series.csv"),
-        ["n", "efficiency", "vt_V", "closed_form"],
-        "dggg",
-        [("", values)],
-    )
     summary = [
         "steady_state_efficiency", fmt(series.limit),
         "optimal_single_flip_ct_F", fmt(optimal_single_flip_ct(cfg.cap_cp)),
         "cycles_to_99pct_of_limit", cycles_to_converge(ratios, 0.99),
     ]
-    write_csv(emitter.path("summary.csv"), ["key", "value"], "ss", [("", summary)])
+    emitter.lap("engine")
+    write_csv(
+        emitter.path("flip_series.csv"),
+        ["n", "efficiency", "vt_V", "closed_form"],
+        [("dggg", "", values)],
+    )
+    write_csv(emitter.path("summary.csv"), ["key", "value"], [("ss", "", summary)])
+    emitter.lap("csv")
     if args.svg:
         n_axis = list(range(1, cfg.n_cycles + 1))
         line_chart(
@@ -111,16 +131,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             xlabel="flip cycle",
             ylabel="efficiency",
         )
+        emitter.lap("svg")
     emitter.write_manifest("analyze", cfg.echo())
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    result = run(cfg.sim_config())
     emitter = _Emitter(args.out_dir)
+    cfg = _resolve(args)
+    emitter.lap("resolve")
+    result = run(cfg.sim_config())
+    emitter.lap("engine")
+    # The waveform's samples are evaluated as they are read: by the CSV
+    # writer here, and again for the charts.
     result.waveform.write_csv(emitter.path("waveform.csv"))
     write_flip_events_csv(result.events, emitter.path("flip_events.csv"))
+    emitter.lap("csv")
     if args.svg:
         line_chart(
             emitter.path("waveform.svg"),
@@ -139,6 +165,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 xlabel="flip cycle",
                 ylabel="efficiency",
             )
+        emitter.lap("svg")
     emitter.write_manifest("simulate", cfg.echo())
     return 0
 
@@ -169,10 +196,11 @@ def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    emitter = _Emitter(args.out_dir)
     cfg = _resolve(args)
     values = _sweep_axis(args, cfg)
+    emitter.lap("resolve")
     src = cfg.piezo_source()
-    emitter = _Emitter(args.out_dir)
     if args.axis == "ct":
         result = sweep_ct_ratio(src, cfg.rectifier_stage(), values)
         name = "sweep_ct.csv"
@@ -182,7 +210,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         result = sweep_storage_voltage(src, cfg.diode_drop_vd, values, ct_ratio)
         name = "sweep_vs.csv"
         xlabel = "V_S (V)"
+    emitter.lap("engine")
     result.write_csv(emitter.path(name))
+    emitter.lap("csv")
     if args.svg:
         line_chart(
             emitter.path(name.replace(".csv", ".svg")),
@@ -192,21 +222,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             xlabel=xlabel,
             ylabel="power (W)",
         )
+        emitter.lap("svg")
     emitter.write_manifest("sweep", cfg.echo())
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    emitter = _Emitter(args.out_dir)
     cfg = _resolve(args)
+    emitter.lap("resolve")
     src = cfg.piezo_source()
     stage = cfg.rectifier_stage()
     eta = steady_state_efficiency(cfg.ratios())
     baseline = harvest_report(src, stage, 0.0)
     sshc = harvest_report(src, stage, eta)
-    emitter = _Emitter(args.out_dir)
+    emitter.lap("engine")
     write_reports_csv(
         emitter.path("compare.csv"), "mode", "s", ["full_bridge", "sshc"], [baseline, sshc]
     )
+    emitter.lap("csv")
     emitter.write_manifest("compare", cfg.echo())
     return 0
 

@@ -37,6 +37,7 @@ from .flip import charge_share
 PERIOD_DIVISORS = {"dt": 10_000.0, "phase_pulse_width": 500.0, "phase_gap": 2_000.0}
 
 _TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
+_COLUMNS = ("t", "vpt", "vt", "vs", "phase")  # a waveform row, as waveform.csv writes it
 
 
 class Phase(enum.Enum):
@@ -182,24 +183,32 @@ class Waveform:
     phase = property(lambda self: self._column("phase", _TOKEN), doc="switch phase token")
 
     def write_csv(self, out: Union[str, IO[str]]) -> None:
-        write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], "gg", self._csv_blocks())
+        write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], self._csv_blocks())
 
-    def _half_cycles(self) -> Iterator[Tuple[_HalfCycle, list]]:
-        """Each half cycle's plan, with its pulse rows as (t, vpt, vt, vs, phase)."""
-        c = self._circuit
-        for plan, flips in zip(self._plan, self._flips):
-            h = _HalfCycle(*plan.item())
-            order = _FLIP_ORDER if h.v_end >= 0.0 else _FLIP_ORDER[::-1]
-            rows = zip(c.pulse_times(h.t_end), flips.tolist(), order)
-            yield h, [(t, vpt, vt, h.vs_end, phase.value) for t, (vpt, vt), phase in rows]
+    def _half_cycles(self) -> Iterator[_HalfCycle]:
+        """Each half cycle's plan, read from the record array in one pass."""
+        return map(_HalfCycle._make, self._plan.tolist())
+
+    def _pulses(self, name: str) -> np.ndarray:
+        """Column `name` on the flip rows, shaped (half cycles, pulses per
+        flip), or (half cycles, 1) where a flip's rows share the value."""
+        c, plan = self._circuit, self._plan
+        if name == "t":
+            times = [c.pulse_times(t) for t in plan["t_end"].tolist()]
+            return np.array(times).reshape(len(plan), c.pulses)
+        if name in ("vpt", "vt"):
+            return self._flips[..., ("vpt", "vt").index(name)]
+        if name == "vs":
+            return plan["vs_end"][:, None]
+        order = np.array([phase.value for phase in _FLIP_ORDER[: c.pulses]], _TOKEN)
+        return np.where(plan["v_end"][:, None] >= 0.0, order, order[::-1])
 
     def _column(self, name: str, dtype=np.float64) -> np.ndarray:
-        field = ("t", "vpt", "vt", "vs", "phase").index(name)
         c, s = self._circuit, self._initial
         out = np.empty(len(self), dtype)
-        out[0] = (s.t, s.vpt, s.vt, s.vs, Phase.IDLE.value)[field]
+        out[0] = (s.t, s.vpt, s.vt, s.vs, Phase.IDLE.value)[_COLUMNS.index(name)]
         row = 1
-        for h, pulses in self._half_cycles():
+        for h in self._half_cycles():
             grid = slice(row, row + h.n + 1)
             if name == "t":
                 out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
@@ -209,35 +218,50 @@ class Waveform:
                 out[grid] = h.vs0 + h.sign * _fill(h, 1, h.n + 2, c)
             else:
                 out[grid] = h.vt if name == "vt" else Phase.IDLE.value
-            row = grid.stop
-            for pulse in pulses:
-                out[row] = pulse[field]
-                row += 1
+            row = grid.stop + c.pulses
+        if c.pulses:
+            # Each flip's rows follow its half cycle's grid rows.
+            first = np.cumsum(self._plan["n"] + 1 + c.pulses) + 1 - c.pulses
+            out[first[:, None] + np.arange(c.pulses)] = self._pulses(name)
         return out
 
-    def _csv_blocks(self) -> Iterator[Tuple[str, list]]:
-        """(t, vpt) pairs in blocks of rows that share vt, vs and phase.
+    def _csv_blocks(self) -> Iterator[Tuple[str, str, list]]:
+        """Blocks of rows that share their trailing fields, for csvout.
 
-        A half cycle's grid rows share vt and the Idle phase, and on a fixed
-        rail vs too, so each run of equal vs is formatted once, as the tail of
-        its block. One half cycle is filled at a time, so no whole column is
-        made.
+        A half cycle's grid rows share vt and the Idle phase. On a fixed rail
+        they share vs too, and its held rows share vpt, the rail, so a held
+        block formats only t and the rail once in its tail. A finite storage
+        cap's rail rises with the charge, so its rows are written as (t, vpt)
+        in runs of equal vs. One half cycle is filled at a time, so no whole
+        column is made.
         """
         c, s = self._circuit, self._initial
-        yield f"{fmt(s.vt)},{fmt(s.vs)},{Phase.IDLE.value}", [s.t, s.vpt]
-        for h, pulses in self._half_cycles():
-            t, vpt = _Grid(h.t0, c.dt, h.n, h.t_end)[1:], np.empty(h.n + 1)
-            vs = h.vs0 + h.sign * _fill(h, 1, h.n + 2, c, vpt)
-            pairs = np.column_stack((t, vpt)).ravel().tolist()
-            head = f"{fmt(h.vt)},"
-            if np.ndim(vs) == 0:
-                yield f"{head}{fmt(vs)},{Phase.IDLE.value}", pairs
-            else:
+        idle = Phase.IDLE.value
+        yield "gg", f"{fmt(s.vt)},{fmt(s.vs)},{idle}", [s.t, s.vpt]
+        shape = (len(self._plan), c.pulses)
+        flips = zip(*(np.broadcast_to(self._pulses(name), shape).tolist() for name in _COLUMNS))
+        for h, flip in zip(self._half_cycles(), flips):
+            t, end = _Grid(h.t0, c.dt, h.n, h.t_end), h.n + 2
+            if c.cs < math.inf:
+                pairs, rise = _pairs(h, t, 1, end, c)
+                vs = h.vs0 + h.sign * rise
                 bounds = [0, *(np.flatnonzero(vs[1:] != vs[:-1]) + 1).tolist(), len(vs)]
                 for a, b in zip(bounds, bounds[1:]):
-                    yield f"{head}{fmt(vs[a])},{Phase.IDLE.value}", pairs[2 * a : 2 * b]
-            for t_pulse, vpt_pulse, vt_pulse, vs_pulse, phase in pulses:
-                yield f"{fmt(vt_pulse)},{fmt(vs_pulse)},{phase}", [t_pulse, vpt_pulse]
+                    yield "gg", f"{fmt(h.vt)},{fmt(vs[a])},{idle}", pairs[2 * a : 2 * b]
+            else:
+                tail = f"{fmt(h.vt)},{fmt(h.vs0 + h.sign * 0.0)},{idle}"
+                # Free rows 1..i-1, held i..j-1, released j..n+1, clipped as _fill clips them.
+                i, j = min(max(h.i, 1), end), min(max(h.j, 1), end)
+                if 1 < i:
+                    yield "gg", tail, _pairs(h, t, 1, i, c)[0]
+                if i < j:
+                    # The held node is the rail as _fill writes it: + 0.0 turns -0.0 into 0.0.
+                    rail = h.sign * (h.vs0 + c.two_vd) + 0.0
+                    yield "g", f"{fmt(rail)},{tail}", t[i:j].tolist()
+                if j < end:
+                    yield "gg", tail, _pairs(h, t, j, end, c)[0]
+            for t_pulse, vpt_pulse, vt_pulse, vs_pulse, phase in zip(*flip):
+                yield "gg", f"{fmt(vt_pulse)},{fmt(vs_pulse)},{phase}", [t_pulse, vpt_pulse]
 
 
 @dataclass
@@ -253,9 +277,8 @@ def write_flip_events_csv(events: Sequence[FlipEvent], out: Union[str, IO[str]])
     values = [
         x for e in events for x in (e.cycle_index, e.t, e.v_before, e.v_after, e.efficiency)
     ]
-    write_csv(
-        out, ["cycle", "t_s", "v_before_V", "v_after_V", "efficiency"], "dgggg", [("", values)]
-    )
+    header = ["cycle", "t_s", "v_before_V", "v_after_V", "efficiency"]
+    write_csv(out, header, [("dgggg", "", values)])
 
 
 def zero_crossing_times(
@@ -668,6 +691,14 @@ def _fill(h: _HalfCycle, lo: int, hi: int, c: _Circuit, v: Optional[np.ndarray] 
         # the rounding of a very stiff leak (g >> w).
         v[v_released] = h.sign * np.minimum(h.sign * fall, h.sign * off)
     return rise
+
+
+def _pairs(h: _HalfCycle, t: _Grid, lo: int, hi: int, c: _Circuit) -> Tuple[list, object]:
+    """Rows lo..hi-1 of half cycle h, whose time column is t, as the flat list
+    t, vpt, t, vpt, ..., and _fill's rise over them."""
+    vpt = np.empty(hi - lo)
+    rise = _fill(h, lo, hi, c, vpt)
+    return np.column_stack((t[lo:hi], vpt)).ravel().tolist(), rise
 
 
 def run(cfg: SimConfig) -> RunResult:

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from sshcsim import WeakExcitationWarning, cli, run
@@ -236,6 +238,27 @@ class TestManifestAndErrors:
         assert set(manifest["output_paths"]) == on_disk
         assert manifest["subcommand"] == "simulate"
         assert manifest["tool_version"]
+
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [
+            (["simulate", "--cycles", "1", "--svg"], {"resolve", "engine", "csv", "svg"}),
+            (["simulate", "--cycles", "1"], {"resolve", "engine", "csv"}),
+            (["analyze", "--svg"], {"resolve", "engine", "csv", "svg"}),
+            (["sweep", "--axis", "vs", "--min", "0", "--max", "5", "--points", "3"],
+             {"resolve", "engine", "csv"}),
+            (["compare"], {"resolve", "engine", "csv"}),
+        ],
+    )
+    def test_manifest_times_each_stage(self, tmp_path, argv, ran):
+        out = str(tmp_path)
+        assert main(argv + ["--out-dir", out]) == 0
+        manifest = read_manifest(out)
+        timings = manifest["timings_s"]
+        assert set(timings) == {"resolve", "engine", "csv", "svg"}
+        assert {stage for stage, seconds in timings.items() if seconds > 0.0} == ran
+        assert manifest["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+        assert manifest["numpy_version"] == np.__version__
 
     def test_manifest_config_echo_round_trips(self, tmp_path):
         out = str(tmp_path)

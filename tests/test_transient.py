@@ -1,10 +1,12 @@
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
 
 from sshcsim import (
     ChargeLedger,
@@ -29,9 +31,10 @@ from sshcsim import (
 )
 from sshcsim import transient
 from sshcsim.circuit import FieldError
-from sshcsim.config import parse_config
+from sshcsim.config import ConfigError, parse_config
 
 from conftest import make_sim_config, make_source, make_stage
+from test_config_property import CONFIGS
 
 
 class TestSimConfigValidation:
@@ -829,14 +832,16 @@ class TestOnDemandSamples:
     @staticmethod
     def csv_values(wf, monkeypatch):
         """Every row write_csv formats, as exact floats: (t, vpt, vt, vs)
-        columns and the phase tokens. The tails' numbers are taken in repr,
-        which round-trips, instead of at 12 digits."""
+        columns and the phase tokens. A block's leading fields come from its
+        values, the rest from its tail, whose numbers are taken in repr, which
+        round-trips, instead of at 12 digits. A held block carries vpt in its
+        tail, so its rows lead with t alone."""
         monkeypatch.setattr(transient, "fmt", lambda x: repr(float(x)))
         rows, tokens = [], []
-        for tail, values in wf._csv_blocks():
-            vt, vs, phase = tail.split(",")
-            for k in range(0, len(values), 2):
-                rows.append((values[k], values[k + 1], float(vt), float(vs)))
+        for kinds, tail, values in wf._csv_blocks():
+            *fixed, phase = tail.split(",")
+            for k in range(0, len(values), len(kinds)):
+                rows.append((*values[k : k + len(kinds)], *map(float, fixed)))
                 tokens.append(phase)
         return np.array(rows).T, tokens
 
@@ -861,7 +866,7 @@ class TestOnDemandSamples:
         cfg = make_sim_config(n_cycles=2, **self.CASES[case])
         wf = run(cfg).waveform
         c = transient._Circuit.of(cfg)
-        for h, _ in wf._half_cycles():
+        for h in wf._half_cycles():
             end = h.n + 2
             whole = np.empty(end - 1)
             rise = transient._fill(h, 1, end, c, whole)
@@ -872,3 +877,56 @@ class TestOnDemandSamples:
                 assert parts.tobytes() == whole.tobytes(), (h, split)
                 if np.ndim(rise):
                     assert np.concatenate((low, high)).tobytes() == rise.tobytes()
+
+    def test_held_rows_lead_with_t_alone(self):
+        # On a fixed rail the clamped rows share vpt, so their blocks carry
+        # it in the tail and convert only t: most rows of a default run.
+        wf = run(make_sim_config(n_cycles=3)).waveform
+        held = sum(len(values) for kinds, _, values in wf._csv_blocks() if kinds == "g")
+        assert held > len(wf) // 2
+
+
+def rendered_csv(wf):
+    """waveform.csv rendered row by row from the five whole columns."""
+    rows = zip(wf.t.tolist(), wf.vpt.tolist(), wf.vt.tolist(), wf.vs.tolist(), wf.phase.tolist())
+    return "t_s,vpt_V,vt_V,vs_V,phase\n" + "".join(
+        "%.12g,%.12g,%.12g,%.12g,%s\n" % row for row in rows
+    )
+
+
+class TestCsvOracle:
+    """Waveform.write_csv writes exactly the rows of a plain printf over the
+    whole columns, however it splits them into blocks."""
+
+    CASES = {
+        **BOUNDARY_CASES,
+        "full_bridge": {"ct": None},
+        "zero_rail": {"stage": make_stage(vs=0.0, vd=0.0)},
+        "zero_rail_full_bridge": {"ct": None, "stage": make_stage(vs=0.0, vd=0.0)},
+    }
+
+    @staticmethod
+    def check(cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            wf = run(cfg).waveform
+        buf = io.StringIO()
+        wf.write_csv(buf)
+        got, want = buf.getvalue(), rendered_csv(wf)
+        if got != want:  # name the first row that differs, not a diff of the whole file
+            rows = enumerate(zip(got.splitlines(), want.splitlines()))
+            row, pair = next(((k, p) for k, p in rows if p[0] != p[1]), (None, None))
+            pytest.fail(f"{len(got)} != {len(want)} characters; first differing row {row}: {pair}")
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_named_cases(self, case):
+        self.check(make_sim_config(n_cycles=2, **self.CASES[case]))
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(CONFIGS)
+    def test_drawn_configs(self, overrides):
+        try:
+            cfg = parse_config(overrides=overrides).sim_config()
+        except ConfigError:
+            reject()
+        self.check(cfg)
