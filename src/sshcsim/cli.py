@@ -117,9 +117,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     write_csv(
         emitter.path("flip_series.csv"),
         ["n", "efficiency", "vt_V", "closed_form"],
-        [("dggg", "", values)],
+        [("dggg", values)],
     )
-    write_csv(emitter.path("summary.csv"), ["key", "value"], [("ss", "", summary)])
+    write_csv(emitter.path("summary.csv"), ["key", "value"], [("ss", summary)])
     emitter.lap("csv")
     if args.svg:
         n_axis = list(range(1, cfg.n_cycles + 1))
@@ -172,7 +172,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
     """The axis of `sweep`. A --min, --max or --points value that the sweep
-    functions would reject raises ConfigError naming the flag."""
+    functions would reject raises ConfigError naming the flag, and a C_T
+    axis on the full bridge, which has no C_T, one naming full_bridge."""
+    if args.axis == "ct" and cfg.full_bridge:
+        raise ConfigError("full_bridge", "the full bridge has no C_T to sweep; use --axis vs")
     if args.points < 1:
         raise ConfigError("--points", f"must be >= 1, got {args.points}")
     # Each end must fit the type that will hold it; the ends bound the

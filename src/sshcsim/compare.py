@@ -60,7 +60,7 @@ def write_reports_csv(
     write_csv(
         out,
         [label, "q_gen_C", "q_wasted_C", "q_harvested_C", "power_W", "eta"],
-        [(label_kind + "ggggg", "", values)],
+        [(label_kind + "ggggg", values)],
     )
 
 

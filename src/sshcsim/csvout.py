@@ -1,13 +1,13 @@
 """The one CSV writer behind every table sshcsim emits.
 
 Every float is written at 12 significant digits (``%.12g``), so identical
-configs give byte-identical files. Rows are produced by repeating a printf
-row template over a block of values, which leaves the number conversions as
-the only per-row cost, and blocks are written as they come, at most _ROWS
-rows at a time, so a long waveform is never held in memory as text. Each
-block names its own leading fields, so a run of rows whose later fields are
-all constant formats those constants once, in its tail, and converts only
-the fields that change.
+configs give byte-identical files. A table is written as blocks of rows that
+share a row template: one entry per field, naming how a varying field is
+formatted or holding a constant field's text. Repeating the template over a
+block's values leaves the conversions of the varying fields as the only
+per-row cost, so a constant, wherever it stands in the row, is formatted once
+per block. Blocks are written as they come, at most _ROWS rows at a time, so a
+long waveform is never held in memory as text.
 """
 
 from __future__ import annotations
@@ -26,25 +26,25 @@ def fmt(x: float) -> str:
 def write_csv(
     out: Union[str, IO[str]],
     header: Sequence[str],
-    blocks: Iterable[Tuple[str, str, Sequence]],
+    blocks: Iterable[Tuple[Sequence[str], Sequence]],
 ) -> None:
     """Write `header`, then every block, to a path or an open text stream.
 
-    A block is ``(kinds, tail, values)``. `kinds` has one letter per leading
-    field of its rows: ``g`` a float at 12 significant digits, ``d`` an
-    integer, ``s`` text. `values` holds those leading fields in row order, and
-    every row of the block ends with the constant `tail`, a comma-separated
-    run of fields formatted already (``""`` for none).
+    A block is ``(fields, values)``. `fields` names each field of its rows in
+    order: ``g`` a float at 12 significant digits, ``d`` an integer and ``s``
+    text, each taken from `values`; any other string is a constant, formatted
+    already and free of ``%``, that every row of the block writes as is.
+    `values` holds the varying fields of the block's rows in row order.
     """
     if isinstance(out, str):
         with open(out, "w", newline="", encoding="utf-8") as fh:
             write_csv(fh, header, blocks)
         return
     out.write(",".join(header) + "\n")
-    for kinds, tail, values in blocks:
-        # A tail holds formatted numbers and phase tokens, never a '%'.
-        row = ",".join([_FIELDS[k] for k in kinds] + ([tail] if tail else [])) + "\n"
-        step = _ROWS * len(kinds)
+    for fields, values in blocks:
+        row = ",".join(_FIELDS.get(f, f) for f in fields) + "\n"
+        width = sum(f in _FIELDS for f in fields)
+        step = _ROWS * width
         for a in range(0, len(values), step):
             part = tuple(values[a : a + step])
-            out.write((row * (len(part) // len(kinds))) % part)
+            out.write((row * (len(part) // width)) % part)

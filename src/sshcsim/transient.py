@@ -38,6 +38,7 @@ PERIOD_DIVISORS = {"dt": 10_000.0, "phase_pulse_width": 500.0, "phase_gap": 2_00
 
 _TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
 _COLUMNS = ("t", "vpt", "vt", "vs", "phase")  # a waveform row, as waveform.csv writes it
+_PLAN_READ = 64  # half-cycle plans read into Python tuples at once, never the whole plan
 
 
 class Phase(enum.Enum):
@@ -180,14 +181,15 @@ class Waveform:
     vpt = property(lambda self: self._column("vpt"), doc="node voltage V_PT, V")
     vt = property(lambda self: self._column("vt"), doc="C_T reference plate voltage, V")
     vs = property(lambda self: self._column("vs"), doc="storage voltage, V")
-    phase = property(lambda self: self._column("phase", _TOKEN), doc="switch phase token")
+    phase = property(lambda self: self._column("phase"), doc="switch phase token")
 
     def write_csv(self, out: Union[str, IO[str]]) -> None:
         write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], self._csv_blocks())
 
     def _half_cycles(self) -> Iterator[_HalfCycle]:
-        """Each half cycle's plan, read from the record array in one pass."""
-        return map(_HalfCycle._make, self._plan.tolist())
+        """Each half cycle's plan, read from the record array in short slices."""
+        for a in range(0, len(self._plan), _PLAN_READ):
+            yield from map(_HalfCycle._make, self._plan[a : a + _PLAN_READ].tolist())
 
     def _pulses(self, name: str) -> np.ndarray:
         """Column `name` on the flip rows, shaped (half cycles, pulses per
@@ -203,65 +205,67 @@ class Waveform:
         order = np.array([phase.value for phase in _FLIP_ORDER[: c.pulses]], _TOKEN)
         return np.where(plan["v_end"][:, None] >= 0.0, order, order[::-1])
 
-    def _column(self, name: str, dtype=np.float64) -> np.ndarray:
+    def _column(self, name: str) -> np.ndarray:
         c, s = self._circuit, self._initial
-        out = np.empty(len(self), dtype)
-        out[0] = (s.t, s.vpt, s.vt, s.vs, Phase.IDLE.value)[_COLUMNS.index(name)]
-        row = 1
-        for h in self._half_cycles():
-            grid = slice(row, row + h.n + 1)
-            if name == "t":
-                out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
-            elif name == "vpt":
-                _fill(h, 1, h.n + 2, c, out[grid])
-            elif name == "vs":
-                out[grid] = h.vs0 + h.sign * _fill(h, 1, h.n + 2, c)
-            else:
-                out[grid] = h.vt if name == "vt" else Phase.IDLE.value
-            row = grid.stop + c.pulses
+        if name == "phase":
+            out = np.full(len(self), Phase.IDLE.value, _TOKEN)  # every row but a flip's
+        else:
+            out = np.empty(len(self))
+            out[0] = getattr(s, name)
+            row = 1
+            for h in self._half_cycles():
+                grid = slice(row, row + h.n + 1)
+                if name == "t":
+                    out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
+                elif name == "vpt":
+                    _fill(h, 1, h.n + 2, c, out[grid])
+                elif name == "vs":
+                    out[grid] = h.vs0 + h.sign * _fill(h, 1, h.n + 2, c)
+                else:
+                    out[grid] = h.vt
+                row = grid.stop + c.pulses
         if c.pulses:
             # Each flip's rows follow its half cycle's grid rows.
             first = np.cumsum(self._plan["n"] + 1 + c.pulses) + 1 - c.pulses
             out[first[:, None] + np.arange(c.pulses)] = self._pulses(name)
         return out
 
-    def _csv_blocks(self) -> Iterator[Tuple[str, str, list]]:
-        """Blocks of rows that share their trailing fields, for csvout.
-
-        A half cycle's grid rows share vt and the Idle phase. On a fixed rail
-        they share vs too, and its held rows share vpt, the rail, so a held
-        block formats only t and the rail once in its tail. A finite storage
-        cap's rail rises with the charge, so its rows are written as (t, vpt)
-        in runs of equal vs. One half cycle is filled at a time, so no whole
-        column is made.
+    def _csv_blocks(self) -> Iterator[Tuple[Tuple[str, ...], list]]:
+        """waveform.csv as csvout blocks, one half cycle at a time, so no whole
+        column is made: the first row, then for each half cycle its free rows
+        1..i-1, held rows i..j-1 and released rows j..n+1 (clipped as _fill
+        clips them) and one block of its pulse rows. Grid rows share vt and the
+        Idle phase, and vs moves only while the node is held. On a fixed rail
+        the held rows share vpt, the rail, so they format t alone and are not
+        evaluated; on a finite storage cap they carry vpt and vs.
         """
         c, s = self._circuit, self._initial
         idle = Phase.IDLE.value
-        yield "gg", f"{fmt(s.vt)},{fmt(s.vs)},{idle}", [s.t, s.vpt]
+        yield ("g", "g", fmt(s.vt), fmt(s.vs), idle), [s.t, s.vpt]
         shape = (len(self._plan), c.pulses)
         flips = zip(*(np.broadcast_to(self._pulses(name), shape).tolist() for name in _COLUMNS))
         for h, flip in zip(self._half_cycles(), flips):
-            t, end = _Grid(h.t0, c.dt, h.n, h.t_end), h.n + 2
-            if c.cs < math.inf:
-                pairs, rise = _pairs(h, t, 1, end, c)
-                vs = h.vs0 + h.sign * rise
-                bounds = [0, *(np.flatnonzero(vs[1:] != vs[:-1]) + 1).tolist(), len(vs)]
-                for a, b in zip(bounds, bounds[1:]):
-                    yield "gg", f"{fmt(h.vt)},{fmt(vs[a])},{idle}", pairs[2 * a : 2 * b]
-            else:
-                tail = f"{fmt(h.vt)},{fmt(h.vs0 + h.sign * 0.0)},{idle}"
-                # Free rows 1..i-1, held i..j-1, released j..n+1, clipped as _fill clips them.
-                i, j = min(max(h.i, 1), end), min(max(h.j, 1), end)
-                if 1 < i:
-                    yield "gg", tail, _pairs(h, t, 1, i, c)[0]
-                if i < j:
+            t, end, vt = _Grid(h.t0, c.dt, h.n, h.t_end), h.n + 2, fmt(h.vt)
+            i, j = min(max(h.i, 1), end), min(max(h.j, 1), end)
+            for held, lo, hi in ((False, 1, i), (True, i, j), (False, j, end)):
+                if lo == hi:
+                    continue
+                if held and c.cs == math.inf:
                     # The held node is the rail as _fill writes it: + 0.0 turns -0.0 into 0.0.
                     rail = h.sign * (h.vs0 + c.two_vd) + 0.0
-                    yield "g", f"{fmt(rail)},{tail}", t[i:j].tolist()
-                if j < end:
-                    yield "gg", tail, _pairs(h, t, j, end, c)[0]
-            for t_pulse, vpt_pulse, vt_pulse, vs_pulse, phase in zip(*flip):
-                yield "gg", f"{fmt(vt_pulse)},{fmt(vs_pulse)},{phase}", [t_pulse, vpt_pulse]
+                    fields = ("g", fmt(rail), vt, fmt(h.vs0 + h.sign * 0.0))
+                    values = t[lo:hi].tolist()
+                else:
+                    vpt = np.empty(hi - lo)
+                    vs = h.vs0 + h.sign * _fill(h, lo, hi, c, vpt)
+                    if held:
+                        fields, columns = ("g", "g", vt, "g"), (t[lo:hi], vpt, vs)
+                    else:
+                        fields, columns = ("g", "g", vt, fmt(np.ravel(vs)[0])), (t[lo:hi], vpt)
+                    values = np.column_stack(columns).ravel().tolist()
+                yield (*fields, idle), values
+            if c.pulses:
+                yield ("g", "g", "g", "g", "s"), [x for row in zip(*flip) for x in row]
 
 
 @dataclass
@@ -278,7 +282,7 @@ def write_flip_events_csv(events: Sequence[FlipEvent], out: Union[str, IO[str]])
         x for e in events for x in (e.cycle_index, e.t, e.v_before, e.v_after, e.efficiency)
     ]
     header = ["cycle", "t_s", "v_before_V", "v_after_V", "efficiency"]
-    write_csv(out, header, [("dgggg", "", values)])
+    write_csv(out, header, [("dgggg", values)])
 
 
 def zero_crossing_times(
@@ -691,14 +695,6 @@ def _fill(h: _HalfCycle, lo: int, hi: int, c: _Circuit, v: Optional[np.ndarray] 
         # the rounding of a very stiff leak (g >> w).
         v[v_released] = h.sign * np.minimum(h.sign * fall, h.sign * off)
     return rise
-
-
-def _pairs(h: _HalfCycle, t: _Grid, lo: int, hi: int, c: _Circuit) -> Tuple[list, object]:
-    """Rows lo..hi-1 of half cycle h, whose time column is t, as the flat list
-    t, vpt, t, vpt, ..., and _fill's rise over them."""
-    vpt = np.empty(hi - lo)
-    rise = _fill(h, lo, hi, c, vpt)
-    return np.column_stack((t[lo:hi], vpt)).ravel().tolist(), rise
 
 
 def run(cfg: SimConfig) -> RunResult:

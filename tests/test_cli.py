@@ -204,6 +204,14 @@ class TestSweepAndCompare:
         assert code == 0
         assert os.path.exists(os.path.join(out, "sweep_vs.csv"))
 
+    @pytest.mark.parametrize("flag", [["--full-bridge"], ["--set", "full_bridge=true"]])
+    def test_sweep_ct_full_bridge_is_a_config_error(self, tmp_path, capsys, flag):
+        out = str(tmp_path / "out")
+        argv = ["sweep", "--axis", "ct", "--min", "0.1", "--max", "10", "--out-dir", out]
+        assert main(argv + flag) == 2
+        assert capsys.readouterr().err.startswith("error: config: full_bridge: ")
+        assert not os.path.exists(out)
+
     def test_compare_reports_both_modes(self, tmp_path):
         out = str(tmp_path)
         assert main(["compare", "--out-dir", out]) == 0

@@ -832,16 +832,18 @@ class TestOnDemandSamples:
     @staticmethod
     def csv_values(wf, monkeypatch):
         """Every row write_csv formats, as exact floats: (t, vpt, vt, vs)
-        columns and the phase tokens. A block's leading fields come from its
-        values, the rest from its tail, whose numbers are taken in repr, which
-        round-trips, instead of at 12 digits. A held block carries vpt in its
-        tail, so its rows lead with t alone."""
+        columns and the phase tokens. A block's varying fields come from its
+        values and its constant fields from its row template, whose numbers
+        are taken in repr, which round-trips, instead of at 12 digits. A held
+        block on a fixed rail carries vpt as a constant, so only t varies."""
         monkeypatch.setattr(transient, "fmt", lambda x: repr(float(x)))
         rows, tokens = [], []
-        for kinds, tail, values in wf._csv_blocks():
-            *fixed, phase = tail.split(",")
-            for k in range(0, len(values), len(kinds)):
-                rows.append((*values[k : k + len(kinds)], *map(float, fixed)))
+        for fields, values in wf._csv_blocks():
+            width = sum(f in ("g", "s") for f in fields)
+            for k in range(0, len(values), width):
+                row = iter(values[k : k + width])
+                *numbers, phase = [next(row) if f in ("g", "s") else f for f in fields]
+                rows.append(tuple(map(float, numbers)))
                 tokens.append(phase)
         return np.array(rows).T, tokens
 
@@ -880,9 +882,9 @@ class TestOnDemandSamples:
 
     def test_held_rows_lead_with_t_alone(self):
         # On a fixed rail the clamped rows share vpt, so their blocks carry
-        # it in the tail and convert only t: most rows of a default run.
+        # it in the row template and convert only t: most rows of a default run.
         wf = run(make_sim_config(n_cycles=3)).waveform
-        held = sum(len(values) for kinds, _, values in wf._csv_blocks() if kinds == "g")
+        held = sum(len(values) for fields, values in wf._csv_blocks() if fields[1] != "g")
         assert held > len(wf) // 2
 
 
@@ -910,6 +912,10 @@ class TestCsvOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakExcitationWarning)
             wf = run(cfg).waveform
+        # Each half cycle is at most its free, held and released blocks and
+        # one block of pulse rows, however many rows share a vs.
+        pulse_blocks = 1 if cfg.sshc is not None else 0
+        assert sum(1 for _ in wf._csv_blocks()) <= 1 + 2 * cfg.n_cycles * (3 + pulse_blocks)
         buf = io.StringIO()
         wf.write_csv(buf)
         got, want = buf.getvalue(), rendered_csv(wf)
