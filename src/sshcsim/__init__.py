@@ -39,12 +39,11 @@ from .transient import (
     FlipDirection,
     FlipEvent,
     Phase,
-    PhaseOrderError,
     RunResult,
     SimConfig,
     Waveform,
     WeakExcitationWarning,
-    apply_phase,
+    apply_flip,
     extract_efficiency_trajectory,
     run,
     step,

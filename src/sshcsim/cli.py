@@ -96,9 +96,16 @@ def _resolve(args: argparse.Namespace) -> ResolvedConfig:
     return parse_config(args.config, overrides)
 
 
+def _require_ct(cfg: ResolvedConfig, why: str) -> None:
+    """Reject the full bridge, which has no C_T, where C_T is the output's subject."""
+    if cfg.full_bridge:
+        raise ConfigError("full_bridge", f"the full bridge has no C_T {why}")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     emitter = _Emitter(args.out_dir)
     cfg = _resolve(args)
+    _require_ct(cfg, "to flip; compare reports both modes")
     ratios = cfg.ratios()
     emitter.lap("resolve")
     v0 = conduction_threshold(cfg.rectifier_stage())
@@ -173,9 +180,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
     """The axis of `sweep`. A --min, --max or --points value that the sweep
     functions would reject raises ConfigError naming the flag, and a C_T
-    axis on the full bridge, which has no C_T, one naming full_bridge."""
-    if args.axis == "ct" and cfg.full_bridge:
-        raise ConfigError("full_bridge", "the full bridge has no C_T to sweep; use --axis vs")
+    axis on the full bridge one naming full_bridge."""
+    if args.axis == "ct":
+        _require_ct(cfg, "to sweep; use --axis vs")
     if args.points < 1:
         raise ConfigError("--points", f"must be >= 1, got {args.points}")
     # Each end must fit the type that will hold it; the ends bound the

@@ -8,12 +8,11 @@ a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
 crossing, the piece boundaries from scalar roots (on a fixed rail the release
 from its arcsin closed form), and the charge ledger from the pieces' exact
-integrals. It writes no samples. The three switch phases of a flip run in the
-polarity-correct order (share, short, reversed dump) as instantaneous charge
-redistributions, one pulse row each, so the flip staircase is visible on the
-timeline. The Waveform keeps the plans and evaluates its samples, one half
-cycle at a time, whenever a column is read. step() is the explicit-Euler
-reference of the same circuit.
+integrals. It writes no samples. A flip is one fixed sequence of three
+instantaneous charge redistributions (share with C_T, short C_P, reconnect C_T
+reversed), one pulse row each, which run() and apply_flip() both take from
+_flip. The Waveform keeps the plans and evaluates its samples, one half cycle
+at a time, whenever a column is read. step() is the explicit-Euler reference.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ PERIOD_DIVISORS = {"dt": 10_000.0, "phase_pulse_width": 500.0, "phase_gap": 2_00
 _TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
 _COLUMNS = ("t", "vpt", "vt", "vs", "phase")  # a waveform row, as waveform.csv writes it
 _PLAN_READ = 64  # half-cycle plans read into Python tuples at once, never the whole plan
+_PULSE = np.dtype([("phase", "O"), ("vpt", "f8"), ("vt", "f8")])  # a pulse as _flip returns it
 
 
 class Phase(enum.Enum):
@@ -48,17 +48,9 @@ class Phase(enum.Enum):
     PHI_N = "PhiN"
 
 
-class FlipDirection(enum.Enum):
-    POS_TO_NEG = "pos_to_neg"  # pulse order PhiP -> Phi0 -> PhiN
-    NEG_TO_POS = "neg_to_pos"  # pulse order PhiN -> Phi0 -> PhiP
-
-
-# The switch phases of a flip from a node at or above zero; reversed below it.
-_FLIP_ORDER = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N)
-
-
-class PhaseOrderError(ValueError):
-    """A switch phase arrived out of the polarity-correct sequence."""
+class FlipDirection(enum.Enum):  # the source current's turn; the node's sign orders a flip
+    POS_TO_NEG = "pos_to_neg"  # the current turns from positive to negative
+    NEG_TO_POS = "neg_to_pos"  # the current turns from negative to positive
 
 
 class WeakExcitationWarning(UserWarning):
@@ -110,8 +102,6 @@ class CircuitState:
     vs: float
     q_harvested: float
     phase: Phase = Phase.IDLE
-    # Sequencing guard: which share phase ran first in the current flip window.
-    last_share_phase: Phase = Phase.IDLE
 
 
 @dataclass(frozen=True)
@@ -166,8 +156,8 @@ class Waveform:
     """
 
     def __init__(self, cfg: SimConfig, initial: CircuitState, plan: np.ndarray, flips: np.ndarray):
-        """plan holds one _PLAN record per half cycle and flips its pulse rows'
-        (vpt, vt), shaped (half cycles, pulses per flip, 2)."""
+        """plan holds one _PLAN record per half cycle and flips its pulse rows
+        as _PULSE records, shaped (half cycles, pulses per flip)."""
         self._circuit = _Circuit.of(cfg)
         self._initial = initial
         self._plan = plan
@@ -194,16 +184,16 @@ class Waveform:
     def _pulses(self, name: str) -> np.ndarray:
         """Column `name` on the flip rows, shaped (half cycles, pulses per
         flip), or (half cycles, 1) where a flip's rows share the value."""
-        c, plan = self._circuit, self._plan
+        c, plan, flips = self._circuit, self._plan, self._flips
         if name == "t":
             times = [c.pulse_times(t) for t in plan["t_end"].tolist()]
-            return np.array(times).reshape(len(plan), c.pulses)
-        if name in ("vpt", "vt"):
-            return self._flips[..., ("vpt", "vt").index(name)]
+            return np.array(times).reshape(flips.shape)
         if name == "vs":
             return plan["vs_end"][:, None]
-        order = np.array([phase.value for phase in _FLIP_ORDER[: c.pulses]], _TOKEN)
-        return np.where(plan["v_end"][:, None] >= 0.0, order, order[::-1])
+        if name == "phase":  # the phases as _flip ran them in run()
+            tokens = [phase.value for phase in flips["phase"].ravel().tolist()]
+            return np.array(tokens, _TOKEN).reshape(flips.shape)
+        return flips[name]
 
     def _column(self, name: str) -> np.ndarray:
         c, s = self._circuit, self._initial
@@ -303,37 +293,39 @@ def zero_crossing_times(
     return out
 
 
-def apply_phase(
-    state: CircuitState,
-    phase: Phase,
-    cfg: SimConfig,
-    ledger: Optional[ChargeLedger] = None,
-    enforce_order: bool = True,
-) -> CircuitState:
-    """Execute one switch phase as an instantaneous charge redistribution.
-
-    PhiP connects the reference plate of C_T to the positive terminal (like
-    polarity for a positive V_PT), Phi0 shorts C_P, PhiN connects C_T reversed.
-    The polarity-correct sequence is enforced unless enforce_order is False.
-    """
+def apply_flip(
+    state: CircuitState, cfg: SimConfig, ledger: Optional[ChargeLedger] = None
+) -> List[CircuitState]:
+    """The flip at a zero crossing at state.t: the state after each of its
+    three switch pulses, at the pulse's time, in the order _flip runs them.
+    PhiP connects C_T in like polarity for a positive V_PT, Phi0 shorts C_P
+    and PhiN connects C_T reversed. The flip's charge goes on ledger, if given."""
     if cfg.sshc is None:
-        raise ValueError("apply_phase requires an SSHC network in the config")
-    if enforce_order and not _phase_legal(state, phase):
-        raise PhaseOrderError(
-            f"phase {phase.value} illegal after {state.phase.value} "
-            f"(vpt={state.vpt:+.3g} V)"
-        )
-    cp, ct = cfg.src.cap_cp, cfg.sshc.cap_ct
-    vpt, vt = _switch(phase, state.vpt, state.vt, cp, ct, ledger or ChargeLedger())
-    share = state.last_share_phase if phase is Phase.PHI_0 else phase
-    return replace(state, vpt=vpt, vt=vt, phase=phase, last_share_phase=share)
+        raise ValueError("apply_flip requires an SSHC network in the config")
+    c = _Circuit.of(cfg)
+    pulses = _flip(state.vpt, state.vt, c.cp, cfg.sshc.cap_ct, ledger or ChargeLedger())
+    return [
+        replace(state, t=t, vpt=vpt, vt=vt, phase=phase)
+        for t, (phase, vpt, vt) in zip(c.pulse_times(state.t), pulses)
+    ]
+
+
+def _flip(vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger) -> list:
+    """One flip from the node vpt and the plate vt: (phase, vpt, vt) after each
+    switch phase. From a node >= 0.0 (-0.0 too) the phases run PhiP, Phi0,
+    PhiN, below it PhiN, Phi0, PhiP. run() and apply_flip() take the order
+    from here alone, and the Waveform its phase tokens from run()."""
+    order, pulses = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N), []
+    for phase in order if vpt >= 0.0 else order[::-1]:
+        vpt, vt = _switch(phase, vpt, vt, cp, ct, ledger)
+        pulses.append((phase, vpt, vt))
+    return pulses
 
 
 def _switch(
     phase: Phase, vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger
 ) -> Tuple[float, float]:
-    """The charge-share algebra of one switch phase: (vpt, vt) after it. Both
-    run() and apply_phase() switch through here."""
+    """The charge-share algebra of one switch phase: (vpt, vt) after it."""
     if phase is Phase.PHI_P:
         v_new = charge_share(vpt, cp, vt, ct)
         return v_new, v_new
@@ -347,20 +339,6 @@ def _switch(
         ledger.q_reversal += -2.0 * ct * (v_new + vt)
         return v_new, -v_new
     raise ValueError("cannot apply the Idle phase")
-
-
-def _phase_legal(state: CircuitState, phase: Phase) -> bool:
-    if phase is Phase.PHI_0:
-        return state.phase in (Phase.PHI_P, Phase.PHI_N)
-    if phase is Phase.PHI_P:
-        if state.phase is Phase.IDLE:
-            return state.vpt >= 0.0
-        return state.phase is Phase.PHI_0 and state.last_share_phase is Phase.PHI_N
-    if phase is Phase.PHI_N:
-        if state.phase is Phase.IDLE:
-            return state.vpt < 0.0
-        return state.phase is Phase.PHI_0 and state.last_share_phase is Phase.PHI_P
-    return False
 
 
 def _clip(v: float, vs: float, cp: float, cs: float, two_vd: float) -> Tuple[float, float, float]:
@@ -531,16 +509,18 @@ def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
 _STRIDE = 64  # grid points between the probes of a boundary search
 
 
-def _first(f, t: np.ndarray, lo: int) -> Optional[int]:
+def _first(f, t: np.ndarray, lo: int) -> int:
     """The first index m >= lo with f(t[m])[0] >= 0 (f returns value, slope),
-    from every _STRIDE-th point and the last, then the stride before the first
-    that holds: argmax over t[lo:] when the points that hold are contiguous, as
-    for each boundary of a half cycle. None when no probe holds, since a touch
-    shorter than a stride may lie between two: the caller tests every point."""
+    or len(t) if none, from every _STRIDE-th point and the last, then the
+    stride before the first that holds: argmax over t[lo:] when the points that
+    hold are contiguous, as for each boundary of a half cycle. When no probe
+    holds, a touch shorter than a stride may lie between two: every point is
+    tested."""
     probes = np.minimum(np.arange(lo, len(t) + _STRIDE - 1, _STRIDE), len(t) - 1)
     held = f(t[probes])[0] >= 0.0
     if not held.any():
-        return None
+        held = f(t[lo:])[0] >= 0.0
+        return lo + int(np.argmax(held)) if held.any() else len(t)
     c = int(np.argmax(held))
     if c == 0:
         return lo
@@ -609,9 +589,6 @@ def _integrate_segment(
     # A node that starts on the rail stays there unless the leak pulls it off.
     on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
     i = 0 if on_rail else _first(over, t, 1)
-    if i is None:  # no probe reached the rail: test every sample of the free piece
-        reached = sign * (v0 + _rise(t[1:], t0, v0, kf, gf, w)) >= vth
-        i = 1 + int(np.argmax(reached)) if reached.any() else n
     j, t_clamp, t_release = n, t0, t_end
     if 0 < i < n and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
         t_clamp = _root(over, t[i - 1], t[i], t[i])
@@ -624,9 +601,6 @@ def _integrate_segment(
 
     if leak and i < n:
         j = _first(backward, t, i)
-        if j is None:
-            out = backward(t[i:])[0] >= 0.0
-            j = i + int(np.argmax(out)) if out.any() else n
         if j < n:
             # On a fixed rail the release is sin(w*(t_end - t)) = vth/(R_P*I_P).
             guess = t[j] if cs < math.inf else t_end - math.asin(min(vth * leak / ip, 1.0)) / w
@@ -719,7 +693,7 @@ def run(cfg: SimConfig) -> RunResult:
     c = _Circuit.of(cfg)
     crossings = zero_crossing_times(cfg.src, cfg.n_cycles)
     plan = np.empty(len(crossings), _PLAN)
-    flips = np.empty((len(crossings), c.pulses, 2))
+    flips = np.empty((len(crossings), c.pulses), _PULSE)
     t0, vpt, vt, vs, q = initial.t, initial.vpt, initial.vt, initial.vs, initial.q_harvested
     ledger = ChargeLedger()
     events: List[FlipEvent] = []
@@ -736,9 +710,8 @@ def run(cfg: SimConfig) -> RunResult:
         if cfg.sshc is None:
             continue
         v_before = vpt
-        for row, phase in enumerate(_FLIP_ORDER if v_before >= 0.0 else _FLIP_ORDER[::-1]):
-            vpt, vt = _switch(phase, vpt, vt, c.cp, cfg.sshc.cap_ct, ledger)
-            flips[k - 1, row] = vpt, vt
+        flips[k - 1] = pulses = _flip(vpt, vt, c.cp, cfg.sshc.cap_ct, ledger)
+        vpt, vt = pulses[-1][1:]
         efficiency = abs(vpt) / abs(v_before) if v_before != 0.0 else 0.0
         events.append(FlipEvent(k, t_cross, v_before, vpt, efficiency))
     final = CircuitState(t=t0, vpt=vpt, vt=vt, vs=vs, q_harvested=q)

@@ -126,6 +126,20 @@ class TestAnalyzeCommand:
         assert float(summary["steady_state_efficiency"]) == pytest.approx(1.0 / 3.0)
         assert float(summary["optimal_single_flip_ct_F"]) == pytest.approx(10e-9)
 
+    @pytest.mark.parametrize("spelling", ["set", "config_file"])
+    def test_full_bridge_is_a_config_error(self, tmp_path, capsys, spelling):
+        # The full bridge has no C_T, so it has no flip series to write.
+        out = str(tmp_path / "out")
+        if spelling == "set":
+            flag = ["--set", "full_bridge=true"]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text("full_bridge = true\n", encoding="utf-8")
+            flag = ["--config", str(path)]
+        assert main(["analyze", "--out-dir", out] + flag) == 2
+        assert capsys.readouterr().err.startswith("error: config: full_bridge: ")
+        assert not os.path.exists(out)
+
 
 class TestSimulateCommand:
     def test_default_run_reaches_fig5_levels(self, tmp_path):

@@ -1,0 +1,54 @@
+import sshcsim
+
+# Every name sshcsim exports, the submodules that its imports bind included.
+# A change to this list is a change to the public API: say so in CHANGES.md.
+PUBLIC = [
+    "ChargeLedger",
+    "CircuitState",
+    "FiniteCap",
+    "FixedVoltage",
+    "FlipDirection",
+    "FlipEvent",
+    "FlipRatios",
+    "FlipSeries",
+    "HarvestReport",
+    "Phase",
+    "PiezoSource",
+    "RectifierStage",
+    "RunResult",
+    "SimConfig",
+    "SshcNetwork",
+    "SweepResult",
+    "Waveform",
+    "WeakExcitationWarning",
+    "apply_flip",
+    "charge_share",
+    "circuit",
+    "closed_form_efficiency",
+    "compare",
+    "conduction_threshold",
+    "csvout",
+    "cycles_to_converge",
+    "extract_efficiency_trajectory",
+    "first_flip_efficiency",
+    "flip",
+    "flip_efficiency_series",
+    "flip_step",
+    "full_swing_supported",
+    "harvest_report",
+    "open_circuit_vpp",
+    "optimal_single_flip_ct",
+    "run",
+    "steady_state_efficiency",
+    "step",
+    "sweep_ct_ratio",
+    "sweep_storage_voltage",
+    "transient",
+    "wasted_charge_fullbridge",
+    "write_flip_events_csv",
+    "zero_crossing_times",
+]
+
+
+def test_all_is_pinned():
+    assert sshcsim.__all__ == PUBLIC

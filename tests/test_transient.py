@@ -15,12 +15,11 @@ from sshcsim import (
     FlipDirection,
     FlipRatios,
     Phase,
-    PhaseOrderError,
     RectifierStage,
     SimConfig,
     SshcNetwork,
     WeakExcitationWarning,
-    apply_phase,
+    apply_flip,
     extract_efficiency_trajectory,
     flip_efficiency_series,
     flip_step,
@@ -140,59 +139,54 @@ def idle_state(vpt, vt=0.0, vs=2.0):
     return CircuitState(t=0.0, vpt=vpt, vt=vt, vs=vs, q_harvested=0.0)
 
 
+POSITIVE_FLIP = [Phase.PHI_P, Phase.PHI_0, Phase.PHI_N]
+
+
 class TestApplyPhase:
+    """apply_flip() returns the state after each of a flip's switch phases."""
+
     def test_share_with_equal_caps(self):
-        cfg = make_sim_config()
-        state = apply_phase(idle_state(vpt=2.4), Phase.PHI_P, cfg)
-        assert state.vpt == pytest.approx(1.2, abs=1e-15)
-        assert state.vt == pytest.approx(1.2, abs=1e-15)
+        share, _, _ = apply_flip(idle_state(vpt=2.4), make_sim_config())
+        assert share.phase is Phase.PHI_P
+        assert share.vpt == pytest.approx(1.2, abs=1e-15)
+        assert share.vt == pytest.approx(1.2, abs=1e-15)
 
     def test_short_clears_cp_only(self):
-        cfg = make_sim_config()
-        state = apply_phase(idle_state(vpt=2.4), Phase.PHI_P, cfg)
-        state = apply_phase(state, Phase.PHI_0, cfg)
-        assert state.vpt == 0.0
-        assert state.vt == pytest.approx(1.2, abs=1e-15)
+        _, short, _ = apply_flip(idle_state(vpt=2.4), make_sim_config())
+        assert short.phase is Phase.PHI_0
+        assert short.vpt == 0.0
+        assert short.vt == pytest.approx(1.2, abs=1e-15)
 
     def test_full_sequence_from_fixed_point(self):
         # With the flip cap pre-charged at the steady-state value 0.8 V the
-        # sequence inverts 2.4 V to exactly -0.8 V.
+        # sequence inverts 2.4 V to exactly -0.8 V, one pulse time per phase.
         cfg = make_sim_config()
-        state = idle_state(vpt=2.4, vt=0.8)
-        for phase in (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N):
-            state = apply_phase(state, phase, cfg)
-        assert state.vpt == pytest.approx(-0.8, abs=1e-12)
-        assert state.vt == pytest.approx(0.8, abs=1e-12)
+        states = apply_flip(replace(idle_state(vpt=2.4, vt=0.8), t=5e-3), cfg)
+        assert [s.phase for s in states] == POSITIVE_FLIP
+        w, g = cfg.phase_pulse_width, cfg.phase_gap
+        assert [s.t for s in states] == [5e-3 + w, 5e-3 + 2 * w + g, 5e-3 + 3 * w + 2 * g]
+        assert states[-1].vpt == pytest.approx(-0.8, abs=1e-12)
+        assert states[-1].vt == pytest.approx(0.8, abs=1e-12)
 
     def test_mirrored_sequence_for_negative_crossing(self):
-        cfg = make_sim_config()
-        state = idle_state(vpt=-2.4, vt=0.8)
-        for phase in (Phase.PHI_N, Phase.PHI_0, Phase.PHI_P):
-            state = apply_phase(state, phase, cfg)
-        assert state.vpt == pytest.approx(0.8, abs=1e-12)
+        states = apply_flip(idle_state(vpt=-2.4, vt=0.8), make_sim_config())
+        assert [s.phase for s in states] == POSITIVE_FLIP[::-1]
+        assert states[-1].vpt == pytest.approx(0.8, abs=1e-12)
 
-    def test_out_of_order_rejected(self):
-        cfg = make_sim_config()
-        with pytest.raises(PhaseOrderError):
-            apply_phase(idle_state(vpt=2.4), Phase.PHI_N, cfg)
-        with pytest.raises(PhaseOrderError):
-            apply_phase(idle_state(vpt=-2.4), Phase.PHI_P, cfg)
-        with pytest.raises(PhaseOrderError):
-            apply_phase(idle_state(vpt=2.4), Phase.PHI_0, cfg)
-        state = apply_phase(idle_state(vpt=2.4), Phase.PHI_P, cfg)
-        with pytest.raises(PhaseOrderError):
-            apply_phase(state, Phase.PHI_N, cfg)  # must short first
+    def test_negative_zero_flips_phi_p_first(self):
+        # The rule is node >= 0.0, which -0.0 meets.
+        states = apply_flip(idle_state(vpt=-0.0, vt=0.8), make_sim_config())
+        assert [s.phase for s in states] == POSITIVE_FLIP
 
     def test_requires_sshc_network(self):
         cfg = make_sim_config(ct=None)
         with pytest.raises(ValueError):
-            apply_phase(idle_state(vpt=2.4), Phase.PHI_P, cfg)
+            apply_flip(idle_state(vpt=2.4), cfg)
 
     def test_ledger_records_cleared_charge(self):
         cfg = make_sim_config()
         ledger = ChargeLedger()
-        state = apply_phase(idle_state(vpt=2.4), Phase.PHI_P, cfg, ledger)
-        state = apply_phase(state, Phase.PHI_0, cfg, ledger)
+        apply_flip(idle_state(vpt=2.4), cfg, ledger)
         assert ledger.q_cleared == pytest.approx(cfg.src.cap_cp * 1.2, rel=1e-12)
 
 
@@ -233,7 +227,7 @@ class TestStep:
 
 
 def step_reference(cfg):
-    """run() rebuilt from public step() and apply_phase() calls: the explicit
+    """run() rebuilt from public step() and apply_flip() calls: the explicit
     Euler reference. Returns the flip events as tuples and the final state."""
     state = CircuitState(
         t=0.0,
@@ -249,13 +243,7 @@ def step_reference(cfg):
         if cfg.sshc is None:
             continue
         t0, v_before = state.t, state.vpt
-        order = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N)
-        w, g = cfg.phase_pulse_width, cfg.phase_gap
-        for j, phase in enumerate(order if v_before >= 0.0 else order[::-1]):
-            state = replace(apply_phase(state, phase, cfg), t=t0 + (j + 1) * w + j * g)
-        state = replace(
-            state, t=t0 + 3.0 * w + 2.0 * g, phase=Phase.IDLE, last_share_phase=Phase.IDLE
-        )
+        state = apply_flip(state, cfg)[-1]
         events.append((k, t0, v_before, state.vpt, abs(state.vpt) / abs(v_before)))
     return events, state
 
@@ -397,14 +385,13 @@ class TestRunSshc:
         result = run(cfg)
         vt = result.final_state.vt
         assert vt > 0.1
-        pre = CircuitState(t=0.0, vpt=2.4, vt=vt, vs=2.0, q_harvested=0.0)
-        good = pre
-        for phase in (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N):
-            good = apply_phase(good, phase, cfg)
-        bad = pre
-        for phase in (Phase.PHI_N, Phase.PHI_0, Phase.PHI_P):
-            bad = apply_phase(bad, phase, cfg, enforce_order=False)
-        assert abs(bad.vpt) < abs(good.vpt)
+        good = apply_flip(idle_state(vpt=2.4, vt=vt), cfg)[-1].vpt
+        bad, bad_vt = 2.4, vt
+        for phase in POSITIVE_FLIP[::-1]:
+            bad, bad_vt = transient._switch(
+                phase, bad, bad_vt, cfg.src.cap_cp, cfg.sshc.cap_ct, ChargeLedger()
+            )
+        assert abs(bad) < abs(good)
 
     def test_weak_excitation_warns(self):
         cfg_kwargs = dict(src=make_source(ip=1e-6), n_cycles=1)
@@ -569,14 +556,15 @@ def brute_first(f, t, lo):
 
 
 def check_first(f, t, lo, got):
-    """_first gives argmax's index, or None only where no probe holds; the
-    caller then tests every point."""
-    if got is None:
-        stride = transient._STRIDE
-        probes = np.minimum(np.arange(lo, len(t) + stride - 1, stride), len(t) - 1)
-        assert not np.any(f(t[probes])[0] >= 0.0)
-    else:
-        assert got == brute_first(f, t, lo), (f.__name__, lo, len(t))
+    """_first gives argmax's index, len(t) where no point holds."""
+    assert got == brute_first(f, t, lo), (f.__name__, lo, len(t))
+
+
+def a_probe_holds(f, t, lo):
+    """Whether _first's probes see a point that holds."""
+    stride = transient._STRIDE
+    probes = np.minimum(np.arange(lo, len(t) + stride - 1, stride), len(t) - 1)
+    return bool(np.any(f(t[probes])[0] >= 0.0))
 
 
 BOUNDARY_CASES = {
@@ -606,7 +594,7 @@ class TestPieceBoundaries:
         names = {args[0].__name__ for args, _ in calls}
         if case == "weak_excitation":  # never reaches the rail
             assert names == {"over"}
-            assert all(got is None and brute_first(*args) == len(args[1]) for args, got in calls)
+            assert all(got == len(args[1]) for args, got in calls)
         else:
             assert names == ({"over", "backward"} if cfg.src.res_rp < math.inf else {"over"})
         if case == "start_on_rail_leak_pulls_off":
@@ -631,9 +619,9 @@ class TestPieceBoundaries:
             lo_ip, hi_ip = (mid, hi_ip) if touch(mid) == 0 else (lo_ip, mid)
         assert 0 < touch(hi_ip) < transient._STRIDE
         (f, t, lo), got = calls[0]
-        assert got is None
+        assert not a_probe_holds(f, t, lo)
         i = brute_first(f, t, lo)
-        assert lo < i < len(t)
+        assert got == i and lo < i < len(t)
         (over, a, b, _), _ = roots[0]
         assert over is f and (a, b) == (t[i - 1], t[i])
         for (f, t, lo), got in calls:
@@ -709,41 +697,50 @@ def with_sshc(cfg, ratio, volt_vt):
 
 
 class TestFlipMatchesApplyPhase:
-    """run() switches through the algebra of apply_phase(): from each pre-flip
-    row, an apply_phase loop gives the same bits."""
+    """run() flips through apply_flip()'s function: from each pre-flip row,
+    apply_flip() gives the bits of the pulse rows, t and phase included, and
+    of run()'s flip charges."""
+
+    @staticmethod
+    def check(cfg):
+        """Compare run(cfg)'s flips with apply_flip's; return run()'s result."""
+        result = run(cfg)
+        wf = result.waveform
+        rows = list(zip(*(getattr(wf, name).tolist() for name in transient._COLUMNS)))
+        ledger = ChargeLedger()
+        for pulses, event in zip(pulse_rows(wf), result.events):
+            pre = CircuitState(*rows[pulses[0] - 1][:4], q_harvested=0.0)
+            assert pre.vpt == event.v_before
+            states = apply_flip(pre, cfg, ledger)
+            want = [(s.t, s.vpt, s.vt, s.vs, s.phase.value) for s in states]
+            assert repr([rows[row] for row in pulses]) == repr(want)  # repr tells -0.0 from 0.0
+            assert event.v_after == states[-1].vpt
+            assert event.efficiency == abs(states[-1].vpt) / abs(event.v_before)
+        assert result.ledger.q_cleared == ledger.q_cleared
+        assert result.ledger.q_reversal == ledger.q_reversal
+        return result
 
     @pytest.mark.parametrize(
         "ratio, volt_vt",
-        [(1.0, 0.0), (100.0, 0.0), (1.0, 0.7)],
-        ids=["ct=cp", "ct=100cp", "vt=0.7"],
+        [(1.0, 0.0), (100.0, 0.0), (1.0, 0.7), (10.0, 8.0)],
+        ids=["ct=cp", "ct=100cp", "vt=0.7", "ct=10cp_vt=8"],
     )
     def test_pulse_rows_events_and_ledger(self, ratio, volt_vt):
-        cfg = with_sshc(make_sim_config(n_cycles=1), ratio, volt_vt)
-        result = run(cfg)
-        wf = result.waveform
-        ledger = ChargeLedger()
-        order = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N)
-        signs = []
-        for rows, event in zip(pulse_rows(wf), result.events):
-            pre = rows[0] - 1
-            state = CircuitState(
-                t=float(wf.t[pre]),
-                vpt=float(wf.vpt[pre]),
-                vt=float(wf.vt[pre]),
-                vs=float(wf.vs[pre]),
-                q_harvested=0.0,
-            )
-            assert state.vpt == event.v_before
-            signs.append(math.copysign(1.0, state.vpt))
-            for row, phase in zip(rows, order if state.vpt >= 0.0 else order[::-1]):
-                state = apply_phase(state, phase, cfg, ledger)
-                got = (wf.vpt[row], wf.vt[row], wf.vs[row], wf.phase[row])
-                assert got == (state.vpt, state.vt, state.vs, phase.value)
-            assert event.v_after == state.vpt
-            assert event.efficiency == abs(state.vpt) / abs(event.v_before)
-        assert signs == [1.0, -1.0]  # both polarities
-        assert result.ledger.q_cleared == ledger.q_cleared
-        assert result.ledger.q_reversal == ledger.q_reversal
+        for regime in REGIMES:
+            cfg = with_sshc(make_sim_config(n_cycles=1, **REGIMES[regime]), ratio, volt_vt)
+            signs = [math.copysign(1.0, e.v_before) for e in self.check(cfg).events]
+            assert signs == [1.0, -1.0], regime  # both polarities
+
+    def test_order_follows_the_node_not_the_current(self):
+        # The first crossing turns the current from positive to negative, but
+        # this weak source leaves the node below zero there: PhiN runs first.
+        cfg = make_sim_config(n_cycles=1, src=make_source(ip=1e-6), vpt_initial=-2.0)
+        with pytest.warns(WeakExcitationWarning):
+            result = self.check(cfg)
+        assert zero_crossing_times(cfg.src, 1)[0][1] is FlipDirection.POS_TO_NEG
+        assert result.events[0].v_before < 0.0
+        first = pulse_rows(result.waveform)[0]
+        assert result.waveform.phase[first].tolist() == ["PhiN", "Phi0", "PhiP"]
 
 
 class TestRowOwnership:
