@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
 from .circuit import FixedVoltage, PiezoSource, RectifierStage, conduction_threshold
+from .circuit import wasted_charge_fullbridge
 from .csvout import write_csv
 from .flip import FlipRatios, steady_state_efficiency
 
@@ -74,7 +75,7 @@ def harvest_report(src: PiezoSource, stage: RectifierStage, eta: float) -> Harve
     v0 = conduction_threshold(stage)
     q_generated = 2.0 * src.amplitude_ip / src.omega
     if eta == 0.0:
-        q_wasted = 2.0 * src.cap_cp * v0
+        q_wasted = wasted_charge_fullbridge(src, stage)
     else:
         q_wasted = src.cap_cp * v0 * (1.0 - eta)
     q_harvested = max(0.0, q_generated - q_wasted)

@@ -12,7 +12,10 @@ integrals. It writes no samples. A flip is one fixed sequence of three
 instantaneous charge redistributions (share with C_T, short C_P, reconnect C_T
 reversed), one pulse row each, which run() and apply_flip() both take from
 _flip. The Waveform keeps the plans and evaluates its samples, one half cycle
-at a time, whenever a column is read. step() is the explicit-Euler reference.
+at a time, whenever a column is read. One generator, _pieces, evaluates
+samples: it walks a half cycle's rows as its free, held and released runs,
+for each column read, for waveform.csv and for run()'s crossing row. step()
+is the explicit-Euler reference.
 """
 
 from __future__ import annotations
@@ -153,6 +156,7 @@ class Waveform:
     and vs are float64 columns and phase the matching tokens (Idle, PhiP,
     Phi0, PhiN) as a '<U4' array, each evaluated anew on every read and not
     cached. So bind a column to a name once rather than index it in a loop.
+    The samples of every read and of write_csv come from _pieces.
     """
 
     def __init__(self, cfg: SimConfig, initial: CircuitState, plan: np.ndarray, flips: np.ndarray):
@@ -202,18 +206,17 @@ class Waveform:
         else:
             out = np.empty(len(self))
             out[0] = getattr(s, name)
-            row = 1
+            row = 0  # out[row] is the half cycle's row 0, the row before it
             for h in self._half_cycles():
-                grid = slice(row, row + h.n + 1)
+                grid = slice(row + 1, row + h.n + 2)
                 if name == "t":
                     out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
-                elif name == "vpt":
-                    _fill(h, 1, h.n + 2, c, out[grid])
-                elif name == "vs":
-                    out[grid] = h.vs0 + h.sign * _fill(h, 1, h.n + 2, c)
-                else:
+                elif name == "vt":
                     out[grid] = h.vt
-                row = grid.stop + c.pulses
+                else:
+                    for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c, node=name == "vpt"):
+                        out[row + a : row + b] = h.vs0 + h.sign * rise if vpt is None else vpt
+                row = grid.stop - 1 + c.pulses
         if c.pulses:
             # Each flip's rows follow its half cycle's grid rows.
             first = np.cumsum(self._plan["n"] + 1 + c.pulses) + 1 - c.pulses
@@ -222,12 +225,12 @@ class Waveform:
 
     def _csv_blocks(self) -> Iterator[Tuple[Tuple[str, ...], list]]:
         """waveform.csv as csvout blocks, one half cycle at a time, so no whole
-        column is made: the first row, then for each half cycle its free rows
-        1..i-1, held rows i..j-1 and released rows j..n+1 (clipped as _fill
-        clips them) and one block of its pulse rows. Grid rows share vt and the
-        Idle phase, and vs moves only while the node is held. On a fixed rail
-        the held rows share vpt, the rail, so they format t alone and are not
-        evaluated; on a finite storage cap they carry vpt and vs.
+        column is made: the first row, then for each half cycle one block per
+        run that _pieces yields (its free, held and released rows) and one
+        block of its pulse rows. Grid rows share vt and the Idle phase. A run's
+        vpt or vs that _pieces gives as a float is a constant field, formatted
+        once, and one it gives as an array varies. So on a fixed rail the held
+        rows format t alone; on a finite storage cap they carry vpt and vs.
         """
         c, s = self._circuit, self._initial
         idle = Phase.IDLE.value
@@ -235,25 +238,13 @@ class Waveform:
         shape = (len(self._plan), c.pulses)
         flips = zip(*(np.broadcast_to(self._pulses(name), shape).tolist() for name in _COLUMNS))
         for h, flip in zip(self._half_cycles(), flips):
-            t, end, vt = _Grid(h.t0, c.dt, h.n, h.t_end), h.n + 2, fmt(h.vt)
-            i, j = min(max(h.i, 1), end), min(max(h.j, 1), end)
-            for held, lo, hi in ((False, 1, i), (True, i, j), (False, j, end)):
-                if lo == hi:
-                    continue
-                if held and c.cs == math.inf:
-                    # The held node is the rail as _fill writes it: + 0.0 turns -0.0 into 0.0.
-                    rail = h.sign * (h.vs0 + c.two_vd) + 0.0
-                    fields = ("g", fmt(rail), vt, fmt(h.vs0 + h.sign * 0.0))
-                    values = t[lo:hi].tolist()
-                else:
-                    vpt = np.empty(hi - lo)
-                    vs = h.vs0 + h.sign * _fill(h, lo, hi, c, vpt)
-                    if held:
-                        fields, columns = ("g", "g", vt, "g"), (t[lo:hi], vpt, vs)
-                    else:
-                        fields, columns = ("g", "g", vt, fmt(np.ravel(vs)[0])), (t[lo:hi], vpt)
-                    values = np.column_stack(columns).ravel().tolist()
-                yield (*fields, idle), values
+            t, vt = _Grid(h.t0, c.dt, h.n, h.t_end), fmt(h.vt)
+            for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
+                vs = h.vs0 + h.sign * rise
+                varying = [x for x in (vpt, vs) if not np.isscalar(x)]
+                vpt_field, vs_field = (fmt(x) if np.isscalar(x) else "g" for x in (vpt, vs))
+                rows = np.column_stack([t[a:b], *varying]).ravel() if varying else t[a:b]
+                yield ("g", vpt_field, vt, vs_field, idle), rows.tolist()
             if c.pulses:
                 yield ("g", "g", "g", "g", "s"), [x for row in zip(*flip) for x in row]
 
@@ -569,8 +560,9 @@ def _integrate_segment(
     from scalar work: grid indices i and j from _first, then t_clamp and
     t_release from _root (the release on a fixed rail from arcsin) where a
     later piece or the ledger needs them. Only the crossing row is evaluated,
-    by _fill, and the whole free piece where no probe reached the rail. A
-    start beyond a rail is first clipped onto it by _clip, as step() clips it.
+    as the one run _pieces yields for it, and the whole free piece where no
+    probe reached the rail. A start beyond a rail is first clipped onto it by
+    _clip, as step() clips it.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
     t0, t_end = t[0], t[-1]
@@ -607,9 +599,8 @@ def _integrate_segment(
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
 
     h = _HalfCycle(t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release, v0, vs0)
-    v = np.empty(1)
-    rise = _fill(h, n - 1, n, c, v)
-    v_end, rise_end = float(v[0]), float(rise[0]) if cs < math.inf else 0.0
+    ((_, _, v_end, rise_end),) = _pieces(h, n - 1, n, c)  # the crossing row's one run
+    v_end, rise_end = float(np.ravel(v_end)[0]), float(np.ravel(rise_end)[0])
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
     if cs < math.inf:
         q_storage = cs * rise_end
@@ -630,45 +621,37 @@ def _integrate_segment(
     return h, q_harvested + sign * q_storage
 
 
-def _fill(h: _HalfCycle, lo: int, hi: int, c: _Circuit, v: Optional[np.ndarray] = None):
+def _pieces(h: _HalfCycle, lo: int, hi: int, c: _Circuit, node: bool = True) -> Iterator[tuple]:
     """Evaluate rows lo..hi-1 of half cycle h, 1 <= lo < hi <= n + 2, from its
-    plan: write vpt into v, if given, and return rise, how far a finite
-    storage cap has carried the clamp, so that vs = vs0 + sign*rise (on a
-    fixed rail rise is the scalar 0.0). Each piece is one numpy call over its
-    rows, and an element's bits do not depend on the rows around it, so any
-    lo and hi give the bits of the whole half cycle. This is the only code
-    that evaluates samples.
+    plan: yield (a, b, vpt, rise) for each non-empty run of rows a..b-1 that
+    is free (from row 1), held (from row i) or released (from row j). rise is
+    how far a finite storage cap has carried the clamp, so vs = vs0 +
+    sign*rise. vpt and rise are floats where the run holds them, arrays
+    otherwise; node=False leaves vpt None and evaluates only rise. Each run is
+    one numpy call over its rows, and an element's bits do not depend on the
+    rows around it, so any lo and hi give the bits of the whole half cycle.
+    This is the only code that evaluates samples.
     """
     finite = c.cs < math.inf
-    if v is None and not finite:
-        return 0.0
     t = _Grid(h.t0, c.dt, h.n, h.t_end)
     rail = h.sign * (h.vs0 + c.two_vd)
     hold = (h.t_clamp, rail, c.kh, c.gh, c.w)
-    # The pieces' rows within lo..hi-1: free from 1, held from i, released
-    # from j (row 0 is not ours), as rows of t and shifted by lo as rows of v.
-    i, j = min(max(h.i, lo), hi), min(max(h.j, lo), hi)
-    free, held, released = slice(lo, i), slice(i, j), slice(j, hi)
-    v_free, v_held, v_released = slice(0, i - lo), slice(i - lo, j - lo), slice(j - lo, hi - lo)
-    rise = lift = 0.0
-    if finite:
-        rise = np.zeros(hi - lo)
-        if i < j:
-            rise[v_held] = _rise(t[held], *hold)
-        if h.j < h.n + 2:
-            lift = rise[v_released] = _rise(h.t_release, *hold)
-    if v is None:
-        return rise
+    i, j = min(max(h.i, lo), hi), min(max(h.j, lo), hi)  # row 0 is not ours
     if lo < i:
-        v[v_free] = h.v0 + _rise(t[free], h.t0, h.v0, c.kf, c.gf, c.w)
-    v[v_held] = rail + (rise[v_held] if finite else 0.0)
+        yield lo, i, h.v0 + _rise(t[lo:i], h.t0, h.v0, c.kf, c.gf, c.w) if node else None, 0.0
+    if i < j:
+        rise = _rise(t[i:j], *hold) if finite else 0.0
+        yield i, j, rail + rise if node else None, rise  # + 0.0 turns a -0.0 rail into 0.0
     if j < hi:
-        off = rail + lift
-        fall = off + _rise(t[released], h.t_release, off, c.kf, c.gf, c.w)
-        # Released, the node only falls away from the rail; the clip drops
-        # the rounding of a very stiff leak (g >> w).
-        v[v_released] = h.sign * np.minimum(h.sign * fall, h.sign * off)
-    return rise
+        lift = _rise(h.t_release, *hold) if finite else 0.0
+        vpt = None
+        if node:
+            off = rail + lift
+            fall = off + _rise(t[j:hi], h.t_release, off, c.kf, c.gf, c.w)
+            # Released, the node only falls away from the rail; the clip drops
+            # the rounding of a very stiff leak (g >> w).
+            vpt = h.sign * np.minimum(h.sign * fall, h.sign * off)
+        yield j, hi, vpt, lift
 
 
 def run(cfg: SimConfig) -> RunResult:

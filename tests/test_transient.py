@@ -667,11 +667,13 @@ class TestPieceBoundaries:
                 part = transient._rise(t[start : start + length], *piece)
                 assert part.tobytes() == whole[start : start + length].tobytes()
 
-    @pytest.mark.parametrize("case", ["leaky", "finite_storage", "weak_excitation"])
+    @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage", "weak_excitation"])
     def test_each_sample_is_evaluated_once(self, monkeypatch, case):
         # A count, not a timing: run() evaluates the probes and windows of the
         # boundary searches (and the whole free piece where no probe reached
-        # the rail), and a read of vpt each sample once.
+        # the rail), and a read of vpt each sample once. A read of vs leaves
+        # vpt alone: on a fixed rail it evaluates nothing, on a storage cap
+        # the held rows and the release's lift, one element per half cycle.
         seen = [0]
         real = transient._rise
 
@@ -685,6 +687,14 @@ class TestPieceBoundaries:
         assert len(wf.vpt) == len(wf)
         assert planned <= len(wf) * (1 + 1 / 16), planned / len(wf)
         assert seen[0] <= len(wf), seen[0] / len(wf)
+        seen[0] = 0
+        assert len(wf.vs) == len(wf)
+        if case == "finite_storage":
+            halves = list(wf._half_cycles())
+            held = sum(np.clip(h.j, 1, h.n + 2) - np.clip(h.i, 1, h.n + 2) for h in halves)
+            assert 0 < seen[0] <= held + len(halves), (seen[0], held)
+        else:
+            assert seen[0] == 0
 
 
 def pulse_rows(wf):
@@ -860,6 +870,17 @@ class TestOnDemandSamples:
             assert first is not second
             assert first.tobytes() == second.tobytes(), name
 
+    @staticmethod
+    def walk(h, lo, hi, c):
+        """Rows lo..hi-1 of half cycle h as _pieces yields them: the row
+        numbers, vpt and rise, each run's constant spread over its rows."""
+        rows, vpt, rise = [], [], []
+        for a, b, v, r in transient._pieces(h, lo, hi, c):
+            rows.append(np.arange(a, b))
+            vpt.append(np.broadcast_to(v, b - a))
+            rise.append(np.broadcast_to(r, b - a))
+        return [np.concatenate(x) for x in (rows, vpt, rise)]
+
     @pytest.mark.parametrize("case", list(CASES))
     def test_a_half_cycle_filled_in_parts(self, case):
         cfg = make_sim_config(n_cycles=2, **self.CASES[case])
@@ -867,15 +888,14 @@ class TestOnDemandSamples:
         c = transient._Circuit.of(cfg)
         for h in wf._half_cycles():
             end = h.n + 2
-            whole = np.empty(end - 1)
-            rise = transient._fill(h, 1, end, c, whole)
+            rows, vpt, rise = self.walk(h, 1, end, c)
+            assert rows.tolist() == list(range(1, end))
             for split in sorted({2, h.i, h.i + 1, h.j, end // 2, end - 1} & set(range(2, end))):
-                parts = np.empty(end - 1)
-                low = transient._fill(h, 1, split, c, parts[: split - 1])
-                high = transient._fill(h, split, end, c, parts[split - 1 :])
-                assert parts.tobytes() == whole.tobytes(), (h, split)
-                if np.ndim(rise):
-                    assert np.concatenate((low, high)).tobytes() == rise.tobytes()
+                low, high = self.walk(h, 1, split, c), self.walk(h, split, end, c)
+                parts = [np.concatenate(pair) for pair in zip(low, high)]
+                assert parts[0].tolist() == list(range(1, end)), (h, split)  # no gap, no overlap
+                assert parts[1].tobytes() == vpt.tobytes(), (h, split)
+                assert parts[2].tobytes() == rise.tobytes(), (h, split)
 
     def test_held_rows_lead_with_t_alone(self):
         # On a fixed rail the clamped rows share vpt, so their blocks carry
