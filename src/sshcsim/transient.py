@@ -6,9 +6,11 @@ x' = k*sin(wt) - g*x piece by piece, free on C_P, then clamped by the diode
 bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
 a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
-crossing, the piece boundaries from scalar roots (on a fixed rail the release
-from its arcsin closed form), and the charge ledger from the pieces' exact
-integrals. It writes no samples. A flip is one fixed sequence of three
+crossing, the piece boundaries, and the charge ledger from the pieces' exact
+integrals. A boundary's grid row comes from a closed-form guess checked on
+two rows where one exists (the clamp of a node without leak from arccos, the
+release on a fixed rail from arcsin), else from a probed search, and its time
+from a scalar root. It writes no samples. A flip is one fixed sequence of three
 instantaneous charge redistributions (share with C_T, short C_P, reconnect C_T
 reversed), one pulse row each, which run() and apply_flip() both take from
 _flip. The Waveform keeps the plans and evaluates its samples, one half cycle
@@ -439,6 +441,14 @@ class _Grid:
     def __len__(self) -> int:
         return self.n + 2
 
+    def row(self, s: float) -> int:
+        """The first row m >= 1 with t0 + dt*m >= s, to within a row of
+        rounding; n + 1, the crossing, for any s up to t_end, and n + 2 past
+        it. It places a guess, which _first checks."""
+        if s > self.t_end:
+            return self.n + 2
+        return min(max(math.ceil((s - self.t0) / self.dt), 1), self.n + 1)
+
     def __getitem__(self, m):
         if isinstance(m, slice):
             lo, hi, step = m.indices(self.n + 2)
@@ -500,13 +510,28 @@ def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
 _STRIDE = 64  # grid points between the probes of a boundary search
 
 
-def _first(f, t: np.ndarray, lo: int) -> int:
-    """The first index m >= lo with f(t[m])[0] >= 0 (f returns value, slope),
-    or len(t) if none, from every _STRIDE-th point and the last, then the
-    stride before the first that holds: argmax over t[lo:] when the points that
+def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
+    """The first index m >= lo with f(t[m])[0] >= 0, or len(t) if none; f
+    returns (value, slope) and _first reads the value alone.
+
+    With a time guess (t a _Grid) from a closed form, for which the points
+    that hold are a suffix of t[lo:], f is evaluated on rows g - 1 and g
+    alone, g = t.row(guess), dropping any outside lo..len(t) - 1. Where they
+    show the suffix's edge (g - 1 fails and g holds, or neither holds on the
+    last two rows: none), that is the index. Otherwise, and without a guess,
+    the search probes every _STRIDE-th point and the last, then the stride
+    before the first that holds: argmax over t[lo:] when the points that
     hold are contiguous, as for each boundary of a half cycle. When no probe
     holds, a touch shorter than a stride may lie between two: every point is
     tested."""
+    if guess is not None:
+        g = max(t.row(guess), lo)
+        a, b = max(g - 1, lo), min(g + 1, len(t))
+        held = (f(t[a:b])[0] >= 0.0).tolist()
+        # The edge of a held suffix: no row before a (a = lo) or row a fails,
+        # and no row after b - 1 (b = len(t)) or row b - 1 holds.
+        if held == sorted(held) and (a == lo or not held[0]) and (b == len(t) or held[-1]):
+            return a + held.index(True) if held[-1] else len(t)
     probes = np.minimum(np.arange(lo, len(t) + _STRIDE - 1, _STRIDE), len(t) - 1)
     held = f(t[probes])[0] >= 0.0
     if not held.any():
@@ -558,10 +583,14 @@ def _integrate_segment(
     C_P and C_S charge together (kh, gh; a fixed rail, C_S = inf, holds);
     with leakage, free again once sign*I(t) < sign*v/R_P. The boundaries come
     from scalar work: grid indices i and j from _first, then t_clamp and
-    t_release from _root (the release on a fixed rail from arcsin) where a
-    later piece or the ledger needs them. Only the crossing row is evaluated,
-    as the one run _pieces yields for it, and the whole free piece where no
-    probe reached the rail. A start beyond a rail is first clipped onto it by
+    t_release from _root where a later piece or the ledger needs them. Where
+    a closed form gives a boundary's time, _first checks the two rows around
+    it instead of probing: the clamp of a free node without leak (arccos) and
+    the release on a fixed rail (arcsin, also _root's first step). So on the
+    ideal rail a half cycle evaluates two rows and its crossing row. Only the
+    crossing row is evaluated as a sample, as the one run _pieces yields for
+    it, besides the searches' rows and the whole free piece where no probe
+    reached the rail. A start beyond a rail is first clipped onto it by
     _clip, as step() clips it.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
@@ -573,14 +602,24 @@ def _integrate_segment(
     rail = sign * vth
     kf, gf, kh, gh = c.kf, c.gf, c.kh, c.gh
 
-    def over(s, m=np):  # how far the free node is past the rail, and its slope
+    # Each boundary function gives its value and, on a float (m=math), the
+    # slope that _root steps with; _first's arrays need the value alone.
+    def over(s, m=np):  # how far the free node is past the rail
         x = v0 + _rise(s, t0, v0, kf, gf, w, m)
-        return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x)
+        return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x) if m is math else None
 
     n = len(t)
     # A node that starts on the rail stays there unless the leak pulls it off.
     on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
-    i = 0 if on_rail else _first(over, t, 1)
+    clamp = None  # the clamp time where a closed form gives it
+    if not leak:
+        # Without a leak the free node rises monotonically: sign*cos(w*t)
+        # falls to u where it meets the rail, and sign*cos(w*t) is
+        # -cos(w*(t_end - t)).
+        u = min(sign * math.cos(w * t0) - (vth - sign * v0) * w / kf, 1.0)
+        # Below -1 the rail is out of reach; rounding may still hold the last row.
+        clamp = t_end - math.acos(-u) / w if u >= -1.0 else t_end
+    i = 0 if on_rail else _first(over, t, 1, clamp)
     j, t_clamp, t_release = n, t0, t_end
     if 0 < i < n and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
         t_clamp = _root(over, t[i - 1], t[i], t[i])
@@ -588,19 +627,22 @@ def _integrate_segment(
 
     def backward(s, m=np):  # >= 0 once the leak outweighs the source: the bridge would reverse
         x, sin = rail + _rise(s, *hold, m) if cs < math.inf else rail, m.sin(w * s)
-        slope = leak * (kh * sin - gh * x) - ip * w * m.cos(w * s)
-        return sign * (x * leak - ip * sin), sign * slope
+        slope = sign * (leak * (kh * sin - gh * x) - ip * w * m.cos(w * s)) if m is math else None
+        return sign * (x * leak - ip * sin), slope
 
     if leak and i < n:
-        j = _first(backward, t, i)
+        # On a fixed rail the release is sin(w*(t_end - t)) = vth/(R_P*I_P),
+        # and the rows that hold from a clamp row i > 0 on are a suffix. On a
+        # start on the rail (i = 0) row 0 may hold too, so no guess there.
+        release = None if cs < math.inf else t_end - math.asin(min(vth * leak / ip, 1.0)) / w
+        j = _first(backward, t, i, release if i else None)
         if j < n:
-            # On a fixed rail the release is sin(w*(t_end - t)) = vth/(R_P*I_P).
-            guess = t[j] if cs < math.inf else t_end - math.asin(min(vth * leak / ip, 1.0)) / w
+            guess = t[j] if release is None else release
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
 
     h = _HalfCycle(t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release, v0, vs0)
     ((_, _, v_end, rise_end),) = _pieces(h, n - 1, n, c)  # the crossing row's one run
-    v_end, rise_end = float(np.ravel(v_end)[0]), float(np.ravel(rise_end)[0])
+    v_end, rise_end = (float(x[0] if isinstance(x, np.ndarray) else x) for x in (v_end, rise_end))
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
     if cs < math.inf:
         q_storage = cs * rise_end
@@ -627,12 +669,16 @@ def _pieces(h: _HalfCycle, lo: int, hi: int, c: _Circuit, node: bool = True) -> 
     is free (from row 1), held (from row i) or released (from row j). rise is
     how far a finite storage cap has carried the clamp, so vs = vs0 +
     sign*rise. vpt and rise are floats where the run holds them, arrays
-    otherwise; node=False leaves vpt None and evaluates only rise. Each run is
+    otherwise; node=False leaves vpt None and evaluates only rise, which on a
+    fixed rail is 0.0 on every row: one run, lo..hi-1. Each run is
     one numpy call over its rows, and an element's bits do not depend on the
     rows around it, so any lo and hi give the bits of the whole half cycle.
     This is the only code that evaluates samples.
     """
     finite = c.cs < math.inf
+    if not (node or finite):  # a fixed rail holds rise at 0.0 on every row
+        yield lo, hi, None, 0.0
+        return
     t = _Grid(h.t0, c.dt, h.n, h.t_end)
     rail = h.sign * (h.vs0 + c.two_vd)
     hold = (h.t_clamp, rail, c.kh, c.gh, c.w)

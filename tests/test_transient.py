@@ -1,3 +1,4 @@
+import collections
 import io
 import math
 import tracemalloc
@@ -6,12 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from sshcsim import (
     ChargeLedger,
     CircuitState,
     FiniteCap,
+    FixedVoltage,
     FlipDirection,
     FlipRatios,
     Phase,
@@ -29,7 +32,7 @@ from sshcsim import (
     zero_crossing_times,
 )
 from sshcsim import transient
-from sshcsim.circuit import FieldError
+from sshcsim.circuit import FieldError, conduction_threshold
 from sshcsim.config import ConfigError, parse_config
 
 from conftest import make_sim_config, make_source, make_stage
@@ -550,9 +553,55 @@ def record(monkeypatch, name):
     return calls
 
 
+def first_held(values, lo, n):
+    """The row lo + argmax(values >= 0) of a search over rows lo..n-1, or n
+    if no value is >= 0."""
+    held = values >= 0.0
+    return lo + int(np.argmax(held)) if held.any() else n
+
+
 def brute_first(f, t, lo):
-    held = f(t[lo:])[0] >= 0.0
-    return lo + int(np.argmax(held)) if held.any() else len(t)
+    return first_held(f(t[lo:])[0], lo, len(t))
+
+
+def check_plan_boundaries(cfg, wf):
+    """Each half cycle's clamp row i and release row j are brute-force
+    argmaxes: the first row at which the free node's overshoot past the rail
+    (run()'s `over`) and the leak's pull against the source (`backward`) are
+    >= 0, evaluated as run() evaluates them, on every row a search covers."""
+    c = transient._Circuit.of(cfg)
+    for h in wf._half_cycles():
+        t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
+        vth = h.vs0 + c.two_vd
+        rail = h.sign * vth
+        if h.i == 0:  # held from the start: no clamp search
+            assert h.sign * h.v0 >= vth, h
+        else:
+            x = h.v0 + transient._rise(t[1:], h.t0, h.v0, c.kf, c.gf, c.w)
+            assert h.i == first_held(h.sign * x - vth, 1, len(t)), h
+        if not c.leak or h.i == len(t):
+            assert h.j == len(t), h
+            continue
+        s = t[h.i :]
+        x = rail + transient._rise(s, h.t_clamp, rail, c.kh, c.gh, c.w) if c.cs < math.inf else rail
+        assert h.j == first_held(h.sign * (x * c.leak - c.ip * np.sin(c.w * s)), h.i, len(t)), h
+
+
+def count_search_rows(monkeypatch):
+    """Wrap transient._first so that the rows on which it evaluates each
+    boundary function are counted, by the function's name."""
+    rows = collections.Counter()
+    real = transient._first
+
+    def first(f, t, lo, guess=None):
+        def counted(s, m=np):
+            rows[f.__name__] += np.size(s)
+            return f(s, m)
+
+        return real(counted, t, lo, guess)
+
+    monkeypatch.setattr(transient, "_first", first)
+    return rows
 
 
 def check_first(f, t, lo, got):
@@ -581,24 +630,79 @@ BOUNDARY_CASES = {
 
 class TestPieceBoundaries:
     """_integrate_segment fixes the clamp and release before it samples: the
-    grid indices by a probed search, the times by scalar Newton roots."""
+    grid indices by a closed-form guess and a two-row check or, without a
+    closed form or when the check fails, by a probed search, and the times by
+    scalar Newton roots."""
 
     @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
     def test_index_search_matches_argmax(self, monkeypatch, case):
         calls = record(monkeypatch, "_first")
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
-        run(cfg)
+        check_plan_boundaries(cfg, run(cfg).waveform)
         assert calls
-        for (f, t, lo), got in calls:
+        leaky = cfg.src.res_rp < math.inf
+        fixed = not isinstance(cfg.stage.storage, FiniteCap)
+        for (f, t, lo, guess), got in calls:
             check_first(f, t, lo, got)
+            # A guess where a closed form exists: the clamp of a free node
+            # without leak, and the release on a fixed rail from a clamp row.
+            closed_form = not leaky if f.__name__ == "over" else fixed and lo > 0
+            assert (guess is not None) == closed_form, (f.__name__, lo)
         names = {args[0].__name__ for args, _ in calls}
         if case == "weak_excitation":  # never reaches the rail
             assert names == {"over"}
             assert all(got == len(args[1]) for args, got in calls)
         else:
-            assert names == ({"over", "backward"} if cfg.src.res_rp < math.inf else {"over"})
+            assert names == ({"over", "backward"} if leaky else {"over"})
         if case == "start_on_rail_leak_pulls_off":
             assert calls[0][0][2] == 1  # searched from the first step, not held at t0
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(CONFIGS, st.sampled_from([0.0, 1.0, -1.0, 1.5, -1.5]))
+    # The _rise config whose open-circuit amplitude k/w = 8.2e6 V dwarfs its
+    # 3.7 V rail, without and with a leak.
+    @example({"frequency": "1.74", "cap_cp": "2.6e-15", "amplitude_ip": "0.24e-6",
+              "storage_vs": "3.3"}, 0.0)
+    @example({"frequency": "1.74", "cap_cp": "2.6e-15", "amplitude_ip": "0.24e-6",
+              "storage_vs": "3.3", "res_rp": "1e9"}, 0.0)
+    # A full bridge whose node swings 3.4e-12 V: each half cycle reaches the
+    # rail at the crossing, where rounding, not the closed form, picks the
+    # row, so the guess misses and the probed search runs.
+    @example({"amplitude_ip": "3.2551359130562356e-12", "frequency": "417901.60852743225",
+              "cap_cp": "7.191309034854645e-07", "diode_drop_vd": "0.15041855330322754",
+              "storage_vs": "0.28108595310394924", "full_bridge": "true", "n_cycles": "2"}, -1.0)
+    def test_drawn_boundaries_match_argmax(self, overrides, start):
+        # Leaky and finite-storage draws over the property test's decades,
+        # from rest, on the rail and beyond it.
+        try:
+            cfg = parse_config(overrides=overrides).sim_config()
+        except ConfigError:
+            reject()
+        cfg = replace(cfg, vpt_initial=start * conduction_threshold(cfg.stage))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            wf = run(cfg).waveform
+        check_plan_boundaries(cfg, wf)
+
+    @pytest.mark.parametrize("shift", [-3, 3])
+    @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage"])
+    def test_a_missed_guess_falls_back(self, monkeypatch, case, shift):
+        # A guess some rows off fails the two-row check, and the probed search
+        # from lo gives the same plan.
+        cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
+        rows = count_search_rows(monkeypatch)
+        want = run(cfg).waveform._plan.tobytes()
+        hits = dict(rows)
+        rows.clear()
+        real = transient._Grid.row
+        monkeypatch.setattr(
+            transient._Grid, "row", lambda grid, s: min(max(real(grid, s) + shift, 1), len(grid))
+        )
+        wf = run(cfg).waveform
+        assert wf._plan.tobytes() == want
+        check_plan_boundaries(cfg, wf)
+        guessed = "backward" if case == "leaky" else "over"
+        assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the probes ran
 
     def test_grazing_touch_between_probes(self, monkeypatch):
         # A leaky node that tops the rail for one grid point, between two
@@ -610,7 +714,7 @@ class TestPieceBoundaries:
             calls.clear()
             roots.clear()
             run(make_sim_config(ct=None, n_cycles=1, src=make_source(ip=ip, rp=1e6)))
-            f, t, lo = calls[0][0]
+            f, t, lo, _ = calls[0][0]
             return int(np.count_nonzero(f(t[lo:])[0] >= 0.0))
 
         lo_ip, hi_ip = 1e-6, 50e-6
@@ -618,13 +722,13 @@ class TestPieceBoundaries:
             mid = 0.5 * (lo_ip + hi_ip)
             lo_ip, hi_ip = (mid, hi_ip) if touch(mid) == 0 else (lo_ip, mid)
         assert 0 < touch(hi_ip) < transient._STRIDE
-        (f, t, lo), got = calls[0]
+        (f, t, lo, _), got = calls[0]
         assert not a_probe_holds(f, t, lo)
         i = brute_first(f, t, lo)
         assert got == i and lo < i < len(t)
         (over, a, b, _), _ = roots[0]
         assert over is f and (a, b) == (t[i - 1], t[i])
-        for (f, t, lo), got in calls:
+        for (f, t, lo, _), got in calls:
             check_first(f, t, lo, got)
 
     @pytest.mark.parametrize("n", [2, 5, 64, 65, 66, 130, 200])
@@ -669,11 +773,15 @@ class TestPieceBoundaries:
 
     @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage", "weak_excitation"])
     def test_each_sample_is_evaluated_once(self, monkeypatch, case):
-        # A count, not a timing: run() evaluates the probes and windows of the
-        # boundary searches (and the whole free piece where no probe reached
-        # the rail), and a read of vpt each sample once. A read of vs leaves
-        # vpt alone: on a fixed rail it evaluates nothing, on a storage cap
-        # the held rows and the release's lift, one element per half cycle.
+        # A count, not a timing: run() evaluates the rows of the boundary
+        # searches (and the whole free piece where no probe reached the rail),
+        # and a read of vpt each sample once. Where a closed form guesses a
+        # boundary (the clamp without a leak, the release on a fixed rail),
+        # its search evaluates two rows per half cycle, so on the ideal rail
+        # run() evaluates those and the crossing row alone. A read of vs
+        # leaves vpt alone: on a fixed rail it evaluates nothing, on a
+        # storage cap the held rows and the release's lift, one element per
+        # half cycle.
         seen = [0]
         real = transient._rise
 
@@ -682,8 +790,17 @@ class TestPieceBoundaries:
             return real(t, *args)
 
         monkeypatch.setattr(transient, "_rise", counting)
-        wf = run(make_sim_config(n_cycles=10, **BOUNDARY_CASES[case])).waveform
+        searched = count_search_rows(monkeypatch)
+        cfg = make_sim_config(n_cycles=10, **BOUNDARY_CASES[case])
+        wf = run(cfg).waveform
         planned, seen[0] = seen[0], 0
+        halves = 2 * cfg.n_cycles
+        if cfg.src.res_rp == math.inf:
+            assert searched["over"] <= 2 * halves, searched
+        if isinstance(cfg.stage.storage, FixedVoltage):
+            assert searched["backward"] <= 2 * halves, searched
+        if case == "ideal":
+            assert planned <= 3 * halves, planned
         assert len(wf.vpt) == len(wf)
         assert planned <= len(wf) * (1 + 1 / 16), planned / len(wf)
         assert seen[0] <= len(wf), seen[0] / len(wf)
