@@ -42,8 +42,6 @@ PERIOD_DIVISORS = {"dt": 10_000.0, "phase_pulse_width": 500.0, "phase_gap": 2_00
 
 _TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
 _COLUMNS = ("t", "vpt", "vt", "vs", "phase")  # a waveform row, as waveform.csv writes it
-_PLAN_READ = 64  # half-cycle plans read into Python tuples at once, never the whole plan
-_PULSE = np.dtype([("phase", "O"), ("vpt", "f8"), ("vt", "f8")])  # a pulse as _flip returns it
 
 
 class Phase(enum.Enum):
@@ -87,6 +85,12 @@ class SimConfig:
             raise FieldError("dt", f"must be <= period / 1000 = {period / 1e3!r}, got {self.dt!r}")
         if self.n_cycles < 1:
             raise FieldError("n_cycles", f"must be >= 1, got {self.n_cycles!r}")
+        # A step within a few ulps of the run's last time cannot advance the grid.
+        floor = 4.0 * math.ulp(self.n_cycles * period)
+        if not self.dt > floor:
+            raise FieldError(
+                "dt", f"must be > {floor!r}, 4 ulps of n_cycles * period, got {self.dt!r}"
+            )
         w, g = self.phase_pulse_width, self.phase_gap
         window = 3.0 * w + 2.0 * g
         if not window < 0.02 * period:
@@ -154,21 +158,25 @@ class Waveform:
 
     Row 0 is the initial state; each half cycle adds its dt grid rows, its
     zero crossing and, with an SSHC network, one row per switch pulse. The
-    Waveform holds run()'s plan of each half cycle, not samples: t, vpt, vt
-    and vs are float64 columns and phase the matching tokens (Idle, PhiP,
-    Phi0, PhiN) as a '<U4' array, each evaluated anew on every read and not
-    cached. So bind a column to a name once rather than index it in a loop.
-    The samples of every read and of write_csv come from _pieces.
+    Waveform holds run()'s plan of each half cycle and its flip rows, not
+    samples: t, vpt, vt and vs are float64 columns and phase the matching
+    tokens (Idle, PhiP, Phi0, PhiN) as a '<U4' array, each evaluated anew on
+    every read and not cached. So bind a column to a name once rather than
+    index it in a loop. The samples of every grid row, for a read and for
+    write_csv alike, come from _pieces.
     """
 
-    def __init__(self, cfg: SimConfig, initial: CircuitState, plan: np.ndarray, flips: np.ndarray):
-        """plan holds one _PLAN record per half cycle and flips its pulse rows
-        as _PULSE records, shaped (half cycles, pulses per flip)."""
+    def __init__(
+        self, cfg: SimConfig, initial: CircuitState, plan: List[_HalfCycle], flips: List[list]
+    ):
+        """plan holds each half cycle's _HalfCycle as run() made it, and flips
+        the rows of the flip that ends it, each (t, vpt, vt, vs, phase token)
+        in _COLUMNS order: three with an SSHC network, none without."""
         self._circuit = _Circuit.of(cfg)
         self._initial = initial
         self._plan = plan
         self._flips = flips
-        self._len = 1 + int(plan["n"].sum()) + len(plan) * (1 + flips.shape[1])
+        self._len = 1 + sum(h.n + 1 + len(flip) for h, flip in zip(plan, flips))
 
     def __len__(self) -> int:
         return self._len
@@ -182,47 +190,27 @@ class Waveform:
     def write_csv(self, out: Union[str, IO[str]]) -> None:
         write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], self._csv_blocks())
 
-    def _half_cycles(self) -> Iterator[_HalfCycle]:
-        """Each half cycle's plan, read from the record array in short slices."""
-        for a in range(0, len(self._plan), _PLAN_READ):
-            yield from map(_HalfCycle._make, self._plan[a : a + _PLAN_READ].tolist())
-
-    def _pulses(self, name: str) -> np.ndarray:
-        """Column `name` on the flip rows, shaped (half cycles, pulses per
-        flip), or (half cycles, 1) where a flip's rows share the value."""
-        c, plan, flips = self._circuit, self._plan, self._flips
-        if name == "t":
-            times = [c.pulse_times(t) for t in plan["t_end"].tolist()]
-            return np.array(times).reshape(flips.shape)
-        if name == "vs":
-            return plan["vs_end"][:, None]
-        if name == "phase":  # the phases as _flip ran them in run()
-            tokens = [phase.value for phase in flips["phase"].ravel().tolist()]
-            return np.array(tokens, _TOKEN).reshape(flips.shape)
-        return flips[name]
-
     def _column(self, name: str) -> np.ndarray:
-        c, s = self._circuit, self._initial
+        c, s, k = self._circuit, self._initial, _COLUMNS.index(name)
         if name == "phase":
             out = np.full(len(self), Phase.IDLE.value, _TOKEN)  # every row but a flip's
         else:
             out = np.empty(len(self))
             out[0] = getattr(s, name)
-            row = 0  # out[row] is the half cycle's row 0, the row before it
-            for h in self._half_cycles():
-                grid = slice(row + 1, row + h.n + 2)
-                if name == "t":
-                    out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
-                elif name == "vt":
-                    out[grid] = h.vt
-                else:
-                    for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c, node=name == "vpt"):
-                        out[row + a : row + b] = h.vs0 + h.sign * rise if vpt is None else vpt
-                row = grid.stop - 1 + c.pulses
-        if c.pulses:
-            # Each flip's rows follow its half cycle's grid rows.
-            first = np.cumsum(self._plan["n"] + 1 + c.pulses) + 1 - c.pulses
-            out[first[:, None] + np.arange(c.pulses)] = self._pulses(name)
+        row = 0  # out[row] is the half cycle's row 0, the row before it
+        for h, flip in zip(self._plan, self._flips):
+            grid = slice(row + 1, row + h.n + 2)
+            if name == "t":
+                out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
+            elif name == "vt":
+                out[grid] = h.vt
+            elif name != "phase":
+                for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c, node=name == "vpt"):
+                    out[row + a : row + b] = h.vs0 + h.sign * rise if vpt is None else vpt
+            row = grid.stop + len(flip)  # the flip's rows follow the grid rows
+            if flip:
+                out[grid.stop : row] = [r[k] for r in flip]
+            row -= 1
         return out
 
     def _csv_blocks(self) -> Iterator[Tuple[Tuple[str, ...], list]]:
@@ -237,9 +225,7 @@ class Waveform:
         c, s = self._circuit, self._initial
         idle = Phase.IDLE.value
         yield ("g", "g", fmt(s.vt), fmt(s.vs), idle), [s.t, s.vpt]
-        shape = (len(self._plan), c.pulses)
-        flips = zip(*(np.broadcast_to(self._pulses(name), shape).tolist() for name in _COLUMNS))
-        for h, flip in zip(self._half_cycles(), flips):
+        for h, flip in zip(self._plan, self._flips):
             t, vt = _Grid(h.t0, c.dt, h.n, h.t_end), fmt(h.vt)
             for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
                 vs = h.vs0 + h.sign * rise
@@ -247,8 +233,8 @@ class Waveform:
                 vpt_field, vs_field = (fmt(x) if np.isscalar(x) else "g" for x in (vpt, vs))
                 rows = np.column_stack([t[a:b], *varying]).ravel() if varying else t[a:b]
                 yield ("g", vpt_field, vt, vs_field, idle), rows.tolist()
-            if c.pulses:
-                yield ("g", "g", "g", "g", "s"), [x for row in zip(*flip) for x in row]
+            if flip:
+                yield ("g", "g", "g", "g", "s"), [x for row in flip for x in row]
 
 
 @dataclass
@@ -392,7 +378,7 @@ class _Circuit(NamedTuple):
     """The constants of a run: the grid step, the source, the caps (cs = inf
     for a fixed rail), the leak conductance 1/R_P, the bridge drop 2*vd, the
     rates of x' = k*sin(w*t) - g*x free on C_P (kf, gf) and clamped with the
-    storage (kh, gh), and the switch pulse timing (no pulses without SSHC)."""
+    storage (kh, gh), and the switch pulse timing."""
 
     dt: float
     ip: float
@@ -407,7 +393,6 @@ class _Circuit(NamedTuple):
     gh: float
     pulse_width: float
     pulse_gap: float
-    pulses: int
 
     @classmethod
     def of(cls, cfg: SimConfig) -> _Circuit:
@@ -417,13 +402,14 @@ class _Circuit(NamedTuple):
         return cls(
             cfg.dt, ip, src.omega, cp, cs, leak, 2.0 * cfg.stage.diode_drop_vd,
             ip / cp, leak / cp, ip / (cp + cs), leak / (cp + cs),
-            cfg.phase_pulse_width, cfg.phase_gap, 3 if cfg.sshc is not None else 0,
+            cfg.phase_pulse_width, cfg.phase_gap,
         )
 
     def pulse_times(self, t_cross: float) -> List[float]:
-        """The rows of a flip at the crossing t_cross: one per switch pulse."""
+        """The times of a flip's rows at the crossing t_cross: one per switch
+        pulse, three in all."""
         w, g = self.pulse_width, self.pulse_gap
-        return [t_cross + (j + 1) * w + j * g for j in range(self.pulses)]
+        return [t_cross + (j + 1) * w + j * g for j in range(3)]
 
 
 class _Grid:
@@ -473,7 +459,7 @@ class _HalfCycle(NamedTuple):
     before. The source current has the sign `sign`; (v0, vs0) is the start
     after any clip onto the rail, and vt holds until the flip. The node is
     free on rows 1..i-1, clamped from row max(i, 1) (at t_clamp) and released
-    from row max(j, 1) (at t_release); i = j = n + 2 means never. v_end and
+    from row j >= 1 (at t_release); i = j = n + 2 means never. v_end and
     vs_end are the values at the crossing, which the flip starts from."""
 
     t0: float
@@ -489,10 +475,6 @@ class _HalfCycle(NamedTuple):
     t_release: float
     v_end: float
     vs_end: float
-
-
-# The Waveform's record of a _HalfCycle: about 100 bytes however many rows.
-_PLAN = np.dtype([(f, "i8" if f in ("n", "sign", "i", "j") else "f8") for f in _HalfCycle._fields])
 
 
 def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
@@ -632,10 +614,10 @@ def _integrate_segment(
 
     if leak and i < n:
         # On a fixed rail the release is sin(w*(t_end - t)) = vth/(R_P*I_P),
-        # and the rows that hold from a clamp row i > 0 on are a suffix. On a
-        # start on the rail (i = 0) row 0 may hold too, so no guess there.
+        # and the rows that hold from row max(i, 1) on are a suffix. Row 0 is
+        # the previous half cycle's, so it is never searched.
         release = None if cs < math.inf else t_end - math.asin(min(vth * leak / ip, 1.0)) / w
-        j = _first(backward, t, i, release if i else None)
+        j = _first(backward, t, max(i, 1), release)
         if j < n:
             guess = t[j] if release is None else release
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
@@ -720,27 +702,27 @@ def run(cfg: SimConfig) -> RunResult:
         q_harvested=0.0,
     )
     c = _Circuit.of(cfg)
-    crossings = zero_crossing_times(cfg.src, cfg.n_cycles)
-    plan = np.empty(len(crossings), _PLAN)
-    flips = np.empty((len(crossings), c.pulses), _PULSE)
+    plan: List[_HalfCycle] = []
+    flips: List[list] = []  # each half cycle's flip rows, in _COLUMNS order
     t0, vpt, vt, vs, q = initial.t, initial.vpt, initial.vt, initial.vs, initial.q_harvested
     ledger = ChargeLedger()
     events: List[FlipEvent] = []
-    for k, (t_cross, direction) in enumerate(crossings, 1):
+    for k, (t_cross, direction) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
         # The grid adds t0 + dt, t0 + 2*dt, ... while short of the crossing;
         # a remainder under 1e-9 dt joins the last step, so no sliver is left.
         n = max(0, int(math.floor((t_cross - t0) / c.dt - 1e-9)))
         # The current is positive before a positive-to-negative crossing.
         sign = 1 if direction is FlipDirection.POS_TO_NEG else -1
         h, q = _integrate_segment(_Grid(t0, c.dt, n, t_cross), vpt, vs, vt, q, sign, c, ledger)
-        plan[k - 1] = h
-        vpt, vs = h.v_end, h.vs_end
-        t0 = ([t_cross] + c.pulse_times(t_cross))[-1]
+        plan.append(h)
+        vpt, vs, t0 = h.v_end, h.vs_end, t_cross
         if cfg.sshc is None:
+            flips.append([])
             continue
         v_before = vpt
-        flips[k - 1] = pulses = _flip(vpt, vt, c.cp, cfg.sshc.cap_ct, ledger)
-        vpt, vt = pulses[-1][1:]
+        pulses = zip(c.pulse_times(t_cross), _flip(vpt, vt, c.cp, cfg.sshc.cap_ct, ledger))
+        flips.append([(t, v, v_t, vs, phase.value) for t, (phase, v, v_t) in pulses])
+        t0, vpt, vt = flips[-1][-1][:3]  # the last pulse row starts the next half cycle
         efficiency = abs(vpt) / abs(v_before) if v_before != 0.0 else 0.0
         events.append(FlipEvent(k, t_cross, v_before, vpt, efficiency))
     final = CircuitState(t=t0, vpt=vpt, vt=vt, vs=vs, q_harvested=q)

@@ -391,6 +391,8 @@ class TestEveryKeyNamesItself:
             ("n_cycles", ["n_cycles=0"], "got 0"),
             ("phase_pulse_width", ["phase_pulse_width=0"], "got 0.0"),
             ("phase_gap", ["phase_gap=-1"], "got -1.0"),
+            # A step too small for the grid to advance, once numbered 5e297 rows.
+            ("dt", ["dt=1e-300"], "got 1e-300"),
         ],
     )
     def test_key_is_named(self, tmp_path, capsys, key, sets, shown):

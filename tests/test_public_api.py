@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import sshcsim
 
 # Every name sshcsim exports, the submodules that its imports bind included.
@@ -52,3 +56,18 @@ PUBLIC = [
 
 def test_all_is_pinned():
     assert sshcsim.__all__ == PUBLIC
+
+
+def test_runtime_imports_numpy_only():
+    # The runtime dependencies are numpy alone: a fresh interpreter that
+    # imports the package and its CLI loads none of the test or optional
+    # packages installed beside it.
+    path = [os.path.dirname(os.path.dirname(sshcsim.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, sshcsim, sshcsim.cli; print(*sys.modules)"
+    argv = [sys.executable, "-c", code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    loaded = {name.partition(".")[0] for name in out.stdout.split()}
+    assert "numpy" in loaded
+    extra = loaded & {"scipy", "mpmath", "hypothesis", "pytest"}
+    assert not extra, sorted(extra)

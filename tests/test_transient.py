@@ -70,6 +70,15 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             make_sim_config(n_cycles=0)
 
+    def test_rejects_a_dt_the_grid_cannot_advance(self):
+        # Within a few ulps of the run's last time, t0 + dt*m no longer rises
+        # with m. Such a dt once ran into an OverflowError counting the rows.
+        with pytest.raises(FieldError, match="4 ulps") as exc:
+            make_sim_config(dt=1e-300)
+        assert exc.value.field == "dt"
+        period = make_sim_config().src.period
+        assert make_sim_config(dt=period / 100_000).dt == period / 100_000
+
     @pytest.mark.parametrize("name", ["dt", "phase_pulse_width"])
     def test_zero_timing_is_rejected(self, name):
         # None, not 0, asks for the default: a zero step or pulse is an error.
@@ -570,7 +579,7 @@ def check_plan_boundaries(cfg, wf):
     (run()'s `over`) and the leak's pull against the source (`backward`) are
     >= 0, evaluated as run() evaluates them, on every row a search covers."""
     c = transient._Circuit.of(cfg)
-    for h in wf._half_cycles():
+    for h in wf._plan:
         t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
         vth = h.vs0 + c.two_vd
         rail = h.sign * vth
@@ -582,9 +591,10 @@ def check_plan_boundaries(cfg, wf):
         if not c.leak or h.i == len(t):
             assert h.j == len(t), h
             continue
-        s = t[h.i :]
+        lo = max(h.i, 1)  # row 0 is the previous half cycle's
+        s = t[lo:]
         x = rail + transient._rise(s, h.t_clamp, rail, c.kh, c.gh, c.w) if c.cs < math.inf else rail
-        assert h.j == first_held(h.sign * (x * c.leak - c.ip * np.sin(c.w * s)), h.i, len(t)), h
+        assert h.j == first_held(h.sign * (x * c.leak - c.ip * np.sin(c.w * s)), lo, len(t)), h
 
 
 def count_search_rows(monkeypatch):
@@ -645,8 +655,9 @@ class TestPieceBoundaries:
         for (f, t, lo, guess), got in calls:
             check_first(f, t, lo, got)
             # A guess where a closed form exists: the clamp of a free node
-            # without leak, and the release on a fixed rail from a clamp row.
-            closed_form = not leaky if f.__name__ == "over" else fixed and lo > 0
+            # without leak, and the release on a fixed rail.
+            closed_form = not leaky if f.__name__ == "over" else fixed
+            assert lo >= 1, (f.__name__, lo)
             assert (guess is not None) == closed_form, (f.__name__, lo)
         names = {args[0].__name__ for args, _ in calls}
         if case == "weak_excitation":  # never reaches the rail
@@ -684,6 +695,21 @@ class TestPieceBoundaries:
             wf = run(cfg).waveform
         check_plan_boundaries(cfg, wf)
 
+    def test_a_zero_rail_harvests_from_the_first_half_cycle(self, monkeypatch):
+        # At t = 0 a node on a zero rail meets backward() = 0 exactly, yet
+        # row 0 is the start, not the half cycle's: the release search starts
+        # at row 1, so no half cycle is released and a node at 0 V leaks nothing.
+        halves = record(monkeypatch, "_integrate_segment")
+        src = make_source(rp=1e6)
+        cfg = make_sim_config(ct=None, n_cycles=2, src=src, stage=make_stage(vs=0.0, vd=0.0))
+        result = run(cfg)
+        assert result.ledger.q_leak == 0.0
+        first = result.waveform._plan[0]
+        assert (first.i, first.j) == (0, first.n + 2)
+        q = [0.0] + [got[1] for _, got in halves]
+        for before, after in zip(q, q[1:]):
+            assert after - before == pytest.approx(2 * src.amplitude_ip / src.omega, rel=1e-12)
+
     @pytest.mark.parametrize("shift", [-3, 3])
     @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage"])
     def test_a_missed_guess_falls_back(self, monkeypatch, case, shift):
@@ -691,7 +717,7 @@ class TestPieceBoundaries:
         # from lo gives the same plan.
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
         rows = count_search_rows(monkeypatch)
-        want = run(cfg).waveform._plan.tobytes()
+        want = repr(run(cfg).waveform._plan)
         hits = dict(rows)
         rows.clear()
         real = transient._Grid.row
@@ -699,7 +725,7 @@ class TestPieceBoundaries:
             transient._Grid, "row", lambda grid, s: min(max(real(grid, s) + shift, 1), len(grid))
         )
         wf = run(cfg).waveform
-        assert wf._plan.tobytes() == want
+        assert repr(wf._plan) == want
         check_plan_boundaries(cfg, wf)
         guessed = "backward" if case == "leaky" else "over"
         assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the probes ran
@@ -807,7 +833,7 @@ class TestPieceBoundaries:
         seen[0] = 0
         assert len(wf.vs) == len(wf)
         if case == "finite_storage":
-            halves = list(wf._half_cycles())
+            halves = wf._plan
             held = sum(np.clip(h.j, 1, h.n + 2) - np.clip(h.i, 1, h.n + 2) for h in halves)
             assert 0 < seen[0] <= held + len(halves), (seen[0], held)
         else:
@@ -1003,7 +1029,7 @@ class TestOnDemandSamples:
         cfg = make_sim_config(n_cycles=2, **self.CASES[case])
         wf = run(cfg).waveform
         c = transient._Circuit.of(cfg)
-        for h in wf._half_cycles():
+        for h in wf._plan:
             end = h.n + 2
             rows, vpt, rise = self.walk(h, 1, end, c)
             assert rows.tolist() == list(range(1, end))
