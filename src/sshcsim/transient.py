@@ -13,8 +13,10 @@ release on a fixed rail from arcsin), else from a probed search, and its time
 from a scalar root. It writes no samples. A flip is one fixed sequence of three
 instantaneous charge redistributions (share with C_T, short C_P, reconnect C_T
 reversed), one pulse row each, which run() and apply_flip() both take from
-_flip. The Waveform keeps the plans and evaluates its samples, one half cycle
-at a time, whenever a column is read. One generator, _pieces, evaluates
+_flip. run() appends each half cycle's plan to one list and its flip's rows,
+(t, vpt, vt, vs, phase token) as waveform.csv writes them, to another; the
+Waveform keeps both lists and evaluates the grid rows' samples, one half
+cycle at a time, whenever a column is read. One generator, _pieces, evaluates
 samples: it walks a half cycle's rows as its free, held and released runs,
 for each column read, for waveform.csv and for run()'s crossing row. step()
 is the explicit-Euler reference.
@@ -167,7 +169,7 @@ class Waveform:
     """
 
     def __init__(
-        self, cfg: SimConfig, initial: CircuitState, plan: List[_HalfCycle], flips: List[list]
+        self, cfg: SimConfig, initial: CircuitState, plan: List[_HalfCycle], flips: List[tuple]
     ):
         """plan holds each half cycle's _HalfCycle as run() made it, and flips
         the rows of the flip that ends it, each (t, vpt, vt, vs, phase token)
@@ -207,10 +209,9 @@ class Waveform:
             elif name != "phase":
                 for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c, node=name == "vpt"):
                     out[row + a : row + b] = h.vs0 + h.sign * rise if vpt is None else vpt
-            row = grid.stop + len(flip)  # the flip's rows follow the grid rows
-            if flip:
-                out[grid.stop : row] = [r[k] for r in flip]
-            row -= 1
+            pulses = slice(grid.stop, grid.stop + len(flip))  # the flip's rows follow the grid's
+            out[pulses] = [r[k] for r in flip]
+            row = pulses.stop - 1
         return out
 
     def _csv_blocks(self) -> Iterator[Tuple[Tuple[str, ...], list]]:
@@ -703,7 +704,7 @@ def run(cfg: SimConfig) -> RunResult:
     )
     c = _Circuit.of(cfg)
     plan: List[_HalfCycle] = []
-    flips: List[list] = []  # each half cycle's flip rows, in _COLUMNS order
+    flips: List[tuple] = []  # each half cycle's flip rows, in _COLUMNS order
     t0, vpt, vt, vs, q = initial.t, initial.vpt, initial.vt, initial.vs, initial.q_harvested
     ledger = ChargeLedger()
     events: List[FlipEvent] = []
@@ -717,11 +718,11 @@ def run(cfg: SimConfig) -> RunResult:
         plan.append(h)
         vpt, vs, t0 = h.v_end, h.vs_end, t_cross
         if cfg.sshc is None:
-            flips.append([])
+            flips.append(())
             continue
         v_before = vpt
         pulses = zip(c.pulse_times(t_cross), _flip(vpt, vt, c.cp, cfg.sshc.cap_ct, ledger))
-        flips.append([(t, v, v_t, vs, phase.value) for t, (phase, v, v_t) in pulses])
+        flips.append(tuple((t, v, v_t, vs, phase.value) for t, (phase, v, v_t) in pulses))
         t0, vpt, vt = flips[-1][-1][:3]  # the last pulse row starts the next half cycle
         efficiency = abs(vpt) / abs(v_before) if v_before != 0.0 else 0.0
         events.append(FlipEvent(k, t_cross, v_before, vpt, efficiency))

@@ -391,7 +391,7 @@ class TestEveryKeyNamesItself:
             ("n_cycles", ["n_cycles=0"], "got 0"),
             ("phase_pulse_width", ["phase_pulse_width=0"], "got 0.0"),
             ("phase_gap", ["phase_gap=-1"], "got -1.0"),
-            # A step too small for the grid to advance, once numbered 5e297 rows.
+            # A step within a few ulps of the run's last time: the grid cannot advance.
             ("dt", ["dt=1e-300"], "got 1e-300"),
         ],
     )
