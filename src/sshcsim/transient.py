@@ -88,7 +88,11 @@ class SimConfig:
         if self.n_cycles < 1:
             raise FieldError("n_cycles", f"must be >= 1, got {self.n_cycles!r}")
         # A step within a few ulps of the run's last time cannot advance the grid.
-        floor = 4.0 * math.ulp(self.n_cycles * period)
+        try:
+            floor = 4.0 * math.ulp(self.n_cycles * period)
+        except OverflowError:  # a count past the largest float
+            digits = len(str(self.n_cycles))
+            raise FieldError("n_cycles", f"must fit in a float, got {digits} digits") from None
         if not self.dt > floor:
             raise FieldError(
                 "dt", f"must be > {floor!r}, 4 ulps of n_cycles * period, got {self.dt!r}"

@@ -393,6 +393,7 @@ class TestEveryKeyNamesItself:
             ("phase_gap", ["phase_gap=-1"], "got -1.0"),
             # A step within a few ulps of the run's last time: the grid cannot advance.
             ("dt", ["dt=1e-300"], "got 1e-300"),
+            ("n_cycles", ["n_cycles=1" + "0" * 400], "got 401 digits"),
         ],
     )
     def test_key_is_named(self, tmp_path, capsys, key, sets, shown):
