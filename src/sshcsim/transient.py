@@ -7,19 +7,20 @@ bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
 a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
 crossing, the piece boundaries, and the charge ledger from the pieces' exact
-integrals. A boundary's grid row comes from a closed-form guess checked on
-two rows where one exists (the clamp of a node without leak from arccos, the
-release on a fixed rail from arcsin), else from a probed search, and its time
-from a scalar root. It writes no samples. A flip is one fixed sequence of three
-instantaneous charge redistributions (share with C_T, short C_P, reconnect C_T
-reversed), one pulse row each, which run() and apply_flip() both take from
-_flip. run() appends each half cycle's plan to one list and its flip's rows,
-(t, vpt, vt, vs, phase token) as waveform.csv writes them, to another; the
-Waveform keeps both lists and evaluates the grid rows' samples, one half
-cycle at a time, whenever a column is read. One generator, _pieces, evaluates
-samples: it walks a half cycle's rows as its free, held and released runs,
-for each column read, for waveform.csv and for run()'s crossing row. step()
-is the explicit-Euler reference.
+integrals. A boundary's grid row comes from a closed-form guess checked on two
+rows where one exists (the clamp of a node without leak from arccos, the
+release on a fixed rail from arcsin), else from probes every 64th row and a
+chunked scan of the rows they leave, and its time from a scalar root. It
+writes no samples. A flip is one fixed sequence of three instantaneous charge
+redistributions (share with C_T, short C_P, reconnect C_T reversed), one pulse
+row each, which run() and apply_flip() both take from _flip. run() appends
+each half cycle's plan to one list and its flip's rows, (t, vpt, vt, vs, phase
+token) as waveform.csv writes them, to another; the Waveform keeps both lists
+and evaluates the grid rows' samples, one half cycle at a time, whenever a
+column is read. One generator, _pieces, evaluates samples: it walks a half
+cycle's rows as its free, held and released runs, for each column read, for
+waveform.csv and for run()'s crossing row. step() is the explicit-Euler
+reference.
 """
 
 from __future__ import annotations
@@ -434,10 +435,8 @@ class _Grid:
 
     def row(self, s: float) -> int:
         """The first row m >= 1 with t0 + dt*m >= s, to within a row of
-        rounding; n + 1, the crossing, for any s up to t_end, and n + 2 past
-        it. It places a guess, which _first checks."""
-        if s > self.t_end:
-            return self.n + 2
+        rounding, and n + 1, the crossing, for any later s: a guess, which
+        _first checks, is t_end less a non-negative time."""
         return min(max(math.ceil((s - self.t0) / self.dt), 1), self.n + 1)
 
     def __getitem__(self, m):
@@ -495,6 +494,7 @@ def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
 
 
 _STRIDE = 64  # grid points between the probes of a boundary search
+_CHUNK = _STRIDE * _STRIDE  # rows a boundary search tests at once after its probes
 
 
 def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
@@ -506,11 +506,11 @@ def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
     alone, g = t.row(guess), dropping any outside lo..len(t) - 1. Where they
     show the suffix's edge (g - 1 fails and g holds, or neither holds on the
     last two rows: none), that is the index. Otherwise, and without a guess,
-    the search probes every _STRIDE-th point and the last, then the stride
-    before the first that holds: argmax over t[lo:] when the points that
-    hold are contiguous, as for each boundary of a half cycle. When no probe
-    holds, a touch shorter than a stride may lie between two: every point is
-    tested."""
+    the search probes every _STRIDE-th point and the last, then scans, _CHUNK
+    points at a time, those after the last probe that fails up to the first
+    that holds, or all of t[lo:] where none holds (a touch shorter than a
+    stride may lie between two probes): argmax over t[lo:] when the points
+    that hold are contiguous, as for each boundary of a half cycle."""
     if guess is not None:
         g = max(t.row(guess), lo)
         a, b = max(g - 1, lo), min(g + 1, len(t))
@@ -521,14 +521,14 @@ def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
             return a + held.index(True) if held[-1] else len(t)
     probes = np.minimum(np.arange(lo, len(t) + _STRIDE - 1, _STRIDE), len(t) - 1)
     held = f(t[probes])[0] >= 0.0
-    if not held.any():
-        held = f(t[lo:])[0] >= 0.0
-        return lo + int(np.argmax(held)) if held.any() else len(t)
-    c = int(np.argmax(held))
-    if c == 0:
-        return lo
-    a = int(probes[c - 1]) + 1
-    return a + int(np.argmax(f(t[a : probes[c] + 1])[0] >= 0.0))
+    c = int(np.argmax(held))  # the first probe that holds, or 0 where none does
+    a = int(probes[c - 1]) + 1 if c else lo  # the bracket: after probe c - 1,
+    b = int(probes[c]) + 1 if held[c] else len(t)  # through probe c or to the end
+    for m in range(a, b, _CHUNK):
+        held = f(t[m : min(m + _CHUNK, b)])[0] >= 0.0
+        if held.any():
+            return m + int(np.argmax(held))
+    return len(t)
 
 
 def _root(f, a: float, b: float, x: float) -> float:
@@ -576,9 +576,9 @@ def _integrate_segment(
     the release on a fixed rail (arcsin, also _root's first step). So on the
     ideal rail a half cycle evaluates two rows and its crossing row. Only the
     crossing row is evaluated as a sample, as the one run _pieces yields for
-    it, besides the searches' rows and the whole free piece where no probe
-    reached the rail. A start beyond a rail is first clipped onto it by
-    _clip, as step() clips it.
+    it, besides the searches' rows, _CHUNK at a time: the whole free piece
+    where no probe reached the rail. A start beyond a rail is first clipped
+    onto it by _clip, as step() clips it.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
     t0, t_end = t[0], t[-1]

@@ -350,6 +350,13 @@ class TestExitCodes:
              2, "cap_cp"),
             (["simulate", "--cycles", "1", "--set", "frequency=1e-320"], 2, "frequency"),
             (["simulate", "--cycles", "1", "--set", "frequency=1e308"], 2, "frequency"),
+            # Values that do not parse, and an override without "=".
+            (["simulate", "--cycles", "1", "--set", "cap_ct=abcx"], 2, "cap_ct"),
+            (["simulate", "--set", "n_cycles=1.5"], 2, "n_cycles"),
+            (["simulate", "--cycles", "1", "--set", "cap_ct"], 2, "cap_ct"),
+            # One point on the x axis: each chart widens its x and y ranges.
+            (["analyze", "--cycles", "1", "--svg"], 0, None),
+            (["sweep", "--axis", "ct", "--min", "2", "--max", "2", "--points", "1", "--svg"], 0, None),
         ],
     )
     def test_exit_code_names_key_or_flag(self, tmp_path, capsys, argv, code, name):
@@ -359,6 +366,13 @@ class TestExitCodes:
             assert err == ""
         else:
             assert err.startswith("error: config:") and name in err
+
+    def test_config_file_line_without_equals(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("frequency = 100\ncap_ct\n")
+        assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: line 2:") and "cap_ct" in err, err
 
 
 SUBCOMMANDS = [

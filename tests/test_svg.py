@@ -94,3 +94,12 @@ class TestEnvelope:
     def test_empty_x_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             line_chart(str(tmp_path / "e.svg"), np.array([]), {"y": np.array([])})
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]], ids=["spread", "one_x"])
+    def test_constant_series_has_finite_coordinates(self, tmp_path, x):
+        # A zero y range (and a zero x range) is widened by one unit, so no
+        # coordinate divides by zero.
+        path = str(tmp_path / "flat.svg")
+        line_chart(path, x, {"y": [0.25, 0.25, 0.25]})
+        (points,) = polylines(path)
+        assert points.shape == (3, 2) and np.all(np.isfinite(points))

@@ -231,7 +231,8 @@ class TestStep:
 
 def step_reference(cfg):
     """run() rebuilt from public step() and apply_flip() calls: the explicit
-    Euler reference. Returns the flip events as tuples and the final state."""
+    Euler reference. Returns the flip events as tuples, the final state and
+    the ChargeLedger that both calls book."""
     state = CircuitState(
         t=0.0,
         vpt=cfg.vpt_initial,
@@ -239,16 +240,16 @@ def step_reference(cfg):
         vs=cfg.stage.storage_voltage,
         q_harvested=0.0,
     )
-    events = []
+    events, ledger = [], ChargeLedger()
     for k, (t_cross, _) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
         while state.t < t_cross - 1e-15 * t_cross:
-            state = step(state, cfg, dt=min(cfg.dt, t_cross - state.t))
+            state = step(state, cfg, ledger, dt=min(cfg.dt, t_cross - state.t))
         if cfg.sshc is None:
             continue
         t0, v_before = state.t, state.vpt
-        state = apply_flip(state, cfg)[-1]
+        state = apply_flip(state, cfg, ledger)[-1]
         events.append((k, t0, v_before, state.vpt, abs(state.vpt) / abs(v_before)))
-    return events, state
+    return events, state, ledger
 
 
 REGIMES = {
@@ -265,7 +266,8 @@ REGIMES = {
 class TestStepConvergesToRun:
     """A loop of Euler step() calls approaches run()'s closed form at first
     order in dt: q_harvested relative to itself, the last v_after relative to
-    the conduction threshold, since the leak shrinks it."""
+    the conduction threshold, since the leak shrinks it, and each ledger term
+    relative to run()'s gross source charge."""
 
     @pytest.mark.parametrize("regime", list(REGIMES))
     def test_first_order_in_dt(self, regime):
@@ -274,14 +276,18 @@ class TestStepConvergesToRun:
         q_exact = exact.final_state.q_harvested
         v_exact = exact.events[-1].v_after
         vth = 2.4
-        q_err, v_err = [], []
+        q_err, v_err, ledger_err = [], [], []
         for steps in (1e3, 1e4, 1e5):
-            events, final = step_reference(replace(base, dt=base.src.period / steps))
+            events, final, ledger = step_reference(replace(base, dt=base.src.period / steps))
             q_err.append(abs(final.q_harvested - q_exact) / q_exact)
             v_err.append(abs(events[-1][3] - v_exact) / vth)
+            terms = zip(vars(ledger).values(), vars(exact.ledger).values())
+            ledger_err.append(max(abs(a - b) for a, b in terms) / exact.ledger.q_source_gross)
         for errors in (q_err, v_err):
             assert errors[1] <= errors[0] / 8 and errors[2] <= errors[1] / 8, errors
             assert errors[2] <= 2e-6, errors
+        assert ledger_err[1] <= ledger_err[0] / 8 and ledger_err[2] <= ledger_err[1] / 8, ledger_err
+        assert ledger_err[2] <= 1e-6, ledger_err
 
 
 class TestRunFullBridge:
@@ -467,7 +473,7 @@ class TestStartBeyondRails:
             assert abs(ledger.q_leak) <= 1e-12 * scale
         residual = ledger.residual(result.initial_state, result.final_state, cfg)
         assert abs(residual) < 1e-12 * scale
-        _, final = step_reference(cfg)
+        _, final, _ = step_reference(cfg)
         assert result.final_state.q_harvested == pytest.approx(final.q_harvested, rel=1e-4)
 
 
@@ -626,6 +632,9 @@ BOUNDARY_CASES = {
         "stage": make_stage(storage=FiniteCap(1e-6, 2.0)),
         "vpt_initial": 1.5 * 2.4,
     },
+    # A leaky SSHC node that never reaches the rail: no probe of its clamp
+    # search holds, so every row is scanned.
+    "leaky_weak_sshc": {"src": make_source(ip=5e-6, rp=1e7)},
 }
 
 
@@ -639,7 +648,9 @@ class TestPieceBoundaries:
     def test_index_search_matches_argmax(self, monkeypatch, case):
         calls = record(monkeypatch, "_first")
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
-        check_plan_boundaries(cfg, run(cfg).waveform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            check_plan_boundaries(cfg, run(cfg).waveform)
         assert calls
         leaky = cfg.src.res_rp < math.inf
         fixed = not isinstance(cfg.stage.storage, FiniteCap)
@@ -651,7 +662,7 @@ class TestPieceBoundaries:
             assert lo >= 1, (f.__name__, lo)
             assert (guess is not None) == closed_form, (f.__name__, lo)
         names = {args[0].__name__ for args, _ in calls}
-        if case == "weak_excitation":  # never reaches the rail
+        if case in ("weak_excitation", "leaky_weak_sshc"):  # never reaches the rail
             assert names == {"over"}
             assert all(got == len(args[1]) for args, got in calls)
         else:
@@ -748,11 +759,18 @@ class TestPieceBoundaries:
         for (f, t, lo, _), got in calls:
             check_first(f, t, lo, got)
 
-    @pytest.mark.parametrize("n", [2, 5, 64, 65, 66, 130, 200])
+    @pytest.mark.parametrize("n", [2, 5, 64, 65, 66, 130, 200, 4097, 4098, 4162, 8200])
     def test_first_on_every_interval(self, n):
         t = np.arange(n, dtype=float)
         for lo in {1, n // 2, n - 1}:
-            for start in range(lo, n + 1):
+            starts = range(lo, n + 1)
+            if n > transient._CHUNK:
+                # Past one chunk of rows, only starts within two rows of each
+                # multiple of _STRIDE from lo (each multiple of _CHUNK among
+                # them): the first point that holds at a probe's or a chunk's edge.
+                edges = range(lo, n + transient._STRIDE, transient._STRIDE)
+                starts = sorted({min(max(e + d, lo), n) for e in edges for d in range(-2, 3)})
+            for start in starts:
                 for width in (1, 2, 63, 64, 65, n):
                     def f(s):
                         return np.where((s >= start) & (s < start + width), 1.0, -1.0), None
@@ -956,6 +974,26 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(result.events) == 600
+        assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("divisor", [10_000, 100_000])
+    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "finite_storage", "full_bridge"])
+    def test_run_holds_no_samples_in_any_regime(self, case, divisor):
+        # The boundary searches test rows in chunks of fixed size, so run()'s
+        # peak stays under the same bound in every regime, also where a leaky
+        # node never reaches the rail and every row of the clamp search is
+        # tested.
+        kwargs = {"ct": None} if case == "full_bridge" else BOUNDARY_CASES[case]
+        cfg = make_sim_config(n_cycles=2, dt=0.01 / divisor, **kwargs)
+        run(make_sim_config(n_cycles=1))  # one-time allocations stay out of the trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < 1_000_000, peak
 
 
