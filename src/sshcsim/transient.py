@@ -8,19 +8,21 @@ a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
 crossing, the piece boundaries, and the charge ledger from the pieces' exact
 integrals. A boundary's grid row comes from a closed-form guess checked on two
-rows where one exists (the clamp of a node without leak from arccos, the
-release on a fixed rail from arcsin), else from probes every 64th row and a
-chunked scan of the rows they leave, and its time from a scalar root. It
-writes no samples. A flip is one fixed sequence of three instantaneous charge
-redistributions (share with C_T, short C_P, reconnect C_T reversed), one pulse
-row each, which run() and apply_flip() both take from _flip. run() appends
-each half cycle's plan to one list and its flip's rows, (t, vpt, vt, vs, phase
-token) as waveform.csv writes them, to another; the Waveform keeps both lists
-and evaluates the grid rows' samples, one half cycle at a time, whenever a
-column is read. One generator, _pieces, evaluates samples: it walks a half
-cycle's rows as its free, held and released runs, for each column read, for
-waveform.csv and for run()'s crossing row. step() is the explicit-Euler
-reference.
+rows, as floats, where one exists (the clamp of a node without leak from
+arccos, the release on a fixed rail from arcsin), else from probes every 64th
+row and a scan of the rows they leave, both in chunks of fixed size, and its
+time from a scalar root. It writes no samples. A flip is one fixed sequence
+of three instantaneous charge redistributions (share with C_T, short C_P,
+reconnect C_T reversed), one pulse row each, which run() and apply_flip() both
+take from _flip. run() appends each half cycle's plan to one list and its
+flip's rows, (t, vpt, vt, vs, phase token) as waveform.csv writes them, to
+another; the Waveform keeps both lists and evaluates the grid rows' samples,
+one half cycle at a time, whenever a column is read. One generator, _pieces,
+evaluates samples: it walks a half cycle's rows as its free, held and released
+runs, as numpy arrays for each column read and for waveform.csv, and as floats
+for run()'s crossing row. The floats take math's sin and cos, which match
+numpy's bit for bit, and numpy's expm1, which math's does not match, so a row
+has the same bits either way. step() is the explicit-Euler reference.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import IO, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -493,8 +496,14 @@ def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
     return forced - forced0 + (x0 - forced0) * m.expm1(-g * (t - t0))
 
 
+# The m of _rise and of a boundary function for one float that must have the
+# bits numpy gives it as an element of an array: math.sin and math.cos match
+# np.sin and np.cos bit for bit (Tier-1 tests check this), math.expm1 does not
+# match np.expm1, so expm1 comes from numpy.
+_FLOAT = SimpleNamespace(sin=math.sin, cos=math.cos, expm1=lambda x: float(np.expm1(x)))
+
 _STRIDE = 64  # grid points between the probes of a boundary search
-_CHUNK = _STRIDE * _STRIDE  # rows a boundary search tests at once after its probes
+_CHUNK = _STRIDE * _STRIDE  # probes, or rows after them, that a boundary search tests at once
 
 
 def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
@@ -502,33 +511,42 @@ def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
     returns (value, slope) and _first reads the value alone.
 
     With a time guess (t a _Grid) from a closed form, for which the points
-    that hold are a suffix of t[lo:], f is evaluated on rows g - 1 and g
-    alone, g = t.row(guess), dropping any outside lo..len(t) - 1. Where they
-    show the suffix's edge (g - 1 fails and g holds, or neither holds on the
-    last two rows: none), that is the index. Otherwise, and without a guess,
-    the search probes every _STRIDE-th point and the last, then scans, _CHUNK
-    points at a time, those after the last probe that fails up to the first
-    that holds, or all of t[lo:] where none holds (a touch shorter than a
-    stride may lie between two probes): argmax over t[lo:] when the points
-    that hold are contiguous, as for each boundary of a half cycle."""
+    that hold are a suffix of t[lo:], f is evaluated as floats, f(t[m],
+    _FLOAT), on rows g - 1 and g alone, g = t.row(guess), dropping any outside
+    lo..len(t) - 1. Where they show the suffix's edge (g - 1 fails and g
+    holds, or neither holds on the last two rows: none), that is the index.
+    Otherwise, and without a guess, the search probes every _STRIDE-th point
+    and the last, _CHUNK probes at a time up to the first that holds, then
+    scans, _CHUNK points at a time, those after the last probe that fails up
+    to the first that holds, or all of t[lo:] where none holds (a touch
+    shorter than a stride may lie between two probes): argmax over t[lo:]
+    when the points that hold are contiguous, as for each boundary of a half
+    cycle. So no search holds more than _CHUNK points, whatever len(t) is."""
+    n = len(t)
     if guess is not None:
         g = max(t.row(guess), lo)
-        a, b = max(g - 1, lo), min(g + 1, len(t))
-        held = (f(t[a:b])[0] >= 0.0).tolist()
+        a, b = max(g - 1, lo), min(g + 1, n)
+        held = [f(t[m], _FLOAT)[0] >= 0.0 for m in range(a, b)]
         # The edge of a held suffix: no row before a (a = lo) or row a fails,
-        # and no row after b - 1 (b = len(t)) or row b - 1 holds.
-        if held == sorted(held) and (a == lo or not held[0]) and (b == len(t) or held[-1]):
-            return a + held.index(True) if held[-1] else len(t)
-    probes = np.minimum(np.arange(lo, len(t) + _STRIDE - 1, _STRIDE), len(t) - 1)
-    held = f(t[probes])[0] >= 0.0
-    c = int(np.argmax(held))  # the first probe that holds, or 0 where none does
-    a = int(probes[c - 1]) + 1 if c else lo  # the bracket: after probe c - 1,
-    b = int(probes[c]) + 1 if held[c] else len(t)  # through probe c or to the end
+        # and no row after b - 1 (b = n) or row b - 1 holds.
+        if held == sorted(held) and (a == lo or not held[0]) and (b == n or held[-1]):
+            return a + held.index(True) if held[-1] else n
+    a, b = lo, n  # the bracket to scan: all of t[lo:] where no probe holds
+    top = n + _STRIDE - 1  # probes run to the first at or past the last point, moved onto it
+    for p in range(lo, top, _STRIDE * _CHUNK):
+        probes = np.minimum(np.arange(p, min(p + _STRIDE * _CHUNK, top), _STRIDE), n - 1)
+        held = f(t[probes])[0] >= 0.0
+        if held.any():
+            c = int(np.argmax(held))  # the first probe that holds
+            # The bracket: after the probe before it, through this one.
+            a = int(probes[c - 1]) + 1 if c else max(p - _STRIDE + 1, lo)
+            b = int(probes[c]) + 1
+            break
     for m in range(a, b, _CHUNK):
         held = f(t[m : min(m + _CHUNK, b)])[0] >= 0.0
         if held.any():
             return m + int(np.argmax(held))
-    return len(t)
+    return n
 
 
 def _root(f, a: float, b: float, x: float) -> float:
@@ -574,14 +592,15 @@ def _integrate_segment(
     a closed form gives a boundary's time, _first checks the two rows around
     it instead of probing: the clamp of a free node without leak (arccos) and
     the release on a fixed rail (arcsin, also _root's first step). So on the
-    ideal rail a half cycle evaluates two rows and its crossing row. Only the
-    crossing row is evaluated as a sample, as the one run _pieces yields for
-    it, besides the searches' rows, _CHUNK at a time: the whole free piece
-    where no probe reached the rail. A start beyond a rail is first clipped
-    onto it by _clip, as step() clips it.
+    ideal rail a half cycle evaluates two rows and its crossing row, each as
+    floats: where the guess holds, it calls no numpy function. Only the crossing row is evaluated as
+    a sample, as the one run that _pieces yields for it in floats, besides the
+    searches' rows, _CHUNK at a time: the whole free piece where no probe
+    reached the rail. A start beyond a rail is first clipped onto it by
+    _clip, as step() clips it.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
-    t0, t_end = t[0], t[-1]
+    t0, t_end = t.t0, t.t_end
     v0, vs0, excess = _clip(v0, vs0, c.cp, cs, two_vd)  # a start beyond a rail
     ledger.q_storage += math.copysign(excess, v0)
     q_harvested += excess
@@ -627,9 +646,10 @@ def _integrate_segment(
             guess = t[j] if release is None else release
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
 
-    h = _HalfCycle(t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release, v0, vs0)
-    ((_, _, v_end, rise_end),) = _pieces(h, n - 1, n, c)  # the crossing row's one run
-    v_end, rise_end = (float(x[0] if isinstance(x, np.ndarray) else x) for x in (v_end, rise_end))
+    plan = (t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release)
+    # The crossing row's one run; _pieces reads no end values, so the start stands in.
+    ((_, _, v_end, rise_end),) = _pieces(_HalfCycle(*plan, v0, vs0), n - 1, n, c, _FLOAT)
+    v_end, rise_end = float(v_end), float(rise_end)
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
     if cs < math.inf:
         q_storage = cs * rise_end
@@ -646,21 +666,25 @@ def _integrate_segment(
     ledger.q_storage += q_storage
     if leak:
         ledger.q_leak += q_source - c.cp * (v_end - v0) - q_storage
-    h = h._replace(v_end=v_end, vs_end=vs0 + sign * rise_end)
+    h = _HalfCycle(*plan, v_end, vs0 + sign * rise_end)
     return h, q_harvested + sign * q_storage
 
 
-def _pieces(h: _HalfCycle, lo: int, hi: int, c: _Circuit, node: bool = True) -> Iterator[tuple]:
+def _pieces(
+    h: _HalfCycle, lo: int, hi: int, c: _Circuit, m=np, node: bool = True
+) -> Iterator[tuple]:
     """Evaluate rows lo..hi-1 of half cycle h, 1 <= lo < hi <= n + 2, from its
     plan: yield (a, b, vpt, rise) for each non-empty run of rows a..b-1 that
     is free (from row 1), held (from row i) or released (from row j). rise is
     how far a finite storage cap has carried the clamp, so vs = vs0 +
     sign*rise. vpt and rise are floats where the run holds them, arrays
     otherwise; node=False leaves vpt None and evaluates only rise, which on a
-    fixed rail is 0.0 on every row: one run, lo..hi-1. Each run is
+    fixed rail is 0.0 on every row: one run, lo..hi-1. With m=np each run is
     one numpy call over its rows, and an element's bits do not depend on the
     rows around it, so any lo and hi give the bits of the whole half cycle.
-    This is the only code that evaluates samples.
+    With m=_FLOAT the one row lo = hi - 1 is evaluated in floats, with the
+    same bits, and vpt and rise are floats or numpy scalars. This is the only
+    code that evaluates samples.
     """
     finite = c.cs < math.inf
     if not (node or finite):  # a fixed rail holds rise at 0.0 on every row
@@ -670,17 +694,21 @@ def _pieces(h: _HalfCycle, lo: int, hi: int, c: _Circuit, node: bool = True) -> 
     rail = h.sign * (h.vs0 + c.two_vd)
     hold = (h.t_clamp, rail, c.kh, c.gh, c.w)
     i, j = min(max(h.i, lo), hi), min(max(h.j, lo), hi)  # row 0 is not ours
+
+    def at(a: int, b: int):  # the times of rows a..b-1, or of row a alone as a float
+        return t[a:b] if m is np else t[a]
+
     if lo < i:
-        yield lo, i, h.v0 + _rise(t[lo:i], h.t0, h.v0, c.kf, c.gf, c.w) if node else None, 0.0
+        yield lo, i, h.v0 + _rise(at(lo, i), h.t0, h.v0, c.kf, c.gf, c.w, m) if node else None, 0.0
     if i < j:
-        rise = _rise(t[i:j], *hold) if finite else 0.0
+        rise = _rise(at(i, j), *hold, m) if finite else 0.0
         yield i, j, rail + rise if node else None, rise  # + 0.0 turns a -0.0 rail into 0.0
     if j < hi:
         lift = _rise(h.t_release, *hold) if finite else 0.0
         vpt = None
         if node:
             off = rail + lift
-            fall = off + _rise(t[j:hi], h.t_release, off, c.kf, c.gf, c.w)
+            fall = off + _rise(at(j, hi), h.t_release, off, c.kf, c.gf, c.w, m)
             # Released, the node only falls away from the rail; the clip drops
             # the rounding of a very stiff leak (g >> w).
             vpt = h.sign * np.minimum(h.sign * fall, h.sign * off)

@@ -161,9 +161,11 @@ class TestWastedCharge:
 class TestOpenCircuitVpp:
     def test_analytic_example(self):
         src = make_source(ip=2.0 * math.pi * 1e-6, f=1.0, cp=1e-6)
-        # Oracle: fixed-step integration of the half-sine current into C_P.
+        # Oracle: fixed-step integration of the half-sine current into C_P, by
+        # the trapezoid rule written out (np.trapezoid is numpy 2.0 and later).
         t = np.linspace(0.0, 0.5, 200_001)
-        q = np.trapezoid(src.amplitude_ip * np.sin(src.omega * t), t)
+        current = src.amplitude_ip * np.sin(src.omega * t)
+        q = np.sum(0.5 * (current[1:] + current[:-1]) * np.diff(t))
         assert q / src.cap_cp == pytest.approx(2.0, rel=1e-9)
         assert open_circuit_vpp(src) == pytest.approx(2.0, rel=1e-12)
 

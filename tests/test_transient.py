@@ -36,7 +36,7 @@ from sshcsim.circuit import FieldError, conduction_threshold
 from sshcsim.config import ConfigError, parse_config
 
 from conftest import make_sim_config, make_source, make_stage
-from test_config_property import CONFIGS
+from test_config_property import CONFIGS, log_uniform
 
 
 class TestSimConfigValidation:
@@ -611,6 +611,44 @@ def count_search_rows(monkeypatch):
     return rows
 
 
+def record_searches(monkeypatch):
+    """Wrap transient._first so that each search is kept as (f, t, lo, guess,
+    its index, floats), floats holding (time, value) for each row that it
+    evaluates as a float rather than in an array."""
+    searches = []
+    real = transient._first
+
+    def first(f, t, lo, guess=None):
+        floats = []
+
+        def kept(s, m=np):
+            out = f(s, m)
+            if m is not np:
+                floats.append((s, out[0]))
+            return out
+
+        got = real(kept, t, lo, guess)
+        searches.append((f, t, lo, guess, got, floats))
+        return got
+
+    monkeypatch.setattr(transient, "_first", first)
+    return searches
+
+
+def check_search(f, t, lo, guess, got, floats):
+    """_first gives argmax's index, len(t) where no point holds, and a guess
+    check evaluates one or two rows as floats, each with the bits of f on the
+    numpy slice t[lo:]: a boundary decided in floats is the one the samples show."""
+    times = t[lo:]
+    values = f(times)[0]
+    assert got == first_held(values, lo, len(t)), (f.__name__, lo, len(t))
+    assert (guess is None) == (not floats) and len(floats) <= 2, (f.__name__, floats)
+    for s, value in floats:
+        k = int(np.searchsorted(times, s))
+        assert times[k] == s, (f.__name__, s)
+        assert repr(value) == repr(float(values[k])), (f.__name__, lo + k)
+
+
 def check_first(f, t, lo, got):
     """_first gives argmax's index, len(t) where no point holds."""
     assert got == brute_first(f, t, lo), (f.__name__, lo, len(t))
@@ -646,29 +684,29 @@ class TestPieceBoundaries:
 
     @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
     def test_index_search_matches_argmax(self, monkeypatch, case):
-        calls = record(monkeypatch, "_first")
+        searches = record_searches(monkeypatch)
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakExcitationWarning)
             check_plan_boundaries(cfg, run(cfg).waveform)
-        assert calls
+        assert searches
         leaky = cfg.src.res_rp < math.inf
         fixed = not isinstance(cfg.stage.storage, FiniteCap)
-        for (f, t, lo, guess), got in calls:
-            check_first(f, t, lo, got)
+        for f, t, lo, guess, got, floats in searches:
+            check_search(f, t, lo, guess, got, floats)
             # A guess where a closed form exists: the clamp of a free node
             # without leak, and the release on a fixed rail.
             closed_form = not leaky if f.__name__ == "over" else fixed
             assert lo >= 1, (f.__name__, lo)
             assert (guess is not None) == closed_form, (f.__name__, lo)
-        names = {args[0].__name__ for args, _ in calls}
+        names = {f.__name__ for f, *_ in searches}
         if case in ("weak_excitation", "leaky_weak_sshc"):  # never reaches the rail
             assert names == {"over"}
-            assert all(got == len(args[1]) for args, got in calls)
+            assert all(got == len(t) for _, t, _, _, got, _ in searches)
         else:
             assert names == ({"over", "backward"} if leaky else {"over"})
         if case == "start_on_rail_leak_pulls_off":
-            assert calls[0][0][2] == 1  # searched from the first step, not held at t0
+            assert searches[0][2] == 1  # searched from the first step, not held at t0
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(CONFIGS, st.sampled_from([0.0, 1.0, -1.0, 1.5, -1.5]))
@@ -692,10 +730,13 @@ class TestPieceBoundaries:
         except ConfigError:
             reject()
         cfg = replace(cfg, vpt_initial=start * conduction_threshold(cfg.stage))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as monkeypatch:
             warnings.simplefilter("ignore", WeakExcitationWarning)
+            searches = record_searches(monkeypatch)
             wf = run(cfg).waveform
         check_plan_boundaries(cfg, wf)
+        for search in searches:
+            check_search(*search)
 
     def test_a_zero_rail_harvests_from_the_first_half_cycle(self, monkeypatch):
         # At t = 0 a node on a zero rail meets backward() = 0 exactly, yet
@@ -771,6 +812,23 @@ class TestPieceBoundaries:
                 edges = range(lo, n + transient._STRIDE, transient._STRIDE)
                 starts = sorted({min(max(e + d, lo), n) for e in edges for d in range(-2, 3)})
             for start in starts:
+                for width in (1, 2, 63, 64, 65, n):
+                    def f(s):
+                        return np.where((s >= start) & (s < start + width), 1.0, -1.0), None
+
+                    check_first(f, t, lo, transient._first(f, t, lo))
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @pytest.mark.parametrize("n", [130, 300])
+    def test_first_walks_its_probes_in_chunks(self, monkeypatch, chunk, n):
+        # With _CHUNK shrunk to 2 or 3, a search of a few hundred points walks
+        # its probes in several chunks of 64 * _CHUNK points: the first probe
+        # that holds may open a later chunk, and where none holds every point
+        # is scanned.
+        monkeypatch.setattr(transient, "_CHUNK", chunk)
+        t = np.arange(n, dtype=float)
+        for lo in {1, 37, n // 2, n - 1}:
+            for start in range(lo, n + 1):
                 for width in (1, 2, 63, 64, 65, n):
                     def f(s):
                         return np.where((s >= start) & (s < start + width), 1.0, -1.0), None
@@ -996,6 +1054,24 @@ class TestMemory:
                 tracemalloc.stop()
         assert peak < 1_000_000, peak
 
+    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc"])
+    def test_search_holds_one_chunk_at_a_fine_dt(self, case):
+        # At dt = T/1e6 a half cycle has 5e5 rows: 7813 probes, and where the
+        # node never reaches the rail 5e5 rows to scan. A search walks both
+        # _CHUNK points at a time, so run()'s peak is a few float64 arrays of
+        # one chunk, not of a half cycle's probes.
+        cfg = make_sim_config(n_cycles=2, dt=0.01 / 1_000_000, **BOUNDARY_CASES[case])
+        run(make_sim_config(n_cycles=1))  # one-time allocations stay out of the trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            tracemalloc.start()
+            try:
+                run(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 8 * transient._CHUNK, peak  # eight float64 arrays of a chunk
+
 
 class TestOnDemandSamples:
     """The Waveform evaluates its samples from each half cycle's plan when
@@ -1068,6 +1144,48 @@ class TestOnDemandSamples:
                 assert parts[0].tolist() == list(range(1, end)), (h, split)  # no gap, no overlap
                 assert parts[1].tobytes() == vpt.tobytes(), (h, split)
                 assert parts[2].tobytes() == rise.tobytes(), (h, split)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        ip=log_uniform(1e-7, 1e-4),
+        f=log_uniform(10.0, 1e4),
+        cp=log_uniform(1e-10, 1e-7),
+        rp=log_uniform(1e3, 1e9),
+        vs=st.floats(0.0, 3.0),
+        vd=st.floats(0.0, 0.3),
+        ct_ratio=st.one_of(st.none(), log_uniform(0.1, 100.0)),
+        cs_ratio=st.one_of(st.none(), log_uniform(1.0, 1e3)),
+    )
+    # A leaky SSHC node on a fixed rail whose v_end moved by one ulp when the
+    # crossing row took expm1 from math rather than numpy.
+    @example(ip=8.056497574634522e-06, f=74.55291883386664, cp=2.379875694701789e-08,
+             rp=270759.8937408094, vs=2.5879469333391283, vd=0.046253878848853215,
+             ct_ratio=3.193669391587786, cs_ratio=None)
+    def test_crossing_row_is_its_own_sample(self, ip, f, cp, rp, vs, vd, ct_ratio, cs_ratio):
+        # run() evaluates each half cycle's crossing row as floats, a column
+        # read as an element of an array. On a leaky node both must take
+        # expm1 from numpy: math.expm1 differs from np.expm1 by an ulp on
+        # about 0.7% of arguments, and the flip starts from the crossing row.
+        storage = FiniteCap(cs_ratio * cp, vs) if cs_ratio else FixedVoltage(vs)
+        cfg = make_sim_config(
+            ct=ct_ratio and ct_ratio * cp, n_cycles=3, src=make_source(ip, f, cp, rp),
+            stage=make_stage(vd=vd, storage=storage),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            result = run(cfg)
+        wf = result.waveform
+        rows, row = [], 0  # each half cycle's crossing row: its grid's last
+        for h, flip in zip(wf._plan, wf._flips):
+            rows.append(row + h.n + 1)
+            row = rows[-1] + len(flip)
+        vpt, vs_column = wf.vpt[rows].tolist(), wf.vs[rows].tolist()
+        assert repr([h.v_end for h in wf._plan]) == repr(vpt)
+        assert repr([h.vs_end for h in wf._plan]) == repr(vs_column)
+        if result.events:
+            assert repr([e.v_before for e in result.events]) == repr(vpt)
+        else:
+            assert repr(result.final_state.vpt) == repr(vpt[-1])
 
     def test_held_rows_lead_with_t_alone(self):
         # On a fixed rail the clamped rows share vpt, so their blocks carry
