@@ -7,11 +7,13 @@ bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
 a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
 crossing, the piece boundaries, and the charge ledger from the pieces' exact
-integrals. A boundary's grid row comes from a closed-form guess checked on two
+integrals. A boundary's grid row comes from a scalar guess checked on two
 rows, as floats, where one exists (the clamp of a node without leak from
-arccos, the release on a fixed rail from arcsin), else from probes every 64th
-row and a scan of the rows they leave, both in chunks of fixed size, and its
-time from a scalar root. It writes no samples. A flip is one fixed sequence
+arccos, of a leaky node from a root below its free maximum, the release on a
+fixed rail from arcsin), else from probes every 64th row and a scan of the
+rows they leave, both in chunks of fixed size, and its time from a scalar
+root. A leaky node whose free maximum stays below the rail has no clamp row
+to search. It writes no samples. A flip is one fixed sequence
 of three instantaneous charge redistributions (share with C_T, short C_P,
 reconnect C_T reversed), one pulse row each, which run() and apply_flip() both
 take from _flip. run() appends each half cycle's plan to one list and its
@@ -30,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -291,42 +294,54 @@ def apply_flip(
     if cfg.sshc is None:
         raise ValueError("apply_flip requires an SSHC network in the config")
     c = _Circuit.of(cfg)
-    pulses = _flip(state.vpt, state.vt, c.cp, cfg.sshc.cap_ct, ledger or ChargeLedger())
+    rows = _flip(
+        c.pulse_times(state.t), state.vpt, state.vt, state.vs, c.cp, cfg.sshc.cap_ct,
+        ledger or ChargeLedger(),
+    )
     return [
-        replace(state, t=t, vpt=vpt, vt=vt, phase=phase)
-        for t, (phase, vpt, vt) in zip(c.pulse_times(state.t), pulses)
+        replace(state, t=t, vpt=vpt, vt=vt, phase=Phase(token)) for t, vpt, vt, _, token in rows
     ]
 
 
-def _flip(vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger) -> list:
-    """One flip from the node vpt and the plate vt: (phase, vpt, vt) after each
-    switch phase. From a node >= 0.0 (-0.0 too) the phases run PhiP, Phi0,
-    PhiN, below it PhiN, Phi0, PhiP. run() and apply_flip() take the order
-    from here alone, and the Waveform its phase tokens from run()."""
-    order, pulses = (Phase.PHI_P, Phase.PHI_0, Phase.PHI_N), []
-    for phase in order if vpt >= 0.0 else order[::-1]:
-        vpt, vt = _switch(phase, vpt, vt, cp, ct, ledger)
-        pulses.append((phase, vpt, vt))
-    return pulses
+def _share(vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger) -> tuple:
+    """PhiP: C_T joins the node in like polarity; both end at one voltage."""
+    v_new = charge_share(vpt, cp, vt, ct)
+    return v_new, v_new
 
 
-def _switch(
-    phase: Phase, vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger
-) -> Tuple[float, float]:
-    """The charge-share algebra of one switch phase: (vpt, vt) after it."""
-    if phase is Phase.PHI_P:
-        v_new = charge_share(vpt, cp, vt, ct)
-        return v_new, v_new
-    if phase is Phase.PHI_0:
-        ledger.q_cleared += cp * vpt
-        return 0.0, vt
-    if phase is Phase.PHI_N:
-        # Node equalizes against the reversed plate at -vt; the reference
-        # plate lands at the negated node voltage.
-        v_new = charge_share(vpt, cp, -vt, ct)
-        ledger.q_reversal += -2.0 * ct * (v_new + vt)
-        return v_new, -v_new
-    raise ValueError("cannot apply the Idle phase")
+def _short(vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger) -> tuple:
+    """Phi0: C_P is shorted to ground; C_T holds."""
+    ledger.q_cleared += cp * vpt
+    return 0.0, vt
+
+
+def _reverse(vpt: float, vt: float, cp: float, ct: float, ledger: ChargeLedger) -> tuple:
+    """PhiN: the node equalizes against the reversed plate at -vt; the
+    reference plate lands at the negated node voltage."""
+    v_new = charge_share(vpt, cp, -vt, ct)
+    ledger.q_reversal += -2.0 * ct * (v_new + vt)
+    return v_new, -v_new
+
+
+# A flip's switch phases in the order for a node >= 0.0, each with the token
+# its row carries.
+_PHASES = ((_share, Phase.PHI_P.value), (_short, Phase.PHI_0.value), (_reverse, Phase.PHI_N.value))
+
+
+def _flip(
+    times: Sequence[float], vpt: float, vt: float, vs: float, cp: float, ct: float,
+    ledger: ChargeLedger,
+) -> tuple:
+    """One flip from the node vpt, the plate vt and the storage vs: its three
+    rows (t, vpt, vt, vs, phase token) in _COLUMNS order, each at its pulse
+    time in times and after its switch phase. From a node >= 0.0 (-0.0 too)
+    the phases run PhiP, Phi0, PhiN, below it PhiN, Phi0, PhiP. run() and
+    apply_flip() take the order and the rows from here alone."""
+    rows = []
+    for t, (switch, token) in zip(times, _PHASES if vpt >= 0.0 else _PHASES[::-1]):
+        vpt, vt = switch(vpt, vt, cp, ct, ledger)
+        rows.append((t, vpt, vt, vs, token))
+    return tuple(rows)
 
 
 def _clip(v: float, vs: float, cp: float, cs: float, two_vd: float) -> Tuple[float, float, float]:
@@ -414,11 +429,11 @@ class _Circuit(NamedTuple):
             cfg.phase_pulse_width, cfg.phase_gap,
         )
 
-    def pulse_times(self, t_cross: float) -> List[float]:
+    def pulse_times(self, t_cross: float) -> Tuple[float, float, float]:
         """The times of a flip's rows at the crossing t_cross: one per switch
-        pulse, three in all."""
+        pulse, three in all, each pulse and gap after the one before."""
         w, g = self.pulse_width, self.pulse_gap
-        return [t_cross + (j + 1) * w + j * g for j in range(3)]
+        return t_cross + w, t_cross + 2 * w + g, t_cross + 3 * w + 2 * g
 
 
 class _Grid:
@@ -502,6 +517,7 @@ def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
 # match np.expm1, so expm1 comes from numpy.
 _FLOAT = SimpleNamespace(sin=math.sin, cos=math.cos, expm1=lambda x: float(np.expm1(x)))
 
+_EPS = sys.float_info.epsilon
 _STRIDE = 64  # grid points between the probes of a boundary search
 _CHUNK = _STRIDE * _STRIDE  # probes, or rows after them, that a boundary search tests at once
 
@@ -510,11 +526,12 @@ def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
     """The first index m >= lo with f(t[m])[0] >= 0, or len(t) if none; f
     returns (value, slope) and _first reads the value alone.
 
-    With a time guess (t a _Grid) from a closed form, for which the points
-    that hold are a suffix of t[lo:], f is evaluated as floats, f(t[m],
+    With a time guess (t a _Grid), f is evaluated as floats, f(t[m],
     _FLOAT), on rows g - 1 and g alone, g = t.row(guess), dropping any outside
-    lo..len(t) - 1. Where they show the suffix's edge (g - 1 fails and g
-    holds, or neither holds on the last two rows: none), that is the index.
+    lo..len(t) - 1. Where they show the edge (g - 1 fails and g holds), that
+    is the index. Neither holding on the last two rows means none, which is
+    true where the points that hold are a suffix of t[lo:]: a caller whose
+    points are an interval passes no guess on the last row.
     Otherwise, and without a guess, the search probes every _STRIDE-th point
     and the last, _CHUNK probes at a time up to the first that holds, then
     scans, _CHUNK points at a time, those after the last probe that fails up
@@ -569,6 +586,17 @@ def _root(f, a: float, b: float, x: float) -> float:
     return float(b)
 
 
+def _margin(v0: float, vth: float, k: float, w: float, t_end: float) -> float:
+    """A bound on the rounding of a free node's overshoot past a rail V_th,
+    over() in _integrate_segment, from a start v0 at a rate k up to t_end.
+    _rise sums terms no larger than |v0| + k/w, each within a few ulps, and
+    the float phase w*t is off by up to an ulp of w*t, which moves the forced
+    response by about eps*k*t. 64 ulps of these and V_th bound a row's
+    rounding and the peak's with room for the peak's 2-ulp time, so a peak
+    beyond the margin has the sign that every row shows."""
+    return 64.0 * _EPS * (abs(v0) + vth + k / w + k * t_end)
+
+
 def _integrate_segment(
     t: _Grid,
     v0: float,
@@ -589,14 +617,18 @@ def _integrate_segment(
     with leakage, free again once sign*I(t) < sign*v/R_P. The boundaries come
     from scalar work: grid indices i and j from _first, then t_clamp and
     t_release from _root where a later piece or the ledger needs them. Where
-    a closed form gives a boundary's time, _first checks the two rows around
-    it instead of probing: the clamp of a free node without leak (arccos) and
-    the release on a fixed rail (arcsin, also _root's first step). So on the
-    ideal rail a half cycle evaluates two rows and its crossing row, each as
-    floats: where the guess holds, it calls no numpy function. Only the crossing row is evaluated as
-    a sample, as the one run that _pieces yields for it in floats, besides the
-    searches' rows, _CHUNK at a time: the whole free piece where no probe
-    reached the rail. A start beyond a rail is first clipped onto it by
+    a scalar form gives a boundary's time, _first checks the two rows around
+    it instead of probing: the clamp of a free node without leak (arccos),
+    the clamp of a leaky free node (a root below its free maximum, found by
+    at most one more root, of its slope) and the release on a fixed rail
+    (arcsin, also _root's first step). A leaky free maximum more than
+    _margin below the rail puts i at len(t), never, with no search; one within
+    _margin of it is left to the probes. So on a fixed rail a half cycle,
+    leaky or not, evaluates at most four rows and its crossing row, each as
+    floats: where its guesses hold, it calls no numpy function. Only the
+    crossing row is evaluated as a sample, as the one run that _pieces
+    yields for it in floats, besides the searches' rows, _CHUNK at a time
+    where they probe. A start beyond a rail is first clipped onto it by
     _clip, as step() clips it.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
@@ -614,10 +646,15 @@ def _integrate_segment(
         x = v0 + _rise(s, t0, v0, kf, gf, w, m)
         return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x) if m is math else None
 
+    def turn(s, m=math):  # >= 0 once the free node's slope has turned down
+        slope = over(s, m)[1]
+        return -slope, gf * slope - sign * kf * w * m.cos(w * s)
+
     n = len(t)
     # A node that starts on the rail stays there unless the leak pulls it off.
     on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
-    clamp = None  # the clamp time where a closed form gives it
+    i = 0 if on_rail else None  # the clamp row where no search is needed
+    clamp = None  # the clamp time where a scalar form gives it
     if not leak:
         # Without a leak the free node rises monotonically: sign*cos(w*t)
         # falls to u where it meets the rail, and sign*cos(w*t) is
@@ -625,7 +662,32 @@ def _integrate_segment(
         u = min(sign * math.cos(w * t0) - (vth - sign * v0) * w / kf, 1.0)
         # Below -1 the rail is out of reach; rounding may still hold the last row.
         clamp = t_end - math.acos(-u) / w if u >= -1.0 else t_end
-    i = 0 if on_rail else _first(over, t, 1, clamp)
+    else:
+        # Where the free slope sign*(kf*sin(w*t) - gf*x) is zero, its
+        # derivative is sign*kf*w*cos(w*t), and sign*sin(w*t) peaks at
+        # t_end - pi/(2w). So the slope turns up at most once before that
+        # peak and down at most once after it: a node that starts below the
+        # rail meets it by the sine's peak, or by its one maximum after it,
+        # or never, and the rows that hold are an interval, not a suffix. A
+        # start or a peak within the margin of the rail, where rounding
+        # decides, is left to the probes.
+        margin = _margin(v0, vth, kf, w, t_end)
+        if sign * v0 - vth < -margin:
+            top = t_end - 0.5 * math.pi / w  # the sine's peak
+            peak = over(top, math)[0]
+            if peak <= margin:
+                top = _root(turn, top, t_end, top)  # the free node's maximum
+                peak = over(top, math)[0]
+            if peak < -margin:
+                i = n
+            elif peak > margin:
+                clamp = _root(over, t0, top, top)
+                if t.row(clamp) >= n - 1:
+                    # On the crossing row _first reads "none" from two rows
+                    # that fail, as for a suffix alone: probe instead.
+                    clamp = None
+    if i is None:
+        i = _first(over, t, 1, clamp)
     j, t_clamp, t_release = n, t0, t_end
     if 0 < i < n and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
         t_clamp = _root(over, t[i - 1], t[i], t[i])
@@ -753,8 +815,7 @@ def run(cfg: SimConfig) -> RunResult:
             flips.append(())
             continue
         v_before = vpt
-        pulses = zip(c.pulse_times(t_cross), _flip(vpt, vt, c.cp, cfg.sshc.cap_ct, ledger))
-        flips.append(tuple((t, v, v_t, vs, phase.value) for t, (phase, v, v_t) in pulses))
+        flips.append(_flip(c.pulse_times(t_cross), vpt, vt, vs, c.cp, cfg.sshc.cap_ct, ledger))
         t0, vpt, vt = flips[-1][-1][:3]  # the last pulse row starts the next half cycle
         efficiency = abs(vpt) / abs(v_before) if v_before != 0.0 else 0.0
         events.append(FlipEvent(k, t_cross, v_before, vpt, efficiency))

@@ -396,10 +396,8 @@ class TestRunSshc:
         assert vt > 0.1
         good = apply_flip(idle_state(vpt=2.4, vt=vt), cfg)[-1].vpt
         bad, bad_vt = 2.4, vt
-        for phase in POSITIVE_FLIP[::-1]:
-            bad, bad_vt = transient._switch(
-                phase, bad, bad_vt, cfg.src.cap_cp, cfg.sshc.cap_ct, ChargeLedger()
-            )
+        for switch, _ in transient._PHASES[::-1]:  # PhiN, Phi0, PhiP on a positive node
+            bad, bad_vt = switch(bad, bad_vt, cfg.src.cap_cp, cfg.sshc.cap_ct, ChargeLedger())
         assert abs(bad) < abs(good)
 
     def test_weak_excitation_warns(self):
@@ -570,11 +568,19 @@ def brute_first(f, t, lo):
     return first_held(f(t[lo:])[0], lo, len(t))
 
 
+def free_over(c, h, t):
+    """run()'s `over` on rows 1..n+1 of half cycle h: how far its free node
+    is past the rail, evaluated as run() evaluates it."""
+    x = h.v0 + transient._rise(t[1:], h.t0, h.v0, c.kf, c.gf, c.w)
+    return h.sign * x - (h.vs0 + c.two_vd)
+
+
 def check_plan_boundaries(cfg, wf):
     """Each half cycle's clamp row i and release row j are brute-force
     argmaxes: the first row at which the free node's overshoot past the rail
     (run()'s `over`) and the leak's pull against the source (`backward`) are
-    >= 0, evaluated as run() evaluates them, on every row a search covers."""
+    >= 0, evaluated as run() evaluates them, on every row a search covers,
+    and on every row of a half cycle whose clamp no search decides."""
     c = transient._Circuit.of(cfg)
     for h in wf._plan:
         t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
@@ -583,8 +589,7 @@ def check_plan_boundaries(cfg, wf):
         if h.i == 0:  # held from the start: no clamp search
             assert h.sign * h.v0 >= vth, h
         else:
-            x = h.v0 + transient._rise(t[1:], h.t0, h.v0, c.kf, c.gf, c.w)
-            assert h.i == first_held(h.sign * x - vth, 1, len(t)), h
+            assert h.i == first_held(free_over(c, h, t), 1, len(t)), h
         if not c.leak or h.i == len(t):
             assert h.j == len(t), h
             continue
@@ -613,40 +618,56 @@ def count_search_rows(monkeypatch):
 
 def record_searches(monkeypatch):
     """Wrap transient._first so that each search is kept as (f, t, lo, guess,
-    its index, floats), floats holding (time, value) for each row that it
-    evaluates as a float rather than in an array."""
+    its index, floats, arrays), floats holding (time, value) for each row
+    that it evaluates as a float rather than in an array, and arrays the
+    number of arrays it evaluates (probes and scans). A clamp that the
+    scalar bound decides without a search is not kept: check_plan_boundaries
+    checks it."""
     searches = []
     real = transient._first
 
     def first(f, t, lo, guess=None):
-        floats = []
+        floats, arrays = [], [0]
 
         def kept(s, m=np):
             out = f(s, m)
-            if m is not np:
+            if m is np:
+                arrays[0] += 1
+            else:
                 floats.append((s, out[0]))
             return out
 
         got = real(kept, t, lo, guess)
-        searches.append((f, t, lo, guess, got, floats))
+        searches.append((f, t, lo, guess, got, floats, arrays[0]))
         return got
 
     monkeypatch.setattr(transient, "_first", first)
     return searches
 
 
-def check_search(f, t, lo, guess, got, floats):
+def check_search(f, t, lo, guess, got, floats, arrays, leaky=False):
     """_first gives argmax's index, len(t) where no point holds, and a guess
     check evaluates one or two rows as floats, each with the bits of f on the
-    numpy slice t[lo:]: a boundary decided in floats is the one the samples show."""
+    numpy slice t[lo:]: a boundary decided in floats is the one the samples
+    show. A check that decides evaluates no array and returns one of its
+    rows, or len(t) from the last two, which shows that no row holds only
+    where the rows that hold are a suffix: never for the clamp of a leaky
+    node (leaky=True), whose free node falls back under the rail."""
     times = t[lo:]
     values = f(times)[0]
     assert got == first_held(values, lo, len(t)), (f.__name__, lo, len(t))
     assert (guess is None) == (not floats) and len(floats) <= 2, (f.__name__, floats)
+    rows = []
     for s, value in floats:
         k = int(np.searchsorted(times, s))
         assert times[k] == s, (f.__name__, s)
         assert repr(value) == repr(float(values[k])), (f.__name__, lo + k)
+        rows.append(lo + k)
+    if guess is not None and not arrays:
+        suffix = not (leaky and f.__name__ == "over")
+        assert got in rows or (suffix and got == len(t) and rows[-1] == len(t) - 1), (
+            f.__name__, got, rows,
+        )
 
 
 def check_first(f, t, lo, got):
@@ -670,17 +691,18 @@ BOUNDARY_CASES = {
         "stage": make_stage(storage=FiniteCap(1e-6, 2.0)),
         "vpt_initial": 1.5 * 2.4,
     },
-    # A leaky SSHC node that never reaches the rail: no probe of its clamp
-    # search holds, so every row is scanned.
+    # A leaky SSHC node that never reaches the rail: the scalar bound on its
+    # free maximum puts each clamp at "never" without a search.
     "leaky_weak_sshc": {"src": make_source(ip=5e-6, rp=1e7)},
 }
 
 
 class TestPieceBoundaries:
     """_integrate_segment fixes the clamp and release before it samples: the
-    grid indices by a closed-form guess and a two-row check or, without a
-    closed form or when the check fails, by a probed search, and the times by
-    scalar Newton roots."""
+    grid indices by a scalar guess and a two-row check or, without a guess
+    or when the check fails, by a probed search, and the times by scalar
+    Newton roots. A leaky free node whose maximum lies clearly below the rail
+    needs no search at all."""
 
     @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
     def test_index_search_matches_argmax(self, monkeypatch, case):
@@ -688,22 +710,26 @@ class TestPieceBoundaries:
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakExcitationWarning)
-            check_plan_boundaries(cfg, run(cfg).waveform)
-        assert searches
+            wf = run(cfg).waveform
+        check_plan_boundaries(cfg, wf)
         leaky = cfg.src.res_rp < math.inf
         fixed = not isinstance(cfg.stage.storage, FiniteCap)
-        for f, t, lo, guess, got, floats in searches:
-            check_search(f, t, lo, guess, got, floats)
-            # A guess where a closed form exists: the clamp of a free node
-            # without leak, and the release on a fixed rail.
-            closed_form = not leaky if f.__name__ == "over" else fixed
+        for f, t, lo, guess, got, floats, arrays in searches:
+            check_search(f, t, lo, guess, got, floats, arrays, leaky)
+            # A guess wherever a scalar form gives one: the clamp of a free
+            # node that starts below the rail (arccos without a leak, the
+            # root below the free maximum with one), and the release on a
+            # fixed rail.
+            scalar = f(t[0], math)[0] < 0.0 if f.__name__ == "over" else fixed
             assert lo >= 1, (f.__name__, lo)
-            assert (guess is not None) == closed_form, (f.__name__, lo)
+            assert (guess is not None) == scalar, (f.__name__, lo)
         names = {f.__name__ for f, *_ in searches}
         if case in ("weak_excitation", "leaky_weak_sshc"):  # never reaches the rail
-            assert names == {"over"}
-            assert all(got == len(t) for _, t, _, _, got, _ in searches)
+            # The bound on the free maximum decides each clamp without a search.
+            assert not searches
+            assert all(h.i == h.n + 2 for h in wf._plan)
         else:
+            assert searches
             assert names == ({"over", "backward"} if leaky else {"over"})
         if case == "start_on_rail_leak_pulls_off":
             assert searches[0][2] == 1  # searched from the first step, not held at t0
@@ -722,6 +748,14 @@ class TestPieceBoundaries:
     @example({"amplitude_ip": "3.2551359130562356e-12", "frequency": "417901.60852743225",
               "cap_cp": "7.191309034854645e-07", "diode_drop_vd": "0.15041855330322754",
               "storage_vs": "0.28108595310394924", "full_bridge": "true", "n_cycles": "2"}, -1.0)
+    # A leaky full bridge whose first free maximum tops the rail by a few
+    # margins inside the last grid step before the crossing: the root below
+    # the maximum guesses the crossing row, where two failing rows do not
+    # show that none holds, so the search probes.
+    @example({"amplitude_ip": "0.0001302654428949799", "frequency": "1089.23254719559",
+              "cap_cp": "1.1126598597942316e-08", "res_rp": "280227748.3389557",
+              "storage_vs": "3.357057376847963", "diode_drop_vd": "0.03201571911349865",
+              "full_bridge": "true", "dt": "2.292683318211229e-07", "n_cycles": "1"}, 0.0)
     def test_drawn_boundaries_match_argmax(self, overrides, start):
         # Leaky and finite-storage draws over the property test's decades,
         # from rest, on the rail and beyond it.
@@ -736,7 +770,7 @@ class TestPieceBoundaries:
             wf = run(cfg).waveform
         check_plan_boundaries(cfg, wf)
         for search in searches:
-            check_search(*search)
+            check_search(*search, leaky=cfg.src.res_rp < math.inf)
 
     def test_a_zero_rail_harvests_from_the_first_half_cycle(self, monkeypatch):
         # At t = 0 a node on a zero rail meets backward() = 0 exactly, yet
@@ -770,35 +804,114 @@ class TestPieceBoundaries:
         wf = run(cfg).waveform
         assert repr(wf._plan) == want
         check_plan_boundaries(cfg, wf)
-        guessed = "backward" if case == "leaky" else "over"
-        assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the probes ran
+        for guessed in ("over", "backward") if case == "leaky" else ("over",):
+            assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the probes ran
 
     def test_grazing_touch_between_probes(self, monkeypatch):
         # A leaky node that tops the rail for one grid point, between two
-        # probes: every sample is tested, and the clamp starts at that point.
+        # probes: the root below its free maximum guesses that point, and the
+        # clamp starts there.
         calls = record(monkeypatch, "_first")
         roots = record(monkeypatch, "_root")
 
         def touch(ip):
             calls.clear()
             roots.clear()
-            run(make_sim_config(ct=None, n_cycles=1, src=make_source(ip=ip, rp=1e6)))
-            f, t, lo, _ = calls[0][0]
-            return int(np.count_nonzero(f(t[lo:])[0] >= 0.0))
+            cfg = make_sim_config(ct=None, n_cycles=1, src=make_source(ip=ip, rp=1e6))
+            h = run(cfg).waveform._plan[0]
+            c = transient._Circuit.of(cfg)
+            t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
+            return int(np.count_nonzero(free_over(c, h, t) >= 0.0))
 
         lo_ip, hi_ip = 1e-6, 50e-6
         for _ in range(60):
             mid = 0.5 * (lo_ip + hi_ip)
             lo_ip, hi_ip = (mid, hi_ip) if touch(mid) == 0 else (lo_ip, mid)
         assert 0 < touch(hi_ip) < transient._STRIDE
-        (f, t, lo, _), got = calls[0]
+        (f, t, lo, guess), got = calls[0]
+        assert f.__name__ == "over" and guess is not None
         assert not a_probe_holds(f, t, lo)
         i = brute_first(f, t, lo)
         assert got == i and lo < i < len(t)
-        (over, a, b, _), _ = roots[0]
-        assert over is f and (a, b) == (t[i - 1], t[i])
+        refined = [(a, b) for (g, a, b, _), _ in roots if g is f]
+        assert refined[-1] == (t[i - 1], t[i])
         for (f, t, lo, _), got in calls:
             check_first(f, t, lo, got)
+
+    @pytest.mark.parametrize(
+        "storage", [FixedVoltage(2.0), FiniteCap(1e-6, 2.0)], ids=["fixed", "finite"]
+    )
+    def test_peak_within_a_few_margins(self, monkeypatch, storage):
+        # I_P bisected until the first half cycle's leaky free maximum sits
+        # on the rail, then moved a few margins above and below it. Within
+        # one margin of the rail the probes find the clamp row; above it the
+        # root below the maximum guesses it; below it no search runs. Each
+        # half cycle's rows are argmax's either way.
+        searches = record_searches(monkeypatch)
+        roots = record(monkeypatch, "_root")
+        stage = make_stage(storage=storage)
+
+        def peak(ip):  # the free maximum past the rail, in margins, and the run
+            searches.clear()
+            roots.clear()
+            cfg = make_sim_config(ct=None, n_cycles=1, src=make_source(ip=ip, rp=1e6), stage=stage)
+            wf = run(cfg).waveform
+            h, c = wf._plan[0], transient._Circuit.of(cfg)
+            maxima = [got for (f, _, b, _), got in roots if f.__name__ == "turn" and b == h.t_end]
+            if not maxima:  # past the rail by the sine's peak: no maximum was sought
+                return math.inf, cfg, wf
+            (t_max,) = maxima
+            vth = h.vs0 + c.two_vd
+            x = h.v0 + transient._rise(t_max, h.t0, h.v0, c.kf, c.gf, c.w, math)
+            return (h.sign * x - vth) / transient._margin(h.v0, vth, c.kf, c.w, h.t_end), cfg, wf
+
+        lo_ip, hi_ip = 1e-6, 50e-6
+        for _ in range(60):
+            mid = 0.5 * (lo_ip + hi_ip)
+            lo_ip, hi_ip = (mid, hi_ip) if peak(mid)[0] < 0.0 else (lo_ip, mid)
+        _, cfg, _ = peak(hi_ip)
+        margin_ip = hi_ip * transient._margin(0.0, 2.4, cfg.src.amplitude_ip / cfg.src.cap_cp,
+                                              cfg.src.omega, 0.5 / cfg.src.frequency) / 2.4
+        seen = set()
+        for k in (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0):
+            # From rest the free node grows in proportion to I_P, so its peak
+            # moves by k margins.
+            ratio, cfg, wf = peak(hi_ip + k * margin_ip)
+            assert abs(ratio - k) < 0.25, (k, ratio)
+            check_plan_boundaries(cfg, wf)
+            for search in searches:
+                check_search(*search, leaky=True)
+            first = [s for s in searches if s[0].__name__ == "over" and s[1].t0 == 0.0]
+            if ratio < -1.0:
+                assert not first
+                seen.add("none")
+            else:
+                (_, _, _, guess, _, _, arrays), = first
+                assert (guess is not None) == (ratio > 1.0) and arrays, (k, ratio)
+                seen.add("guess" if ratio > 1.0 else "probes")
+        assert seen == {"none", "probes", "guess"}
+
+    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc"])
+    def test_leaky_rows_do_not_grow_with_dt(self, monkeypatch, case):
+        # The bound on the free maximum and the guess checks evaluate the
+        # same few boundary rows at T/1e4 and at T/1e6: no probe runs. The
+        # leaky-weak node never reaches the rail, so its clamps evaluate none.
+        rows = count_search_rows(monkeypatch)
+        counts = []
+        for divisor in (10_000, 1_000_000):
+            rows.clear()
+            cfg = make_sim_config(n_cycles=2, dt=0.01 / divisor, **BOUNDARY_CASES[case])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeakExcitationWarning)
+                wf = run(cfg).waveform
+            check_plan_boundaries(cfg, wf)
+            counts.append(dict(rows))
+        assert counts[0] == counts[1], counts
+        halves = 2 * cfg.n_cycles
+        if case == "leaky":
+            assert 0 < counts[0]["over"] <= 2 * halves and 0 < counts[0]["backward"] <= 2 * halves
+        else:
+            assert counts[0] == {}
 
     @pytest.mark.parametrize("n", [2, 5, 64, 65, 66, 130, 200, 4097, 4098, 4162, 8200])
     def test_first_on_every_interval(self, n):
@@ -867,11 +980,11 @@ class TestPieceBoundaries:
     @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage", "weak_excitation"])
     def test_each_sample_is_evaluated_once(self, monkeypatch, case):
         # A count, not a timing: run() evaluates the rows of the boundary
-        # searches (and the whole free piece where no probe reached the rail),
-        # and a read of vpt each sample once. Where a closed form guesses a
-        # boundary (the clamp without a leak, the release on a fixed rail),
-        # its search evaluates two rows per half cycle, so on the ideal rail
-        # run() evaluates those and the crossing row alone. A read of vs
+        # searches, and a read of vpt each sample once. Where a scalar form
+        # guesses a boundary (every clamp here, the release on a fixed rail),
+        # its search evaluates two rows per half cycle, and a leaky clamp
+        # that never reaches the rail none, so on the ideal rail run()
+        # evaluates those and the crossing row alone. A read of vs
         # leaves vpt alone: on a fixed rail it evaluates nothing, on a
         # storage cap the held rows and the release's lift, one element per
         # half cycle.
@@ -888,8 +1001,7 @@ class TestPieceBoundaries:
         wf = run(cfg).waveform
         planned, seen[0] = seen[0], 0
         halves = 2 * cfg.n_cycles
-        if cfg.src.res_rp == math.inf:
-            assert searched["over"] <= 2 * halves, searched
+        assert searched["over"] <= 2 * halves, searched
         if isinstance(cfg.stage.storage, FixedVoltage):
             assert searched["backward"] <= 2 * halves, searched
         if case == "ideal":
@@ -1039,8 +1151,7 @@ class TestMemory:
     def test_run_holds_no_samples_in_any_regime(self, case, divisor):
         # The boundary searches test rows in chunks of fixed size, so run()'s
         # peak stays under the same bound in every regime, also where a leaky
-        # node never reaches the rail and every row of the clamp search is
-        # tested.
+        # node never reaches the rail.
         kwargs = {"ct": None} if case == "full_bridge" else BOUNDARY_CASES[case]
         cfg = make_sim_config(n_cycles=2, dt=0.01 / divisor, **kwargs)
         run(make_sim_config(n_cycles=1))  # one-time allocations stay out of the trace
@@ -1054,12 +1165,16 @@ class TestMemory:
                 tracemalloc.stop()
         assert peak < 1_000_000, peak
 
-    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc"])
+    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "leaky_finite_storage_217Hz"])
     def test_search_holds_one_chunk_at_a_fine_dt(self, case):
-        # At dt = T/1e6 a half cycle has 5e5 rows: 7813 probes, and where the
-        # node never reaches the rail 5e5 rows to scan. A search walks both
-        # _CHUNK points at a time, so run()'s peak is a few float64 arrays of
-        # one chunk, not of a half cycle's probes.
+        # At dt = 1e-8 s (T/1e6 at 100 Hz) a half cycle has 2.3e5 to 5e5
+        # rows. A leaky clamp on either rail and the release on a fixed one
+        # are guessed, and a leaky node that never reaches the rail is not
+        # searched; the release on a storage cap still probes, 3600 probes
+        # per half cycle at 217 Hz. A search walks
+        # its probes and the rows after them _CHUNK points at a time, so
+        # run()'s peak is a few float64 arrays of one chunk, not of a half
+        # cycle's probes.
         cfg = make_sim_config(n_cycles=2, dt=0.01 / 1_000_000, **BOUNDARY_CASES[case])
         run(make_sim_config(n_cycles=1))  # one-time allocations stay out of the trace
         with warnings.catch_warnings():
