@@ -13,18 +13,22 @@ arccos, of a leaky node from a root below its free maximum, the release on a
 fixed rail from arcsin), else from probes every 64th row and a scan of the
 rows they leave, both in chunks of fixed size, and its time from a scalar
 root. A leaky node whose free maximum stays below the rail has no clamp row
-to search. It writes no samples. A flip is one fixed sequence
-of three instantaneous charge redistributions (share with C_T, short C_P,
-reconnect C_T reversed), one pulse row each, which run() and apply_flip() both
-take from _flip. run() appends each half cycle's plan to one list and its
-flip's rows, (t, vpt, vt, vs, phase token) as waveform.csv writes them, to
-another; the Waveform keeps both lists and evaluates the grid rows' samples,
-one half cycle at a time, whenever a column is read. One generator, _pieces,
-evaluates samples: it walks a half cycle's rows as its free, held and released
-runs, as numpy arrays for each column read and for waveform.csv, and as floats
-for run()'s crossing row. The floats take math's sin and cos, which match
-numpy's bit for bit, and numpy's expm1, which math's does not match, so a row
-has the same bits either way. step() is the explicit-Euler reference.
+to search. On a fixed rail without leak no result of run() needs the clamp
+row: where the crossing row holds, the node ends on the rail, and run()
+leaves the row pending for the Waveform to find when a sample needs it.
+run() writes no samples. A flip is one fixed sequence of three instantaneous
+charge redistributions (share with C_T, short C_P, reconnect C_T reversed),
+one pulse row each, which run() and apply_flip() both take from _flip. run()
+appends each half cycle's plan to one list and its flip's rows, (t, vpt, vt,
+vs, phase token) as waveform.csv writes them, to another; the Waveform keeps
+both lists, finds each pending clamp row at the first read of vpt or
+waveform.csv, and evaluates the grid rows' samples, one half cycle at a time,
+whenever a column is read. One generator, _pieces, evaluates samples: it
+walks a half cycle's rows as its free, held and released runs, as numpy
+arrays for each column read and for waveform.csv, and as floats for run()'s
+crossing row where its clamp row is known. The floats take math's sin and
+cos, which match numpy's bit for bit, and numpy's expm1, which math's does
+not match, so a row has the same bits either way. step() is the explicit-Euler reference.
 """
 
 from __future__ import annotations
@@ -176,7 +180,9 @@ class Waveform:
     tokens (Idle, PhiP, Phi0, PhiN) as a '<U4' array, each evaluated anew on
     every read and not cached. So bind a column to a name once rather than
     index it in a loop. The samples of every grid row, for a read and for
-    write_csv alike, come from _pieces.
+    write_csv alike, come from _pieces. A clamp row that run() left pending
+    is found at the first read of vpt or write_csv and kept in the plan;
+    reads of t, vt, vs and phase find none.
     """
 
     def __init__(
@@ -203,15 +209,29 @@ class Waveform:
     def write_csv(self, out: Union[str, IO[str]]) -> None:
         write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], self._csv_blocks())
 
+    def _resolved(self) -> List[_HalfCycle]:
+        """The plan with every clamp row found. A row that run() left pending
+        (i None) is found by _clamp_row, as run() would have found it, at the
+        first call, and kept, so a later call searches none."""
+        c = self._circuit
+        self._plan = [
+            h if h.i is not None else h._replace(
+                i=_clamp_row(_Grid(h.t0, c.dt, h.n, h.t_end), h.v0, h.sign, h.vs0 + c.two_vd, c)
+            )
+            for h in self._plan
+        ]
+        return self._plan
+
     def _column(self, name: str) -> np.ndarray:
         c, s, k = self._circuit, self._initial, _COLUMNS.index(name)
+        plan = self._resolved() if name == "vpt" else self._plan
         if name == "phase":
             out = np.full(len(self), Phase.IDLE.value, _TOKEN)  # every row but a flip's
         else:
             out = np.empty(len(self))
             out[0] = getattr(s, name)
         row = 0  # out[row] is the half cycle's row 0, the row before it
-        for h, flip in zip(self._plan, self._flips):
+        for h, flip in zip(plan, self._flips):
             grid = slice(row + 1, row + h.n + 2)
             if name == "t":
                 out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
@@ -237,7 +257,7 @@ class Waveform:
         c, s = self._circuit, self._initial
         idle = Phase.IDLE.value
         yield ("g", "g", fmt(s.vt), fmt(s.vs), idle), [s.t, s.vpt]
-        for h, flip in zip(self._plan, self._flips):
+        for h, flip in zip(self._resolved(), self._flips):
             t, vt = _Grid(h.t0, c.dt, h.n, h.t_end), fmt(h.vt)
             for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
                 vs = h.vs0 + h.sign * rise
@@ -481,8 +501,11 @@ class _HalfCycle(NamedTuple):
     before. The source current has the sign `sign`; (v0, vs0) is the start
     after any clip onto the rail, and vt holds until the flip. The node is
     free on rows 1..i-1, clamped from row max(i, 1) (at t_clamp) and released
-    from row j >= 1 (at t_release); i = j = n + 2 means never. v_end and
-    vs_end are the values at the crossing, which the flip starts from."""
+    from row j >= 1 (at t_release); i = j = n + 2 means never. i is None,
+    pending, on a fixed rail without leak whose crossing row holds: the node
+    is clamped from a row that _clamp_row finds, and _pieces needs it found
+    first. v_end and vs_end are the values at the crossing, which the flip
+    starts from."""
 
     t0: float
     n: int
@@ -597,6 +620,34 @@ def _margin(v0: float, vth: float, k: float, w: float, t_end: float) -> float:
     return 64.0 * _EPS * (abs(v0) + vth + k / w + k * t_end)
 
 
+def _over(t0: float, v0: float, sign: int, vth: float, c: _Circuit):
+    """The boundary function of a node free on C_P from v0 at t0: over(s, m)
+    gives how far it is past the rail sign*vth at s, and, on a float
+    (m=math), its slope, which _root steps with; _first's arrays need the
+    value alone."""
+    kf, gf, w = c.kf, c.gf, c.w
+
+    def over(s, m=np):
+        x = v0 + _rise(s, t0, v0, kf, gf, w, m)
+        return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x) if m is math else None
+
+    return over
+
+
+def _clamp_row(t: _Grid, v0: float, sign: int, vth: float, c: _Circuit) -> int:
+    """The clamp row of a node free without leak from v0 below the rail
+    sign*vth, on the half cycle t: _first over its over() from the arccos
+    guess. _integrate_segment calls it where the plan needs the row, and the
+    Waveform where a sample needs a row that run() left pending."""
+    # Without a leak the free node rises monotonically: sign*cos(w*t) falls
+    # to u where it meets the rail, and sign*cos(w*t) is -cos(w*(t_end - t)).
+    w = c.w
+    u = min(sign * math.cos(w * t.t0) - (vth - sign * v0) * w / c.kf, 1.0)
+    # Below -1 the rail is out of reach; rounding may still hold the last row.
+    clamp = t.t_end - math.acos(-u) / w if u >= -1.0 else t.t_end
+    return _first(_over(t.t0, v0, sign, vth, c), t, 1, clamp)
+
+
 def _integrate_segment(
     t: _Grid,
     v0: float,
@@ -623,13 +674,17 @@ def _integrate_segment(
     at most one more root, of its slope) and the release on a fixed rail
     (arcsin, also _root's first step). A leaky free maximum more than
     _margin below the rail puts i at len(t), never, with no search; one within
-    _margin of it is left to the probes. So on a fixed rail a half cycle,
-    leaky or not, evaluates at most four rows and its crossing row, each as
-    floats: where its guesses hold, it calls no numpy function. Only the
-    crossing row is evaluated as a sample, as the one run that _pieces
-    yields for it in floats, besides the searches' rows, _CHUNK at a time
-    where they probe. A start beyond a rail is first clipped onto it by
-    _clip, as step() clips it.
+    _margin of it is left to the probes. On a fixed rail without leak the
+    clamp row is searched only where the crossing row, evaluated as floats,
+    fails; where it holds, the node ends on the rail, which is all that the
+    ledger, the flip and the next half cycle read, and i is left pending
+    (None) with no search. So an ideal-rail half cycle that reaches the rail
+    evaluates its crossing row alone, and a leaky one at most four rows and
+    its crossing row, each as floats: where the guesses hold, it calls no
+    numpy function. Where i is known, the crossing row is evaluated as a
+    sample, as the one run that _pieces yields for it in floats, besides the
+    searches' rows, _CHUNK at a time where they probe. A start beyond a
+    rail is first clipped onto it by _clip, as step() clips it.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
     t0, t_end = t.t0, t.t_end
@@ -639,12 +694,7 @@ def _integrate_segment(
     vth = vs0 + two_vd
     rail = sign * vth
     kf, gf, kh, gh = c.kf, c.gf, c.kh, c.gh
-
-    # Each boundary function gives its value and, on a float (m=math), the
-    # slope that _root steps with; _first's arrays need the value alone.
-    def over(s, m=np):  # how far the free node is past the rail
-        x = v0 + _rise(s, t0, v0, kf, gf, w, m)
-        return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x) if m is math else None
+    over = _over(t0, v0, sign, vth, c)
 
     def turn(s, m=math):  # >= 0 once the free node's slope has turned down
         slope = over(s, m)[1]
@@ -653,15 +703,17 @@ def _integrate_segment(
     n = len(t)
     # A node that starts on the rail stays there unless the leak pulls it off.
     on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
-    i = 0 if on_rail else None  # the clamp row where no search is needed
-    clamp = None  # the clamp time where a scalar form gives it
-    if not leak:
-        # Without a leak the free node rises monotonically: sign*cos(w*t)
-        # falls to u where it meets the rail, and sign*cos(w*t) is
-        # -cos(w*(t_end - t)).
-        u = min(sign * math.cos(w * t0) - (vth - sign * v0) * w / kf, 1.0)
-        # Below -1 the rail is out of reach; rounding may still hold the last row.
-        clamp = t_end - math.acos(-u) / w if u >= -1.0 else t_end
+    i = None  # the clamp row, pending where it stays None
+    if on_rail:
+        i = 0
+    elif not leak:
+        # A crossing row that holds puts _first's row below it, on the guess
+        # path and the probe path alike, so the node ends on the rail. On a
+        # fixed rail nothing but a sample needs the row then: it stays
+        # pending, for the Waveform to find. A storage cap's t_clamp feeds
+        # the ledger, and a crossing row that fails is searched.
+        if cs < math.inf or over(t_end, _FLOAT)[0] < 0.0:
+            i = _clamp_row(t, v0, sign, vth, c)
     else:
         # Where the free slope sign*(kf*sin(w*t) - gf*x) is zero, its
         # derivative is sign*kf*w*cos(w*t), and sign*sin(w*t) peaks at
@@ -672,6 +724,7 @@ def _integrate_segment(
         # start or a peak within the margin of the rail, where rounding
         # decides, is left to the probes.
         margin = _margin(v0, vth, kf, w, t_end)
+        clamp = None  # the clamp time where a scalar form gives it
         if sign * v0 - vth < -margin:
             top = t_end - 0.5 * math.pi / w  # the sine's peak
             peak = over(top, math)[0]
@@ -686,10 +739,10 @@ def _integrate_segment(
                     # On the crossing row _first reads "none" from two rows
                     # that fail, as for a suffix alone: probe instead.
                     clamp = None
-    if i is None:
-        i = _first(over, t, 1, clamp)
+        if i is None:
+            i = _first(over, t, 1, clamp)
     j, t_clamp, t_release = n, t0, t_end
-    if 0 < i < n and (leak or cs < math.inf):  # a held ideal rail needs no t_clamp
+    if (leak or cs < math.inf) and 0 < i < n:  # a held ideal rail needs no t_clamp
         t_clamp = _root(over, t[i - 1], t[i], t[i])
     hold = (t_clamp, rail, kh, gh, w)
 
@@ -709,9 +762,12 @@ def _integrate_segment(
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
 
     plan = (t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release)
-    # The crossing row's one run; _pieces reads no end values, so the start stands in.
-    ((_, _, v_end, rise_end),) = _pieces(_HalfCycle(*plan, v0, vs0), n - 1, n, c, _FLOAT)
-    v_end, rise_end = float(v_end), float(rise_end)
+    if i is None:  # held at the crossing: _pieces' held run gives rail + 0.0 there
+        v_end, rise_end = rail + 0.0, 0.0
+    else:
+        # The crossing row's one run; _pieces reads no end values, so the start stands in.
+        ((_, _, v_end, rise_end),) = _pieces(_HalfCycle(*plan, v0, vs0), n - 1, n, c, _FLOAT)
+        v_end, rise_end = float(v_end), float(rise_end)
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
     if cs < math.inf:
         q_storage = cs * rise_end
@@ -746,7 +802,8 @@ def _pieces(
     rows around it, so any lo and hi give the bits of the whole half cycle.
     With m=_FLOAT the one row lo = hi - 1 is evaluated in floats, with the
     same bits, and vpt and rise are floats or numpy scalars. This is the only
-    code that evaluates samples.
+    code that evaluates samples. A pending i (None) must be found first,
+    except for node=False on a fixed rail, which reads no row.
     """
     finite = c.cs < math.inf
     if not (node or finite):  # a fixed rail holds rise at 0.0 on every row

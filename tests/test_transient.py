@@ -580,9 +580,11 @@ def check_plan_boundaries(cfg, wf):
     argmaxes: the first row at which the free node's overshoot past the rail
     (run()'s `over`) and the leak's pull against the source (`backward`) are
     >= 0, evaluated as run() evaluates them, on every row a search covers,
-    and on every row of a half cycle whose clamp no search decides."""
+    and on every row of a half cycle whose clamp no search decides. The plan
+    is the Waveform's resolved one: a clamp row that run() left pending is
+    found here, by the Waveform's own search."""
     c = transient._Circuit.of(cfg)
-    for h in wf._plan:
+    for h in wf._resolved():
         t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
         vth = h.vs0 + c.two_vd
         rail = h.sign * vth
@@ -711,9 +713,12 @@ class TestPieceBoundaries:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakExcitationWarning)
             wf = run(cfg).waveform
-        check_plan_boundaries(cfg, wf)
+        planned = len(searches)
+        check_plan_boundaries(cfg, wf)  # the Waveform's searches for pending rows are kept too
         leaky = cfg.src.res_rp < math.inf
         fixed = not isinstance(cfg.stage.storage, FiniteCap)
+        if case == "ideal":  # every crossing row holds: run() leaves each clamp row pending
+            assert planned == 0 and len(searches) == 2 * cfg.n_cycles
         for f, t, lo, guess, got, floats, arrays in searches:
             check_search(f, t, lo, guess, got, floats, arrays, leaky)
             # A guess wherever a scalar form gives one: the clamp of a free
@@ -768,7 +773,7 @@ class TestPieceBoundaries:
             warnings.simplefilter("ignore", WeakExcitationWarning)
             searches = record_searches(monkeypatch)
             wf = run(cfg).waveform
-        check_plan_boundaries(cfg, wf)
+            check_plan_boundaries(cfg, wf)  # and the searches that resolve pending rows
         for search in searches:
             check_search(*search, leaky=cfg.src.res_rp < math.inf)
 
@@ -791,10 +796,11 @@ class TestPieceBoundaries:
     @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage"])
     def test_a_missed_guess_falls_back(self, monkeypatch, case, shift):
         # A guess some rows off fails the two-row check, and the probed search
-        # from lo gives the same plan.
+        # from lo gives the same plan, whether run() searches or, for a clamp
+        # row on the ideal rail that it leaves pending, the Waveform does.
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
         rows = count_search_rows(monkeypatch)
-        want = repr(run(cfg).waveform._plan)
+        want = repr(run(cfg).waveform._resolved())
         hits = dict(rows)
         rows.clear()
         real = transient._Grid.row
@@ -802,7 +808,7 @@ class TestPieceBoundaries:
             transient._Grid, "row", lambda grid, s: min(max(real(grid, s) + shift, 1), len(grid))
         )
         wf = run(cfg).waveform
-        assert repr(wf._plan) == want
+        assert repr(wf._resolved()) == want
         check_plan_boundaries(cfg, wf)
         for guessed in ("over", "backward") if case == "leaky" else ("over",):
             assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the probes ran
@@ -979,15 +985,16 @@ class TestPieceBoundaries:
 
     @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage", "weak_excitation"])
     def test_each_sample_is_evaluated_once(self, monkeypatch, case):
-        # A count, not a timing: run() evaluates the rows of the boundary
-        # searches, and a read of vpt each sample once. Where a scalar form
-        # guesses a boundary (every clamp here, the release on a fixed rail),
-        # its search evaluates two rows per half cycle, and a leaky clamp
-        # that never reaches the rail none, so on the ideal rail run()
-        # evaluates those and the crossing row alone. A read of vs
-        # leaves vpt alone: on a fixed rail it evaluates nothing, on a
-        # storage cap the held rows and the release's lift, one element per
-        # half cycle.
+        # A count, not a timing: run() evaluates the rows of its boundary
+        # searches, and a read of vpt each sample once besides the rows of
+        # the searches that find the clamp rows run() left pending. Where a
+        # scalar form guesses a boundary (every clamp here, the release on a
+        # fixed rail), its search evaluates two rows per half cycle, whether
+        # run() or the read makes it, and a leaky clamp that never reaches
+        # the rail none. On the ideal rail run() searches nothing and
+        # evaluates the crossing row alone. A read of vs leaves vpt alone: on
+        # a fixed rail it evaluates nothing, on a storage cap the held rows
+        # and the release's lift, one element per half cycle.
         seen = [0]
         real = transient._rise
 
@@ -1000,15 +1007,17 @@ class TestPieceBoundaries:
         cfg = make_sim_config(n_cycles=10, **BOUNDARY_CASES[case])
         wf = run(cfg).waveform
         planned, seen[0] = seen[0], 0
+        by_run = sum(searched.values())
         halves = 2 * cfg.n_cycles
+        if case == "ideal":
+            assert planned == halves and by_run == 0, (planned, searched)
+        assert len(wf.vpt) == len(wf)
+        resolving = sum(searched.values()) - by_run  # rows of the read's searches
         assert searched["over"] <= 2 * halves, searched
         if isinstance(cfg.stage.storage, FixedVoltage):
             assert searched["backward"] <= 2 * halves, searched
-        if case == "ideal":
-            assert planned <= 3 * halves, planned
-        assert len(wf.vpt) == len(wf)
         assert planned <= len(wf) * (1 + 1 / 16), planned / len(wf)
-        assert seen[0] <= len(wf), seen[0] / len(wf)
+        assert seen[0] - resolving <= len(wf), seen[0] / len(wf)
         seen[0] = 0
         assert len(wf.vs) == len(wf)
         if case == "finite_storage":
@@ -1017,6 +1026,202 @@ class TestPieceBoundaries:
             assert 0 < seen[0] <= held + len(halves), (seen[0], held)
         else:
             assert seen[0] == 0
+
+
+def check_leak_free_run(cfg, result, searched):
+    """A run on a fixed rail without leak against its brute-force rows: each
+    half cycle's clamp row is argmax's over every row of run()'s `over` (0
+    for a start on the rail), and that row alone decides the vpt column, the
+    crossing row's v_end, the event that starts from it, the ledger's
+    q_storage and q_harvested, and the final state. searched holds the
+    (args, index) of each search run() made: one for each half cycle whose
+    crossing row fails, and none where it holds, which the plan leaves
+    pending. Reads vpt, so the Waveform finds the pending rows."""
+    wf, c = result.waveform, transient._Circuit.of(cfg)
+    pending = [h.i is None for h in wf._plan]
+    vpt = wf.vpt
+    q_storage = q_harvested = 0.0
+    row, befores, unheld = 0, [], []
+    for h, flip, was_pending in zip(wf._plan, wf._flips, pending):
+        t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
+        n, vth = len(t), h.vs0 + c.two_vd
+        x = h.v0 + transient._rise(t[1:], h.t0, h.v0, c.kf, c.gf, c.w)
+        held = h.sign * x - vth >= 0.0
+        if h.i == 0:  # held from the start
+            assert h.sign * h.v0 >= vth and not was_pending, h
+            i = 0
+        else:
+            i = first_held(h.sign * x - vth, 1, n)
+            assert was_pending == bool(held[-1]), h  # pending exactly where the crossing row holds
+            if not held[-1]:
+                unheld.append(h.t0)
+        assert h.i == i, h
+        rows = np.where(np.arange(1, n) >= i, h.sign * vth + 0.0, x)
+        assert rows.tobytes() == vpt[row + 1 : row + n].tobytes(), h
+        v_end = float(rows[-1])
+        assert repr(h.v_end) == repr(v_end), h
+        befores.append(v_end)
+        q_source = c.ip / c.w * (math.cos(c.w * h.t0) - math.cos(c.w * h.t_end))
+        q = q_source - c.cp * (v_end - h.v0) if i < n else 0.0
+        q_storage += q
+        q_harvested += h.sign * q
+        row += n - 1 + len(flip)
+    assert sorted(args[1].t0 for args, _ in searched) == unheld
+    assert all(args[0].__name__ == "over" for args, _ in searched)
+    assert result.ledger.q_storage == q_storage
+    final = result.final_state
+    assert final.q_harvested == q_harvested
+    if cfg.sshc is not None:
+        assert repr([e.v_before for e in result.events]) == repr(befores)
+    else:
+        assert repr(final.vpt) == repr(befores[-1])
+    assert (final.t, final.vpt, final.vt, final.vs) == (wf.t[-1], vpt[-1], wf.vt[-1], wf.vs[-1])
+
+
+def crossing_map(cfg):
+    """A leak-free run in closed form, one scalar step per half cycle and no
+    grid: (the node before each flip, the final node, the final storage
+    voltage). A start beyond the rail is clipped onto it, a storage cap
+    taking the excess charge. The free node then moves one way all half
+    cycle, by q/C_P with q = I_P/w*(cos(w*t0) - cos(w*t_end)). Where that
+    takes it to the rail s*(vs' + 2*vd), s the current's sign, it ends
+    there: a fixed rail keeps vs' = vs, and by charge balance a storage cap
+    C_S takes vs' = (s*q + s*C_P*v0 - 2*C_P*vd + C_S*vs)/(C_P + C_S). t0 is
+    the last pulse row's time after a flip, the crossing on the full bridge."""
+    src, stage = cfg.src, cfg.stage
+    cp, w, two_vd = src.cap_cp, src.omega, 2.0 * stage.diode_drop_vd
+    cs = stage.storage.cs if isinstance(stage.storage, FiniteCap) else math.inf
+    v, vs = cfg.vpt_initial, stage.storage_voltage
+    vt = cfg.sshc.volt_vt if cfg.sshc is not None else 0.0
+    t0, befores = 0.0, []
+    for t_end, direction in zero_crossing_times(src, cfg.n_cycles):
+        s = 1 if direction is FlipDirection.POS_TO_NEG else -1
+        if abs(v) > vs + two_vd:
+            if cs < math.inf:
+                vs = (cp * (abs(v) - two_vd) + cs * vs) / (cp + cs)
+            v = math.copysign(vs + two_vd, v)
+        q = src.amplitude_ip / w * (math.cos(w * t0) - math.cos(w * t_end))
+        free = v + q / cp
+        if s * free >= vs + two_vd:
+            if cs < math.inf:
+                vs = (s * q + s * cp * v - cp * two_vd + cs * vs) / (cp + cs)
+            free = s * (vs + two_vd)
+        v, t0 = free, t_end
+        if cfg.sshc is not None:
+            befores.append(v)
+            last = apply_flip(CircuitState(t_end, v, vt, vs, 0.0), cfg)[-1]
+            t0, v, vt = last.t, last.vpt, last.vt
+    return befores, v, vs
+
+
+class TestPendingClampRows:
+    """On a fixed rail without leak no result of run() needs a clamp row: a
+    crossing row that holds puts the node on the rail there, and the events,
+    ledger and final state follow from that. run() leaves such a row pending;
+    the Waveform finds it, by the search run() would have made, at the first
+    read that needs it (vpt, write_csv) and keeps it."""
+
+    @pytest.mark.parametrize("read", ["vpt", "write_csv"])
+    @pytest.mark.parametrize("ct", [100 * 10e-9, None], ids=["ct=100cp", "full_bridge"])
+    def test_a_sample_read_searches_once(self, monkeypatch, ct, read):
+        calls = record(monkeypatch, "_first")
+        cfg = make_sim_config(ct=ct, n_cycles=20, **REGIMES["ideal"])
+        wf = run(cfg).waveform
+        assert calls == []  # every crossing row holds
+        assert all(h.i is None for h in wf._plan)
+        for name in ("t", "vt", "vs", "phase"):
+            getattr(wf, name)
+        assert calls == []
+
+        def sample():
+            if read == "vpt":
+                wf.vpt
+            else:
+                wf.write_csv(io.StringIO())
+
+        sample()
+        assert len(calls) == len(wf._plan) == 2 * cfg.n_cycles
+        for (f, t, lo, guess), got in calls:
+            assert f.__name__ == "over" and lo == 1 and guess is not None
+        assert [h.i for h in wf._plan] == [got for _, got in calls]
+        calls.clear()
+        sample()
+        wf.vpt
+        wf.write_csv(io.StringIO())
+        assert calls == []
+        check_plan_boundaries(cfg, wf)
+
+    @pytest.mark.parametrize("ct", [10e-9, None], ids=["sshc", "full_bridge"])
+    def test_a_graze_at_the_crossing(self, monkeypatch, ct):
+        # I_P bisected until the second half cycle's free node meets the rail
+        # on its crossing row (u = -1), then moved by a few margins and a few
+        # ulps about that point. A crossing row that fails is searched by
+        # run(), one that holds is left pending, and either way the run is
+        # the one its brute-force rows give.
+        calls = record(monkeypatch, "_first")
+
+        def graze(ip):  # the last crossing row past the rail, the run and run()'s searches
+            calls.clear()
+            cfg = make_sim_config(ct=ct, n_cycles=1, src=make_source(ip=ip))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeakExcitationWarning)
+                result = run(cfg)
+            h, c = result.waveform._plan[-1], transient._Circuit.of(cfg)
+            t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
+            return free_over(c, h, t)[-1], cfg, result, list(calls)
+
+        lo_ip, hi_ip = 1e-6, 50e-6
+        for _ in range(60):
+            mid = 0.5 * (lo_ip + hi_ip)
+            lo_ip, hi_ip = (mid, hi_ip) if graze(mid)[0] < 0.0 else (lo_ip, mid)
+        _, cfg, result, _ = graze(hi_ip)
+        h, c = result.waveform._plan[-1], transient._Circuit.of(cfg)
+        vth = h.vs0 + c.two_vd
+        # At the graze the free node swings vth - sign*v0 in proportion to I_P.
+        margin_ip = hi_ip * transient._margin(h.v0, vth, c.kf, c.w, h.t_end) / (
+            vth - h.sign * h.v0
+        )
+        ips = [hi_ip + k * margin_ip for k in (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0)]
+        ips += [lo_ip, hi_ip, math.nextafter(lo_ip, 0.0), math.nextafter(hi_ip, 1.0)]
+        seen = set()
+        for ip in ips:
+            value, cfg, result, searched = graze(ip)
+            if abs(ip - hi_ip) > margin_ip:
+                assert (value >= 0.0) == (ip > hi_ip), (ip, value)
+            check_leak_free_run(cfg, result, searched)
+            seen.add("pending" if value >= 0.0 else "searched")
+        assert seen == {"pending", "searched"}
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        ip=log_uniform(1e-7, 1e-4),
+        f=log_uniform(10.0, 1e4),
+        cp=log_uniform(1e-10, 1e-7),
+        vs=st.floats(0.0, 3.0),
+        vd=st.floats(0.0, 0.3),
+        ct_ratio=st.one_of(st.none(), log_uniform(0.1, 100.0)),
+        cs_ratio=st.one_of(st.none(), log_uniform(1.0, 1e3)),
+        start=st.floats(-6.0, 6.0),
+        n_cycles=st.integers(1, 20),
+    )
+    def test_crossing_map(self, ip, f, cp, vs, vd, ct_ratio, cs_ratio, start, n_cycles):
+        # Without a leak a half cycle is piecewise affine in its start, so
+        # the events and final state follow from scalar steps with no grid,
+        # no search and no sample: run()'s v_end, pending or searched, must
+        # agree with them on every leak-free rail, full swing or weak.
+        storage = FiniteCap(cs_ratio * cp, vs) if cs_ratio else FixedVoltage(vs)
+        cfg = make_sim_config(
+            ct=ct_ratio and ct_ratio * cp, n_cycles=n_cycles, src=make_source(ip, f, cp),
+            stage=make_stage(vd=vd, storage=storage), vpt_initial=start,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            result = run(cfg)
+        befores, v_final, vs_final = crossing_map(cfg)
+        scale = max(abs(start), vs_final + 2.0 * vd, 2.0 * ip / (cp * cfg.src.omega))
+        got = [e.v_before for e in result.events] + [result.final_state.vpt, result.final_state.vs]
+        for a, b in zip(got, befores + [v_final, vs_final], strict=True):
+            assert abs(a - b) <= 1e-13 * scale, (a, b, scale)
 
 
 def pulse_rows(wf):
@@ -1249,7 +1454,7 @@ class TestOnDemandSamples:
         cfg = make_sim_config(n_cycles=2, **self.CASES[case])
         wf = run(cfg).waveform
         c = transient._Circuit.of(cfg)
-        for h in wf._plan:
+        for h in wf._resolved():
             end = h.n + 2
             rows, vpt, rise = self.walk(h, 1, end, c)
             assert rows.tolist() == list(range(1, end))
