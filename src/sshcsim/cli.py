@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -196,10 +197,14 @@ def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
         except ValueError as exc:
             where = "" if args.axis == "vs" else f"C_T/C_P = {value!r}: "
             raise ConfigError(flag, f"{where}{exc}") from None
-    if args.axis == "vs":
-        values = np.linspace(args.min, args.max, args.points).tolist()
-    else:
-        values = np.logspace(math.log10(args.min), math.log10(args.max), args.points).tolist()
+    # numpy refuses a count it cannot allocate or index with one of these.
+    try:
+        if args.axis == "vs":
+            values = np.linspace(args.min, args.max, args.points).tolist()
+        else:
+            values = np.logspace(math.log10(args.min), math.log10(args.max), args.points).tolist()
+    except (MemoryError, ValueError, IndexError) as exc:
+        raise ConfigError("--points", f"cannot make an axis of {args.points} points: {exc}") from None
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("--min/--max/--points", "axis values must be strictly increasing")
     return values
@@ -255,7 +260,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused after it: parse_args
+    keeps no state between calls, and a build costs about as much as a
+    closed-form subcommand. Each subcommand's func is bound at that build."""
     parser = argparse.ArgumentParser(
         prog="sshc-sim",
         description="Switched-capacitor charge-inversion rectifier toolkit",

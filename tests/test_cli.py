@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -357,6 +358,15 @@ class TestExitCodes:
             # One point on the x axis: each chart widens its x and y ranges.
             (["analyze", "--cycles", "1", "--svg"], 0, None),
             (["sweep", "--axis", "ct", "--min", "2", "--max", "2", "--points", "1", "--svg"], 0, None),
+            # Counts numpy refuses at once: too large to allocate, to size, or to index.
+            (["sweep", "--axis", "vs", "--min", "0", "--max", "5", "--points", str(10**15)],
+             2, "--points"),
+            (["sweep", "--axis", "ct", "--min", "1", "--max", "10", "--points", str(10**15)],
+             2, "--points"),
+            (["sweep", "--axis", "vs", "--min", "0", "--max", "5", "--points", str(2**62)],
+             2, "--points"),
+            (["sweep", "--axis", "vs", "--min", "0", "--max", "5", "--points", str(2**63 - 1)],
+             2, "--points"),
         ],
     )
     def test_exit_code_names_key_or_flag(self, tmp_path, capsys, argv, code, name):
@@ -373,6 +383,84 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: line 2:") and "cap_ct" in err, err
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call leaves state in it."""
+
+    def test_built_once(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        for argv in (["compare"], ["analyze"], ["compare"]):
+            assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert len(built) <= 5, built  # at most one build: the root and its four subcommands
+
+    def test_set_does_not_carry_over(self, tmp_path):
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["compare", "--set", "storage_vs=3", "--out-dir", a]) == 0
+        assert main(["compare", "--out-dir", b]) == 0
+        assert read_manifest(a)["config_echo"]["storage_vs"] == "3.0"
+        assert read_manifest(b)["config_echo"]["storage_vs"] == "2.0"
+
+    def test_subcommand_defaults_stay_in_their_namespace(self):
+        parser = cli._build_parser()
+        swept = parser.parse_args(["sweep", "--axis", "vs", "--min", "0", "--max", "1"])
+        compared = parser.parse_args(["compare"])
+        assert (swept.func, compared.func) == (cli._cmd_sweep, cli._cmd_compare)
+        assert sorted(vars(compared)) == [
+            "command", "config", "ct_ratio", "func", "out_dir", "set", "svg",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["sweep", "--axis", "zz", "--min", "0", "--max", "1"], 2),
+            (["--version"], 0),
+        ],
+        ids=["argparse_error", "version"],
+    )
+    def test_exit_then_good_call(self, tmp_path, capsys, argv, exit_code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == exit_code
+        capsys.readouterr()
+        good = ["sweep", "--axis", "vs", "--min", "0", "--max", "1", "--points", "3"]
+        assert main(good + ["--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_config_error_then_good_call(self, tmp_path, capsys):
+        assert main(["compare", "--set", "bogus=1", "--out-dir", str(tmp_path / "a")]) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert main(["compare", "--out-dir", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_reused_parser_writes_the_same_bytes(self, tmp_path):
+        calls = [
+            ["analyze", "--ct-ratio", "5", "--cycles", "20", "--svg"],
+            ["sweep", "--axis", "ct", "--min", "0.5", "--max", "50", "--points", "7", "--svg"],
+            ["compare", "--set", "storage_vs=3"],
+        ]
+
+        def outputs(root):
+            files = {}
+            for i, argv in enumerate(calls):
+                out = str(tmp_path / root / str(i))
+                assert main(argv + ["--out-dir", out]) == 0
+                for name in sorted(os.listdir(out)):
+                    if name != "manifest.json":  # its timings differ between runs
+                        with open(os.path.join(out, name), "rb") as fh:
+                            files[i, name] = fh.read()
+            return files
+
+        reused = outputs("reused")
+        cli._build_parser.cache_clear()
+        assert outputs("fresh") == reused
 
 
 SUBCOMMANDS = [
