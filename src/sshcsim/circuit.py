@@ -52,7 +52,7 @@ class PiezoSource:
         if not self.res_rp > 0:
             raise FieldError("res_rp", f"must be > 0 or inf, got {self.res_rp!r}")
         # C_P must be a normal float, since a subnormal one loses digits in
-        # every charge product, and each rate the engine derives finite.
+        # every charge product, and each rate and charge the engine derives finite.
         if self.cap_cp < sys.float_info.min:
             raise FieldError(
                 "cap_cp", f"must be a normal float, >= {sys.float_info.min!r}, got {self.cap_cp!r}"
@@ -61,6 +61,7 @@ class PiezoSource:
             ("frequency", "the period 1/f", self.period),
             ("frequency", "omega = 2*pi*f", self.omega),
             ("cap_cp", "I_P/(C_P*omega)", self.amplitude_ip / self.cap_cp / self.omega),
+            ("amplitude_ip", "2*I_P/omega", 2.0 * self.amplitude_ip / self.omega),
             ("res_rp", "1/(R_P*C_P)", 1.0 / self.res_rp / self.cap_cp),
         ):
             if not math.isfinite(value):

@@ -103,9 +103,7 @@ def _require_ct(cfg: ResolvedConfig, why: str) -> None:
         raise ConfigError("full_bridge", f"the full bridge has no C_T {why}")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    emitter = _Emitter(args.out_dir)
-    cfg = _resolve(args)
+def _cmd_analyze(args: argparse.Namespace, cfg: ResolvedConfig, emitter: _Emitter) -> None:
     _require_ct(cfg, "to flip; compare reports both modes")
     ratios = cfg.ratios()
     emitter.lap("resolve")
@@ -140,13 +138,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             ylabel="efficiency",
         )
         emitter.lap("svg")
-    emitter.write_manifest("analyze", cfg.echo())
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    emitter = _Emitter(args.out_dir)
-    cfg = _resolve(args)
+def _cmd_simulate(args: argparse.Namespace, cfg: ResolvedConfig, emitter: _Emitter) -> None:
     emitter.lap("resolve")
     result = run(cfg.sim_config())
     emitter.lap("engine")
@@ -174,8 +168,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 ylabel="efficiency",
             )
         emitter.lap("svg")
-    emitter.write_manifest("simulate", cfg.echo())
-    return 0
 
 
 def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
@@ -210,9 +202,7 @@ def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
     return values
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    emitter = _Emitter(args.out_dir)
-    cfg = _resolve(args)
+def _cmd_sweep(args: argparse.Namespace, cfg: ResolvedConfig, emitter: _Emitter) -> None:
     values = _sweep_axis(args, cfg)
     emitter.lap("resolve")
     src = cfg.piezo_source()
@@ -238,13 +228,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ylabel="power (W)",
         )
         emitter.lap("svg")
-    emitter.write_manifest("sweep", cfg.echo())
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    emitter = _Emitter(args.out_dir)
-    cfg = _resolve(args)
+def _cmd_compare(args: argparse.Namespace, cfg: ResolvedConfig, emitter: _Emitter) -> None:
     emitter.lap("resolve")
     src = cfg.piezo_source()
     stage = cfg.rectifier_stage()
@@ -256,8 +242,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         emitter.path("compare.csv"), "mode", "s", ["full_bridge", "sshc"], [baseline, sshc]
     )
     emitter.lap("csv")
-    emitter.write_manifest("compare", cfg.echo())
-    return 0
 
 
 @functools.cache
@@ -314,10 +298,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: resolve its config, let its func check what it
+    alone needs and do its work on an emitter, then write the manifest."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        emitter = _Emitter(args.out_dir)
+        cfg = _resolve(args)
+        args.func(args, cfg, emitter)
+        emitter.write_manifest(args.command, cfg.echo())
+        return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

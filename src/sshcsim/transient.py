@@ -7,13 +7,11 @@ bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
 a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
 crossing, the piece boundaries, and the charge ledger from the pieces' exact
-integrals. A boundary's grid row comes from a scalar guess checked on two
-rows, as floats, where one exists (the clamp of a node without leak from
-arccos, of a leaky node from a root below its free maximum, the release on a
-fixed rail from arcsin), else from probes every 64th row and a scan of the
-rows they leave, both in chunks of fixed size, and its time from a scalar
-root. A leaky node whose free maximum stays below the rail has no clamp row
-to search. On a fixed rail without leak no result of run() needs the clamp
+integrals. A boundary's grid row comes from _first, which checks the two
+rows around a scalar guess where one exists (_clamp_row's for the clamp,
+arcsin's for the release on a fixed rail), else probes every 64th row and
+scans the rows they leave, both in chunks of fixed size, and its time from a
+scalar root. On a fixed rail without leak no result of run() needs the clamp
 row: where the crossing row holds, the node ends on the rail, and run()
 leaves the row pending for the Waveform to find when a sample needs it.
 run() writes no samples. A flip is one fixed sequence of three instantaneous
@@ -611,7 +609,7 @@ def _root(f, a: float, b: float, x: float) -> float:
 
 def _margin(v0: float, vth: float, k: float, w: float, t_end: float) -> float:
     """A bound on the rounding of a free node's overshoot past a rail V_th,
-    over() in _integrate_segment, from a start v0 at a rate k up to t_end.
+    _over(), from a start v0 at a rate k up to t_end.
     _rise sums terms no larger than |v0| + k/w, each within a few ulps, and
     the float phase w*t is off by up to an ulp of w*t, which moves the forced
     response by about eps*k*t. 64 ulps of these and V_th bound a row's
@@ -634,18 +632,52 @@ def _over(t0: float, v0: float, sign: int, vth: float, c: _Circuit):
     return over
 
 
-def _clamp_row(t: _Grid, v0: float, sign: int, vth: float, c: _Circuit) -> int:
-    """The clamp row of a node free without leak from v0 below the rail
-    sign*vth, on the half cycle t: _first over its over() from the arccos
-    guess. _integrate_segment calls it where the plan needs the row, and the
+def _clamp_row(t: _Grid, v0: float, sign: int, vth: float, c: _Circuit, over=None) -> int:
+    """The clamp row of a node free on C_P from v0 below the rail sign*vth,
+    on the half cycle t: the first row at which over() holds, or len(t),
+    never. over is _over(t.t0, v0, sign, vth, c), passed by a caller that
+    holds it. _first checks the two rows around a scalar guess of the time:
+    - without a leak (gf = 0) the node rises monotonically, so the rows that
+      hold are a suffix, and sign*cos(w*t), which is -cos(w*(t_end - t)),
+      falls to u where the node meets the rail: the guess is arccos's;
+    - with one, where the free slope sign*(kf*sin(w*t) - gf*x) is zero its
+      derivative is sign*kf*w*cos(w*t), and sign*sin(w*t) peaks at
+      t_end - pi/(2w). So the slope turns up at most once before that peak
+      and down at most once after it: the node meets the rail by the sine's
+      peak, or by its one maximum after it (a root of turn), or never, and
+      the rows that hold are an interval. The guess is the root of over()
+      below that maximum, and a maximum more than _margin below the rail is
+      never, with no search. A start or a maximum within _margin of the
+      rail, where rounding decides, and a root on the crossing row, where
+      two failing rows do not show that none holds, are left to the probes.
+    _integrate_segment calls it where the plan needs the row, and the
     Waveform where a sample needs a row that run() left pending."""
-    # Without a leak the free node rises monotonically: sign*cos(w*t) falls
-    # to u where it meets the rail, and sign*cos(w*t) is -cos(w*(t_end - t)).
-    w = c.w
-    u = min(sign * math.cos(w * t.t0) - (vth - sign * v0) * w / c.kf, 1.0)
-    # Below -1 the rail is out of reach; rounding may still hold the last row.
-    clamp = t.t_end - math.acos(-u) / w if u >= -1.0 else t.t_end
-    return _first(_over(t.t0, v0, sign, vth, c), t, 1, clamp)
+    over = over or _over(t.t0, v0, sign, vth, c)
+    kf, gf, w, t_end, n = c.kf, c.gf, c.w, t.t_end, len(t)
+    if not gf:
+        u = min(sign * math.cos(w * t.t0) - (vth - sign * v0) * w / kf, 1.0)
+        # Below -1 the rail is out of reach; rounding may still hold the last row.
+        return _first(over, t, 1, t_end - math.acos(-u) / w if u >= -1.0 else t_end)
+
+    def turn(s, m=math):  # >= 0 once the free node's slope has turned down
+        slope = over(s, m)[1]
+        return -slope, gf * slope - sign * kf * w * m.cos(w * s)
+
+    margin = _margin(v0, vth, kf, w, t_end)
+    clamp = None
+    if sign * v0 - vth < -margin:
+        top = t_end - 0.5 * math.pi / w  # the sine's peak
+        peak = over(top, math)[0]
+        if peak <= margin:
+            top = _root(turn, top, t_end, top)  # the free node's maximum
+            peak = over(top, math)[0]
+        if peak < -margin:
+            return n
+        if peak > margin:
+            clamp = _root(over, t.t0, top, top)
+            if t.row(clamp) >= n - 1:
+                clamp = None
+    return _first(over, t, 1, clamp)
 
 
 def _integrate_segment(
@@ -666,25 +698,19 @@ def _integrate_segment(
     free on C_P (kf, gf) until it reaches the rail sign*(vs + 2*vd); clamped,
     C_P and C_S charge together (kh, gh; a fixed rail, C_S = inf, holds);
     with leakage, free again once sign*I(t) < sign*v/R_P. The boundaries come
-    from scalar work: grid indices i and j from _first, then t_clamp and
-    t_release from _root where a later piece or the ledger needs them. Where
-    a scalar form gives a boundary's time, _first checks the two rows around
-    it instead of probing: the clamp of a free node without leak (arccos),
-    the clamp of a leaky free node (a root below its free maximum, found by
-    at most one more root, of its slope) and the release on a fixed rail
-    (arcsin, also _root's first step). A leaky free maximum more than
-    _margin below the rail puts i at len(t), never, with no search; one within
-    _margin of it is left to the probes. On a fixed rail without leak the
-    clamp row is searched only where the crossing row, evaluated as floats,
-    fails; where it holds, the node ends on the rail, which is all that the
-    ledger, the flip and the next half cycle read, and i is left pending
-    (None) with no search. So an ideal-rail half cycle that reaches the rail
-    evaluates its crossing row alone, and a leaky one at most four rows and
-    its crossing row, each as floats: where the guesses hold, it calls no
-    numpy function. Where i is known, the crossing row is evaluated as a
-    sample, as the one run that _pieces yields for it in floats, besides the
-    searches' rows, _CHUNK at a time where they probe. A start beyond a
-    rail is first clipped onto it by _clip, as step() clips it.
+    from scalar work: the clamp row i from _clamp_row, the release row j from
+    _first (on a fixed rail around arcsin's guess, also _root's first step),
+    then t_clamp and t_release from _root where a later piece or the ledger
+    needs them. On a fixed rail without leak the clamp row is searched only
+    where the crossing row, evaluated as floats, fails; where it holds, the
+    node ends on the rail, which is all that the ledger, the flip and the
+    next half cycle read, and i is left pending (None) with no search. So an
+    ideal-rail half cycle that reaches the rail evaluates its crossing row
+    alone, and a leaky one at most four rows and its crossing row, each as
+    floats: where the guesses hold, it calls no numpy function. Where i is
+    known, the crossing row is evaluated as a sample, as the one run that
+    _pieces yields for it in floats. A start beyond a rail is first clipped
+    onto it by _clip, as step() clips it.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
     t0, t_end = t.t0, t.t_end
@@ -693,57 +719,21 @@ def _integrate_segment(
     q_harvested += excess
     vth = vs0 + two_vd
     rail = sign * vth
-    kf, gf, kh, gh = c.kf, c.gf, c.kh, c.gh
     over = _over(t0, v0, sign, vth, c)
-
-    def turn(s, m=math):  # >= 0 once the free node's slope has turned down
-        slope = over(s, m)[1]
-        return -slope, gf * slope - sign * kf * w * m.cos(w * s)
-
     n = len(t)
-    # A node that starts on the rail stays there unless the leak pulls it off.
-    on_rail = sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak
-    i = None  # the clamp row, pending where it stays None
-    if on_rail:
-        i = 0
-    elif not leak:
-        # A crossing row that holds puts _first's row below it, on the guess
-        # path and the probe path alike, so the node ends on the rail. On a
-        # fixed rail nothing but a sample needs the row then: it stays
-        # pending, for the Waveform to find. A storage cap's t_clamp feeds
-        # the ledger, and a crossing row that fails is searched.
-        if cs < math.inf or over(t_end, _FLOAT)[0] < 0.0:
-            i = _clamp_row(t, v0, sign, vth, c)
+    if sign * v0 >= vth and sign * ip * math.sin(w * t0) >= vth * leak:
+        i = 0  # on the rail, where it stays unless the leak pulls it off
+    elif leak or cs < math.inf or over(t_end, _FLOAT)[0] < 0.0:
+        i = _clamp_row(t, v0, sign, vth, c, over)
     else:
-        # Where the free slope sign*(kf*sin(w*t) - gf*x) is zero, its
-        # derivative is sign*kf*w*cos(w*t), and sign*sin(w*t) peaks at
-        # t_end - pi/(2w). So the slope turns up at most once before that
-        # peak and down at most once after it: a node that starts below the
-        # rail meets it by the sine's peak, or by its one maximum after it,
-        # or never, and the rows that hold are an interval, not a suffix. A
-        # start or a peak within the margin of the rail, where rounding
-        # decides, is left to the probes.
-        margin = _margin(v0, vth, kf, w, t_end)
-        clamp = None  # the clamp time where a scalar form gives it
-        if sign * v0 - vth < -margin:
-            top = t_end - 0.5 * math.pi / w  # the sine's peak
-            peak = over(top, math)[0]
-            if peak <= margin:
-                top = _root(turn, top, t_end, top)  # the free node's maximum
-                peak = over(top, math)[0]
-            if peak < -margin:
-                i = n
-            elif peak > margin:
-                clamp = _root(over, t0, top, top)
-                if t.row(clamp) >= n - 1:
-                    # On the crossing row _first reads "none" from two rows
-                    # that fail, as for a suffix alone: probe instead.
-                    clamp = None
-        if i is None:
-            i = _first(over, t, 1, clamp)
+        # A crossing row that holds puts the clamp row below it, so the node
+        # ends on the rail. On a fixed rail without leak nothing but a sample
+        # needs the row then: it stays pending, for the Waveform to find.
+        i = None
     j, t_clamp, t_release = n, t0, t_end
     if (leak or cs < math.inf) and 0 < i < n:  # a held ideal rail needs no t_clamp
         t_clamp = _root(over, t[i - 1], t[i], t[i])
+    kh, gh = c.kh, c.gh
     hold = (t_clamp, rail, kh, gh, w)
 
     def backward(s, m=np):  # >= 0 once the leak outweighs the source: the bridge would reverse

@@ -51,6 +51,8 @@ class TestValidation:
             ({"frequency": 1e308}, "frequency"),  # infinite omega
             ({"amplitude_ip": 1e3, "cap_cp": 1e-306}, "cap_cp"),  # infinite I_P/(C_P*omega)
             ({"res_rp": 1e-300, "cap_cp": 1e-10}, "res_rp"),  # infinite 1/(R_P*C_P)
+            # infinite 2*I_P/omega, the charge of a half cycle
+            ({"amplitude_ip": 1e307, "frequency": 1e-5, "cap_cp": 1e20}, "amplitude_ip"),
         ],
     )
     def test_source_rejects_rates_that_overflow(self, kwargs, name):

@@ -496,6 +496,8 @@ class TestEveryKeyNamesItself:
             # A step within a few ulps of the run's last time: the grid cannot advance.
             ("dt", ["dt=1e-300"], "got 1e-300"),
             ("n_cycles", ["n_cycles=1" + "0" * 400], "got 401 digits"),
+            # A half-cycle charge 2*I_P/omega that overflows.
+            ("amplitude_ip", ["amplitude_ip=1e307", "frequency=1e-5", "cap_cp=1e20"], "got 1e+307"),
         ],
     )
     def test_key_is_named(self, tmp_path, capsys, key, sets, shown):

@@ -45,9 +45,11 @@ CONFIGS = st.fixed_dictionaries(
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(CONFIGS)
-# A source whose leak rate 1/(R_P C_P) overflows, and a subnormal C_P.
+# A source whose leak rate 1/(R_P C_P) overflows, a subnormal C_P, and a
+# source whose half-cycle charge 2*I_P/omega overflows.
 @example({"res_rp": "1e-300", "cap_cp": "1e-10", "n_cycles": "1"})
 @example({"cap_cp": "1e-320", "n_cycles": "1"})
+@example({"amplitude_ip": "1e307", "frequency": "1e-5", "cap_cp": "1e20", "n_cycles": "1"})
 def test_subcommands_agree_on_validity(overrides):
     sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
     runs = []  # (SimConfig, RunResult) of the simulate call

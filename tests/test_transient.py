@@ -575,6 +575,11 @@ def free_over(c, h, t):
     return h.sign * x - (h.vs0 + c.two_vd)
 
 
+# The engine's own search and root: a check calls these, so that what a test
+# records of the program's searches holds none of the check's.
+ENGINE_FIRST, ENGINE_ROOT = transient._first, transient._root
+
+
 def check_plan_boundaries(cfg, wf):
     """Each half cycle's clamp row i and release row j are brute-force
     argmaxes: the first row at which the free node's overshoot past the rail
@@ -582,23 +587,32 @@ def check_plan_boundaries(cfg, wf):
     >= 0, evaluated as run() evaluates them, on every row a search covers,
     and on every row of a half cycle whose clamp no search decides. The plan
     is the Waveform's resolved one: a clamp row that run() left pending is
-    found here, by the Waveform's own search."""
+    found here, by the Waveform's own search. On each half cycle that does
+    not start on the rail, _clamp_row, called as the Waveform calls it,
+    returns i in every regime: argmax's row, or n + 2 for never."""
     c = transient._Circuit.of(cfg)
-    for h in wf._resolved():
-        t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
-        vth = h.vs0 + c.two_vd
-        rail = h.sign * vth
-        if h.i == 0:  # held from the start: no clamp search
-            assert h.sign * h.v0 >= vth, h
-        else:
-            assert h.i == first_held(free_over(c, h, t), 1, len(t)), h
-        if not c.leak or h.i == len(t):
-            assert h.j == len(t), h
-            continue
-        lo = max(h.i, 1)  # row 0 is the previous half cycle's
-        s = t[lo:]
-        x = rail + transient._rise(s, h.t_clamp, rail, c.kh, c.gh, c.w) if c.cs < math.inf else rail
-        assert h.j == first_held(h.sign * (x * c.leak - c.ip * np.sin(c.w * s)), lo, len(t)), h
+    plan = wf._resolved()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(transient, "_first", ENGINE_FIRST)
+        monkeypatch.setattr(transient, "_root", ENGINE_ROOT)
+        for h in plan:
+            t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
+            vth = h.vs0 + c.two_vd
+            rail = h.sign * vth
+            if h.i == 0:  # held from the start: no clamp search
+                assert h.sign * h.v0 >= vth, h
+            else:
+                assert h.i == first_held(free_over(c, h, t), 1, len(t)), h
+                assert transient._clamp_row(t, h.v0, h.sign, vth, c) == h.i, h
+            if not c.leak or h.i == len(t):
+                assert h.j == len(t), h
+                continue
+            lo = max(h.i, 1)  # row 0 is the previous half cycle's
+            s = t[lo:]
+            x = rail
+            if c.cs < math.inf:
+                x = rail + transient._rise(s, h.t_clamp, rail, c.kh, c.gh, c.w)
+            assert h.j == first_held(h.sign * (x * c.leak - c.ip * np.sin(c.w * s)), lo, len(t)), h
 
 
 def count_search_rows(monkeypatch):
@@ -722,9 +736,8 @@ class TestPieceBoundaries:
         for f, t, lo, guess, got, floats, arrays in searches:
             check_search(f, t, lo, guess, got, floats, arrays, leaky)
             # A guess wherever a scalar form gives one: the clamp of a free
-            # node that starts below the rail (arccos without a leak, the
-            # root below the free maximum with one), and the release on a
-            # fixed rail.
+            # node that starts below the rail, _clamp_row's, and the release
+            # on a fixed rail.
             scalar = f(t[0], math)[0] < 0.0 if f.__name__ == "over" else fixed
             assert lo >= 1, (f.__name__, lo)
             assert (guess is not None) == scalar, (f.__name__, lo)
