@@ -36,7 +36,6 @@ from .flip import (
 from .transient import (
     ChargeLedger,
     CircuitState,
-    FlipDirection,
     FlipEvent,
     Phase,
     RunResult,
@@ -46,9 +45,7 @@ from .transient import (
     apply_flip,
     extract_efficiency_trajectory,
     run,
-    step,
     write_flip_events_csv,
-    zero_crossing_times,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

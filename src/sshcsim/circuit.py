@@ -75,10 +75,6 @@ class PiezoSource:
     def period(self) -> float:
         return 1.0 / self.frequency
 
-    def current(self, t: float) -> float:
-        """Instantaneous source current at time t (A)."""
-        return self.amplitude_ip * math.sin(self.omega * t)
-
 
 @dataclass(frozen=True)
 class FixedVoltage:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .circuit import FixedVoltage, conduction_threshold
+from .circuit import conduction_threshold
 from .compare import harvest_report, sweep_ct_ratio, sweep_storage_voltage, write_reports_csv
 from .config import ConfigError, ResolvedConfig, parse_config
 from .csvout import fmt, write_csv
@@ -108,11 +108,12 @@ def _cmd_analyze(args: argparse.Namespace, cfg: ResolvedConfig, emitter: _Emitte
     ratios = cfg.ratios()
     emitter.lap("resolve")
     v0 = conduction_threshold(cfg.rectifier_stage())
-    if v0 <= 0:
-        v0 = 1.0  # degenerate zero-threshold stage: report normalized series
-    series = flip_efficiency_series(ratios, v0, cfg.n_cycles)
+    # A zero threshold never charges C_T: the efficiencies come from the series
+    # normalized to 1 V, and vt_V is that series times the real v0.
+    series = flip_efficiency_series(ratios, v0 if v0 > 0 else 1.0, cfg.n_cycles)
+    vts = series.vt_trajectory if v0 > 0 else [v0 * vt for vt in series.vt_trajectory]
     values = []
-    for n, (eta, vt) in enumerate(zip(series.efficiencies, series.vt_trajectory), start=1):
+    for n, (eta, vt) in enumerate(zip(series.efficiencies, vts), start=1):
         values += (n, eta, vt, closed_form_efficiency(ratios, n))
     summary = [
         "steady_state_efficiency", fmt(series.limit),
@@ -183,7 +184,7 @@ def _sweep_axis(args: argparse.Namespace, cfg: ResolvedConfig) -> List[float]:
     for flag, value in (("--min", args.min), ("--max", args.max)):
         try:
             if args.axis == "vs":
-                FixedVoltage(value)
+                replace(cfg, storage_vs=value).sim_config()
             else:
                 replace(cfg, cap_ct=value * cfg.cap_cp).ratios()
         except ValueError as exc:

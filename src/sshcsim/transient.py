@@ -26,7 +26,7 @@ walks a half cycle's rows as its free, held and released runs, as numpy
 arrays for each column read and for waveform.csv, and as floats for run()'s
 crossing row where its clamp row is known. The floats take math's sin and
 cos, which match numpy's bit for bit, and numpy's expm1, which math's does
-not match, so a row has the same bits either way. step() is the explicit-Euler reference.
+not match, so a row has the same bits either way.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ class Phase(enum.Enum):
     PHI_P = "PhiP"
     PHI_0 = "Phi0"
     PHI_N = "PhiN"
-
-
-class FlipDirection(enum.Enum):  # the source current's turn; the node's sign orders a flip
-    POS_TO_NEG = "pos_to_neg"  # the current turns from positive to negative
-    NEG_TO_POS = "neg_to_pos"  # the current turns from negative to positive
 
 
 class WeakExcitationWarning(UserWarning):
@@ -115,6 +110,13 @@ class SimConfig:
                 name,
                 f"must keep the window 3*pulse + 2*gap = {window!r} s below 2% of the "
                 f"period, got {value!r}",
+            )
+        # harvest_report's power at q_harvested = q_generated, in its float
+        # operations: no report on this source and stage can exceed it.
+        src, vs = self.src, self.stage.storage_voltage
+        if not math.isfinite(2.0 * src.frequency * (2.0 * src.amplitude_ip / src.omega) * vs):
+            raise FieldError(
+                "vs", f"must keep the output power 2*f*(2*I_P/omega)*V_S finite, got {vs!r}"
             )
 
 
@@ -284,24 +286,6 @@ def write_flip_events_csv(events: Sequence[FlipEvent], out: Union[str, IO[str]])
     write_csv(out, header, [("dgggg", values)])
 
 
-def zero_crossing_times(
-    src: PiezoSource, n_cycles: int
-) -> List[Tuple[float, FlipDirection]]:
-    """Analytic zero crossings of the source over n_cycles periods.
-
-    The sinusoid starts positive at t=0, so crossing k (1-based) at k/(2f)
-    alternates starting from positive-to-negative.
-    """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
-    half = 0.5 / src.frequency
-    out = []
-    for k in range(1, 2 * n_cycles + 1):
-        direction = FlipDirection.POS_TO_NEG if k % 2 == 1 else FlipDirection.NEG_TO_POS
-        out.append((k * half, direction))
-    return out
-
-
 def apply_flip(
     state: CircuitState, cfg: SimConfig, ledger: Optional[ChargeLedger] = None
 ) -> List[CircuitState]:
@@ -373,47 +357,6 @@ def _clip(v: float, vs: float, cp: float, cs: float, two_vd: float) -> Tuple[flo
         shared = (cp * (abs(v) - two_vd) + cs * vs) / (cp + cs)
         excess, vs = cs * (shared - vs), shared
     return math.copysign(vs + two_vd, v), vs, excess
-
-
-def step(
-    state: CircuitState,
-    cfg: SimConfig,
-    ledger: Optional[ChargeLedger] = None,
-    dt: Optional[float] = None,
-) -> CircuitState:
-    """One explicit Euler step of width dt (defaults to cfg.dt): leakage decay,
-    source charge into C_P, then algebraic projection onto the diode clamp.
-
-    This is the first-order reference for run()'s closed form; run() does not
-    call it. tests/test_transient.py checks that a loop of step() calls
-    converges to run() at first order in dt.
-    """
-    h = cfg.dt if dt is None else dt
-    src = cfg.src
-    cp = src.cap_cp
-    vpt = state.vpt
-    vs = state.vs
-
-    if math.isfinite(src.res_rp):
-        decayed = vpt * math.exp(-h / (src.res_rp * cp))
-        if ledger is not None:
-            ledger.q_leak += cp * (vpt - decayed)
-        vpt = decayed
-
-    dq = src.current(state.t) * h
-    if ledger is not None:
-        ledger.q_source += dq
-        ledger.q_source_gross += abs(dq)
-    vpt += dq / cp
-
-    storage = cfg.stage.storage
-    cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
-    vpt, vs, excess = _clip(vpt, vs, cp, cs, 2.0 * cfg.stage.diode_drop_vd)
-    q_harvested = state.q_harvested + excess
-    if ledger is not None:
-        ledger.q_storage += math.copysign(excess, vpt)
-
-    return replace(state, t=state.t + h, vpt=vpt, vs=vs, q_harvested=q_harvested)
 
 
 class _Circuit(NamedTuple):
@@ -710,7 +653,7 @@ def _integrate_segment(
     floats: where the guesses hold, it calls no numpy function. Where i is
     known, the crossing row is evaluated as a sample, as the one run that
     _pieces yields for it in floats. A start beyond a rail is first clipped
-    onto it by _clip, as step() clips it.
+    onto it by _clip.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
     t0, t_end = t.t0, t.t_end
@@ -849,12 +792,14 @@ def run(cfg: SimConfig) -> RunResult:
     t0, vpt, vt, vs, q = initial.t, initial.vpt, initial.vt, initial.vs, initial.q_harvested
     ledger = ChargeLedger()
     events: List[FlipEvent] = []
-    for k, (t_cross, direction) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
+    half = 0.5 / cfg.src.frequency
+    for k in range(1, 2 * cfg.n_cycles + 1):
+        # The source sin(wt) crosses zero at k half periods, falling at odd k.
+        t_cross = k * half
         # The grid adds t0 + dt, t0 + 2*dt, ... while short of the crossing;
         # a remainder under 1e-9 dt joins the last step, so no sliver is left.
         n = max(0, int(math.floor((t_cross - t0) / c.dt - 1e-9)))
-        # The current is positive before a positive-to-negative crossing.
-        sign = 1 if direction is FlipDirection.POS_TO_NEG else -1
+        sign = 1 if k % 2 == 1 else -1  # the current's sign before the crossing
         h, q = _integrate_segment(_Grid(t0, c.dt, n, t_cross), vpt, vs, vt, q, sign, c, ledger)
         plan.append(h)
         vpt, vs, t0 = h.v_end, h.vs_end, t_cross

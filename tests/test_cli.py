@@ -119,6 +119,17 @@ class TestAnalyzeCommand:
             last = fh.read().splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(0.4975, rel=5e-3)
 
+    def test_zero_threshold_keeps_vt_in_volts(self, tmp_path):
+        # With vs + 2*vd = 0, C_T never charges: vt_V is 0 V, while the
+        # efficiencies still follow the closed form.
+        out = str(tmp_path)
+        argv = ["analyze", "--set", "storage_vs=0", "--set", "diode_drop_vd=0", "--cycles", "3"]
+        assert main(argv + ["--out-dir", out]) == 0
+        with open(os.path.join(out, "flip_series.csv"), encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["0", "0", "0"]
+        assert [row[1] for row in rows] == [row[3] for row in rows]
+
     def test_summary_contents(self, tmp_path):
         out = str(tmp_path)
         main(["analyze", "--out-dir", out])
@@ -367,6 +378,12 @@ class TestExitCodes:
              2, "--points"),
             (["sweep", "--axis", "vs", "--min", "0", "--max", "5", "--points", str(2**63 - 1)],
              2, "--points"),
+            # A source and rail whose output power 2*f*(2*I_P/omega)*V_S
+            # overflows, set directly or reached by a sweep's end.
+            (["compare", "--set", "amplitude_ip=1e150", "--set", "cap_cp=1e-150",
+              "--set", "frequency=1", "--set", "storage_vs=1e200"], 2, "storage_vs"),
+            (["sweep", "--axis", "vs", "--min", "1", "--max", "1e200", "--set", "amplitude_ip=1e150",
+              "--set", "cap_cp=1e-150", "--set", "frequency=1"], 2, "--max"),
         ],
     )
     def test_exit_code_names_key_or_flag(self, tmp_path, capsys, argv, code, name):

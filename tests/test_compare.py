@@ -107,6 +107,10 @@ class TestSweepCtRatio:
             sweep_ct_ratio(make_source(), make_stage(), [1.0, 0.5])
         with pytest.raises(ValueError):
             sweep_ct_ratio(make_source(), make_stage(), [-1.0, 1.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            sweep_ct_ratio(make_source(), make_stage(), [])
+        with pytest.raises(ValueError, match="non-empty"):
+            sweep_storage_voltage(make_source(), 0.2, [])
 
 
 class TestSweepStorageVoltage:

@@ -1,11 +1,14 @@
 """Property: every subcommand agrees on whether a config is valid.
 
 A config that parse_config accepts runs simulate, analyze, compare and both
-sweeps to exit 0, with a closed charge ledger and no numpy RuntimeWarning; a
-config it rejects exits 2 on all of them. The draws span many decades per key.
+sweeps to exit 0, with a closed charge ledger, no numpy RuntimeWarning and
+no inf or nan in any CSV; a config it rejects exits 2 on all of them. The
+draws span many decades per key.
 """
 
 import math
+import os
+import re
 import tempfile
 import warnings
 from unittest import mock
@@ -50,6 +53,9 @@ CONFIGS = st.fixed_dictionaries(
 @example({"res_rp": "1e-300", "cap_cp": "1e-10", "n_cycles": "1"})
 @example({"cap_cp": "1e-320", "n_cycles": "1"})
 @example({"amplitude_ip": "1e307", "frequency": "1e-5", "cap_cp": "1e20", "n_cycles": "1"})
+# A source and rail whose output power 2*f*(2*I_P/omega)*V_S overflows.
+@example({"amplitude_ip": "1e150", "cap_cp": "1e-150", "frequency": "1", "storage_vs": "1e200",
+          "n_cycles": "1"})
 def test_subcommands_agree_on_validity(overrides):
     sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
     runs = []  # (SimConfig, RunResult) of the simulate call
@@ -62,6 +68,12 @@ def test_subcommands_agree_on_validity(overrides):
         warnings.simplefilter("always")
         with mock.patch.object(cli, "run", kept_run):
             codes = [cli.main(sub + sets + ["--out-dir", out]) for sub in SUBCOMMANDS]
+        # Each subcommand writes CSVs of its own names; none holds inf or nan.
+        for name in sorted(os.listdir(out)):
+            if name.endswith(".csv"):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    bad = re.search(r"\b(inf|nan)\b", fh.read())
+                assert bad is None, (name, bad)
 
     assert codes in ([0] * len(SUBCOMMANDS), [2] * len(SUBCOMMANDS))
     unexpected = [w for w in caught if not issubclass(w.category, WeakExcitationWarning)]

@@ -148,6 +148,8 @@ class TestEfficiencySeries:
             flip_efficiency_series(equal_caps(), 1.0, 0)
         with pytest.raises(ValueError):
             flip_efficiency_series(equal_caps(), -1.0, 5)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            closed_form_efficiency(equal_caps(), 0)
 
     @given(beta=betas, n=st.integers(1, 2000))
     @settings(max_examples=40, deadline=None)

@@ -11,7 +11,6 @@ PUBLIC = [
     "CircuitState",
     "FiniteCap",
     "FixedVoltage",
-    "FlipDirection",
     "FlipEvent",
     "FlipRatios",
     "FlipSeries",
@@ -44,13 +43,11 @@ PUBLIC = [
     "optimal_single_flip_ct",
     "run",
     "steady_state_efficiency",
-    "step",
     "sweep_ct_ratio",
     "sweep_storage_voltage",
     "transient",
     "wasted_charge_fullbridge",
     "write_flip_events_csv",
-    "zero_crossing_times",
 ]
 
 

@@ -94,6 +94,9 @@ class TestEnvelope:
     def test_empty_x_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             line_chart(str(tmp_path / "e.svg"), np.array([]), {"y": np.array([])})
+        # An x axis with no y values to plot against it.
+        with pytest.raises(ValueError, match="series must be non-empty"):
+            line_chart(str(tmp_path / "e.svg"), [1.0], {"y": []})
 
     @pytest.mark.parametrize("x", [[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]], ids=["spread", "one_x"])
     def test_constant_series_has_finite_coordinates(self, tmp_path, x):

@@ -15,7 +15,6 @@ from sshcsim import (
     CircuitState,
     FiniteCap,
     FixedVoltage,
-    FlipDirection,
     FlipRatios,
     Phase,
     RectifierStage,
@@ -27,9 +26,7 @@ from sshcsim import (
     flip_efficiency_series,
     flip_step,
     run,
-    step,
     write_flip_events_csv,
-    zero_crossing_times,
 )
 from sshcsim import transient
 from sshcsim.circuit import FieldError, conduction_threshold
@@ -112,32 +109,6 @@ class TestSimConfigValidation:
                 make_sim_config(vpt_initial=bad)
 
 
-class TestZeroCrossings:
-    def test_one_cycle_at_100hz(self):
-        src = make_source(f=100.0)
-        crossings = zero_crossing_times(src, 1)
-        assert [t for t, _ in crossings] == pytest.approx([5e-3, 10e-3])
-
-    def test_first_crossing_is_positive_to_negative(self):
-        crossings = zero_crossing_times(make_source(), 1)
-        assert crossings[0][1] is FlipDirection.POS_TO_NEG
-
-    def test_alternating_directions(self):
-        crossings = zero_crossing_times(make_source(f=50.0), 2)
-        assert len(crossings) == 4
-        dirs = [d for _, d in crossings]
-        assert dirs == [
-            FlipDirection.POS_TO_NEG,
-            FlipDirection.NEG_TO_POS,
-            FlipDirection.POS_TO_NEG,
-            FlipDirection.NEG_TO_POS,
-        ]
-
-    def test_rejects_zero_cycles(self):
-        with pytest.raises(ValueError):
-            zero_crossing_times(make_source(), 0)
-
-
 def idle_state(vpt, vt=0.0, vs=2.0):
     return CircuitState(t=0.0, vpt=vpt, vt=vt, vs=vs, q_harvested=0.0)
 
@@ -193,12 +164,58 @@ class TestApplyPhase:
         assert ledger.q_cleared == pytest.approx(cfg.src.cap_cp * 1.2, rel=1e-12)
 
 
+def current(src, t):
+    """The source current I(t) = I_P*sin(w*t) (A)."""
+    return src.amplitude_ip * math.sin(src.omega * t)
+
+
+def step(state, cfg, ledger=None, dt=None):
+    """One explicit Euler step of width dt (defaults to cfg.dt): leakage
+    decay, source charge into C_P, then algebraic projection onto the diode
+    clamp by transient._clip. The first-order reference for run()'s closed
+    form: TestStepConvergesToRun checks that a loop of it converges to run()
+    at first order in dt."""
+    h = cfg.dt if dt is None else dt
+    src = cfg.src
+    cp = src.cap_cp
+    vpt = state.vpt
+    vs = state.vs
+
+    if math.isfinite(src.res_rp):
+        decayed = vpt * math.exp(-h / (src.res_rp * cp))
+        if ledger is not None:
+            ledger.q_leak += cp * (vpt - decayed)
+        vpt = decayed
+
+    dq = current(src, state.t) * h
+    if ledger is not None:
+        ledger.q_source += dq
+        ledger.q_source_gross += abs(dq)
+    vpt += dq / cp
+
+    storage = cfg.stage.storage
+    cs = storage.cs if isinstance(storage, FiniteCap) else math.inf
+    vpt, vs, excess = transient._clip(vpt, vs, cp, cs, 2.0 * cfg.stage.diode_drop_vd)
+    q_harvested = state.q_harvested + excess
+    if ledger is not None:
+        ledger.q_storage += math.copysign(excess, vpt)
+
+    return replace(state, t=state.t + h, vpt=vpt, vs=vs, q_harvested=q_harvested)
+
+
+def crossings(cfg):
+    """Each zero crossing k = 1 .. 2*n_cycles of the source as run() takes
+    it: (k, its time k*(0.5/f), the current's sign before it)."""
+    half = 0.5 / cfg.src.frequency
+    return [(k, k * half, 1 if k % 2 == 1 else -1) for k in range(1, 2 * cfg.n_cycles + 1)]
+
+
 class TestStep:
     def test_blocking_region_capacitor_law(self):
         cfg = make_sim_config(ct=None)
         state = CircuitState(t=1e-3, vpt=0.5, vt=0.0, vs=2.0, q_harvested=0.0)
         new = step(state, cfg)
-        expected = 0.5 + cfg.src.current(1e-3) * cfg.dt / cfg.src.cap_cp
+        expected = 0.5 + current(cfg.src, 1e-3) * cfg.dt / cfg.src.cap_cp
         assert new.vpt == pytest.approx(expected, rel=1e-12)
         assert new.q_harvested == 0.0
 
@@ -207,7 +224,7 @@ class TestStep:
         state = CircuitState(t=2.5e-3, vpt=2.4, vt=0.0, vs=2.0, q_harvested=0.0)
         new = step(state, cfg)
         assert new.vpt == pytest.approx(2.4, abs=1e-12)
-        assert new.q_harvested == pytest.approx(cfg.src.current(2.5e-3) * cfg.dt, rel=1e-12)
+        assert new.q_harvested == pytest.approx(current(cfg.src, 2.5e-3) * cfg.dt, rel=1e-12)
 
     def test_rc_discharge_when_source_negligible(self):
         rp = 1e6
@@ -230,7 +247,7 @@ class TestStep:
 
 
 def step_reference(cfg):
-    """run() rebuilt from public step() and apply_flip() calls: the explicit
+    """run() rebuilt from step() and public apply_flip() calls: the explicit
     Euler reference. Returns the flip events as tuples, the final state and
     the ChargeLedger that both calls book."""
     state = CircuitState(
@@ -241,7 +258,7 @@ def step_reference(cfg):
         q_harvested=0.0,
     )
     events, ledger = [], ChargeLedger()
-    for k, (t_cross, _) in enumerate(zero_crossing_times(cfg.src, cfg.n_cycles), 1):
+    for k, t_cross, _ in crossings(cfg):
         while state.t < t_cross - 1e-15 * t_cross:
             state = step(state, cfg, ledger, dt=min(cfg.dt, t_cross - state.t))
         if cfg.sshc is None:
@@ -317,6 +334,16 @@ class TestRunFullBridge:
 
 
 class TestRunSshc:
+    @pytest.mark.parametrize("f", [50.0, 100.0, 217.0])
+    def test_flips_at_each_half_period(self, f):
+        # Flip k falls at k*(0.5/f) to the last bit, and the source current
+        # is positive in the first half cycle, so the node rises to +2.4 V.
+        result = run(make_sim_config(src=make_source(f=f), n_cycles=3))
+        half = 0.5 / f
+        assert [repr(e.t) for e in result.events] == [repr(k * half) for k in range(1, 7)]
+        assert result.waveform._plan[0].sign == 1
+        assert result.events[0].v_before > 0.0
+
     def test_oracle_equivalence_with_flip_step(self):
         cfg = make_sim_config(n_cycles=10)
         result = run(cfg)
@@ -1107,8 +1134,7 @@ def crossing_map(cfg):
     v, vs = cfg.vpt_initial, stage.storage_voltage
     vt = cfg.sshc.volt_vt if cfg.sshc is not None else 0.0
     t0, befores = 0.0, []
-    for t_end, direction in zero_crossing_times(src, cfg.n_cycles):
-        s = 1 if direction is FlipDirection.POS_TO_NEG else -1
+    for _, t_end, s in crossings(cfg):
         if abs(v) > vs + two_vd:
             if cs < math.inf:
                 vs = (cp * (abs(v) - two_vd) + cs * vs) / (cp + cs)
@@ -1287,7 +1313,7 @@ class TestFlipMatchesApplyPhase:
         cfg = make_sim_config(n_cycles=1, src=make_source(ip=1e-6), vpt_initial=-2.0)
         with pytest.warns(WeakExcitationWarning):
             result = self.check(cfg)
-        assert zero_crossing_times(cfg.src, 1)[0][1] is FlipDirection.POS_TO_NEG
+        assert result.waveform._plan[0].sign == 1
         assert result.events[0].v_before < 0.0
         first = pulse_rows(result.waveform)[0]
         assert result.waveform.phase[first].tolist() == ["PhiN", "Phi0", "PhiP"]
