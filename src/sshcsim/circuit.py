@@ -110,6 +110,11 @@ class RectifierStage:
 
     def __post_init__(self):
         require_finite(self, "diode_drop_vd", sign=">= 0")
+        if not math.isfinite(conduction_threshold(self)):
+            vd = self.diode_drop_vd
+            raise FieldError(
+                "diode_drop_vd", f"must keep the threshold vs + 2*vd finite, got {vd!r}"
+            )
 
     @property
     def storage_voltage(self) -> float:

@@ -43,6 +43,14 @@ class _Emitter:
     times the stages of the command for it."""
 
     def __init__(self, out_dir: str):
+        # Reject, before any work, a directory that path() could not make: an
+        # empty name, or one whose nearest existing part is not a directory.
+        # Nothing is made here.
+        head = out_dir
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not (out_dir and os.path.isdir(head or ".")):
+            raise ConfigError("--out-dir", f"{head!r} is not a directory")
         self.out_dir = out_dir
         self.paths: List[str] = []
         # Wall-clock seconds per stage: the one part of the manifest that

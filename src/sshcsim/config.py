@@ -191,16 +191,22 @@ class ResolvedConfig:
 
 
 def read_config_file(path: str) -> Dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        # A missing file, a directory or text that is not UTF-8 names the flag.
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise ConfigError("--config", f"cannot read {path!r}: {reason}") from None
     raw: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}", f"expected key = value, got {line.strip()!r}")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            raw[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}", f"expected key = value, got {line.strip()!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        raw[key] = value
     return raw
 
 

@@ -13,14 +13,14 @@ arcsin's for the release on a fixed rail), else probes every 64th row and
 scans the rows they leave, both in chunks of fixed size, and its time from a
 scalar root. On a fixed rail without leak no result of run() needs the clamp
 row: where the crossing row holds, the node ends on the rail, and run()
-leaves the row pending for the Waveform to find when a sample needs it.
+leaves the row pending for the Waveform to find at its first read.
 run() writes no samples. A flip is one fixed sequence of three instantaneous
 charge redistributions (share with C_T, short C_P, reconnect C_T reversed),
 one pulse row each, which run() and apply_flip() both take from _flip. run()
 appends each half cycle's plan to one list and its flip's rows, (t, vpt, vt,
 vs, phase token) as waveform.csv writes them, to another; the Waveform keeps
-both lists, finds each pending clamp row at the first read of vpt or
-waveform.csv, and evaluates the grid rows' samples, one half cycle at a time,
+both lists, finds each pending clamp row at the first read of any column
+or waveform.csv, and evaluates the grid rows' samples, one half cycle at a time,
 whenever a column is read. One generator, _pieces, evaluates samples: it
 walks a half cycle's rows as its free, held and released runs, as numpy
 arrays for each column read and for waveform.csv, and as floats for run()'s
@@ -43,7 +43,7 @@ from typing import IO, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .circuit import FiniteCap, PiezoSource, RectifierStage, SshcNetwork, full_swing_supported
-from .circuit import FieldError, require_finite
+from .circuit import FieldError, require_finite, wasted_charge_fullbridge
 from .csvout import fmt, write_csv
 from .flip import charge_share
 
@@ -111,13 +111,17 @@ class SimConfig:
                 f"must keep the window 3*pulse + 2*gap = {window!r} s below 2% of the "
                 f"period, got {value!r}",
             )
-        # harvest_report's power at q_harvested = q_generated, in its float
-        # operations: no report on this source and stage can exceed it.
+        # harvest_report's power at q_harvested = q_generated, and the full
+        # bridge's wasted charge, in their float operations: no report on this
+        # source and stage can exceed either.
         src, vs = self.src, self.stage.storage_voltage
-        if not math.isfinite(2.0 * src.frequency * (2.0 * src.amplitude_ip / src.omega) * vs):
-            raise FieldError(
-                "vs", f"must keep the output power 2*f*(2*I_P/omega)*V_S finite, got {vs!r}"
-            )
+        power = 2.0 * src.frequency * (2.0 * src.amplitude_ip / src.omega) * vs
+        for bound, value in (
+            ("output power 2*f*(2*I_P/omega)*V_S", power),
+            ("wasted charge 2*C_P*(V_S + 2*V_D)", wasted_charge_fullbridge(src, self.stage)),
+        ):
+            if not math.isfinite(value):
+                raise FieldError("vs", f"must keep the {bound} finite, got {vs!r}")
 
 
 @dataclass(frozen=True)
@@ -180,9 +184,9 @@ class Waveform:
     tokens (Idle, PhiP, Phi0, PhiN) as a '<U4' array, each evaluated anew on
     every read and not cached. So bind a column to a name once rather than
     index it in a loop. The samples of every grid row, for a read and for
-    write_csv alike, come from _pieces. A clamp row that run() left pending
-    is found at the first read of vpt or write_csv and kept in the plan;
-    reads of t, vt, vs and phase find none.
+    write_csv alike, come from _pieces' full evaluation. The clamp rows that
+    run() left pending are found once, at the first read of any column or
+    write_csv, and kept in the plan.
     """
 
     def __init__(
@@ -224,22 +228,21 @@ class Waveform:
 
     def _column(self, name: str) -> np.ndarray:
         c, s, k = self._circuit, self._initial, _COLUMNS.index(name)
-        plan = self._resolved() if name == "vpt" else self._plan
         if name == "phase":
             out = np.full(len(self), Phase.IDLE.value, _TOKEN)  # every row but a flip's
         else:
             out = np.empty(len(self))
             out[0] = getattr(s, name)
         row = 0  # out[row] is the half cycle's row 0, the row before it
-        for h, flip in zip(plan, self._flips):
+        for h, flip in zip(self._resolved(), self._flips):
             grid = slice(row + 1, row + h.n + 2)
             if name == "t":
                 out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
             elif name == "vt":
                 out[grid] = h.vt
             elif name != "phase":
-                for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c, node=name == "vpt"):
-                    out[row + a : row + b] = h.vs0 + h.sign * rise if vpt is None else vpt
+                for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
+                    out[row + a : row + b] = vpt if name == "vpt" else h.vs0 + h.sign * rise
             pulses = slice(grid.stop, grid.stop + len(flip))  # the flip's rows follow the grid's
             out[pulses] = [r[k] for r in flip]
             row = pulses.stop - 1
@@ -721,27 +724,20 @@ def _integrate_segment(
     return h, q_harvested + sign * q_storage
 
 
-def _pieces(
-    h: _HalfCycle, lo: int, hi: int, c: _Circuit, m=np, node: bool = True
-) -> Iterator[tuple]:
+def _pieces(h: _HalfCycle, lo: int, hi: int, c: _Circuit, m=np) -> Iterator[tuple]:
     """Evaluate rows lo..hi-1 of half cycle h, 1 <= lo < hi <= n + 2, from its
     plan: yield (a, b, vpt, rise) for each non-empty run of rows a..b-1 that
     is free (from row 1), held (from row i) or released (from row j). rise is
     how far a finite storage cap has carried the clamp, so vs = vs0 +
     sign*rise. vpt and rise are floats where the run holds them, arrays
-    otherwise; node=False leaves vpt None and evaluates only rise, which on a
-    fixed rail is 0.0 on every row: one run, lo..hi-1. With m=np each run is
-    one numpy call over its rows, and an element's bits do not depend on the
-    rows around it, so any lo and hi give the bits of the whole half cycle.
-    With m=_FLOAT the one row lo = hi - 1 is evaluated in floats, with the
-    same bits, and vpt and rise are floats or numpy scalars. This is the only
-    code that evaluates samples. A pending i (None) must be found first,
-    except for node=False on a fixed rail, which reads no row.
+    otherwise. With m=np each run is one numpy call over its rows, and an
+    element's bits do not depend on the rows around it, so any lo and hi give
+    the bits of the whole half cycle. With m=_FLOAT the one row lo = hi - 1 is
+    evaluated in floats, with the same bits, and vpt and rise are floats or
+    numpy scalars. This is the only code that evaluates samples. A pending i
+    (None) must be found first.
     """
     finite = c.cs < math.inf
-    if not (node or finite):  # a fixed rail holds rise at 0.0 on every row
-        yield lo, hi, None, 0.0
-        return
     t = _Grid(h.t0, c.dt, h.n, h.t_end)
     rail = h.sign * (h.vs0 + c.two_vd)
     hold = (h.t_clamp, rail, c.kh, c.gh, c.w)
@@ -751,20 +747,17 @@ def _pieces(
         return t[a:b] if m is np else t[a]
 
     if lo < i:
-        yield lo, i, h.v0 + _rise(at(lo, i), h.t0, h.v0, c.kf, c.gf, c.w, m) if node else None, 0.0
+        yield lo, i, h.v0 + _rise(at(lo, i), h.t0, h.v0, c.kf, c.gf, c.w, m), 0.0
     if i < j:
         rise = _rise(at(i, j), *hold, m) if finite else 0.0
-        yield i, j, rail + rise if node else None, rise  # + 0.0 turns a -0.0 rail into 0.0
+        yield i, j, rail + rise, rise  # + 0.0 turns a -0.0 rail into 0.0
     if j < hi:
         lift = _rise(h.t_release, *hold) if finite else 0.0
-        vpt = None
-        if node:
-            off = rail + lift
-            fall = off + _rise(at(j, hi), h.t_release, off, c.kf, c.gf, c.w, m)
-            # Released, the node only falls away from the rail; the clip drops
-            # the rounding of a very stiff leak (g >> w).
-            vpt = h.sign * np.minimum(h.sign * fall, h.sign * off)
-        yield j, hi, vpt, lift
+        off = rail + lift
+        fall = off + _rise(at(j, hi), h.t_release, off, c.kf, c.gf, c.w, m)
+        # Released, the node only falls away from the rail; the clip drops
+        # the rounding of a very stiff leak (g >> w).
+        yield j, hi, h.sign * np.minimum(h.sign * fall, h.sign * off), lift
 
 
 def run(cfg: SimConfig) -> RunResult:

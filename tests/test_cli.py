@@ -384,10 +384,25 @@ class TestExitCodes:
               "--set", "frequency=1", "--set", "storage_vs=1e200"], 2, "storage_vs"),
             (["sweep", "--axis", "vs", "--min", "1", "--max", "1e200", "--set", "amplitude_ip=1e150",
               "--set", "cap_cp=1e-150", "--set", "frequency=1"], 2, "--max"),
+            # A config file that is missing, a directory, or not UTF-8.
+            (["compare", "--config", "{tmp}/missing.cfg"], 2, "--config"),
+            (["compare", "--config", "{tmp}"], 2, "--config"),
+            (["compare", "--config", "{tmp}/latin1.cfg"], 2, "--config"),
+            # An output directory that is a file, lies under one, or is unnamed.
+            (["compare", "--out-dir", "{tmp}/latin1.cfg"], 2, "--out-dir"),
+            (["simulate", "--out-dir", "{tmp}/latin1.cfg/sub"], 2, "--out-dir"),
+            (["compare", "--out-dir", ""], 2, "--out-dir"),
+            # A sweep end whose wasted charge 2*C_P*(V_S + 2*V_D) overflows.
+            (["sweep", "--axis", "vs", "--min", "0", "--max", "1e300", "--points", "3",
+              "--set", "cap_cp=1e10"], 2, "--max"),
         ],
     )
     def test_exit_code_names_key_or_flag(self, tmp_path, capsys, argv, code, name):
-        assert main(argv + ["--out-dir", str(tmp_path)]) == code
+        (tmp_path / "latin1.cfg").write_bytes(b"\xff\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if "--out-dir" not in argv:
+            argv += ["--out-dir", str(tmp_path)]
+        assert main(argv) == code
         err = capsys.readouterr().err
         if name is None:
             assert err == ""
@@ -400,6 +415,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: line 2:") and "cap_ct" in err, err
+
+    def test_simulation_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # No known input reaches this branch; a ValueError from the engine
+        # that no value type caught must still end in exit 3, not a traceback.
+        def failing(cfg):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert main(["simulate", "--cycles", "1", "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: simulation: boom")
 
 
 class TestParserReuse:

@@ -56,6 +56,10 @@ CONFIGS = st.fixed_dictionaries(
 # A source and rail whose output power 2*f*(2*I_P/omega)*V_S overflows.
 @example({"amplitude_ip": "1e150", "cap_cp": "1e-150", "frequency": "1", "storage_vs": "1e200",
           "n_cycles": "1"})
+# A wasted charge 2*C_P*(V_S + 2*V_D) that overflows, and a threshold
+# V_S + 2*V_D that does.
+@example({"cap_cp": "1e300", "storage_vs": "1e10", "n_cycles": "1"})
+@example({"storage_vs": "1.7e308", "diode_drop_vd": "1e308", "n_cycles": "1"})
 def test_subcommands_agree_on_validity(overrides):
     sets = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
     runs = []  # (SimConfig, RunResult) of the simulate call

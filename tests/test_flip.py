@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sshcsim import (
@@ -271,6 +271,17 @@ class TestCyclesToConverge:
             cycles_to_converge(equal_caps(), 0.0)
         with pytest.raises(ValueError):
             cycles_to_converge(equal_caps(), 1.0)
+
+    @given(beta=st.floats(0.01, 0.995), fraction=st.floats(0.001, 0.999))
+    @settings(max_examples=40, deadline=None)
+    # The log estimate is one short (36 for 37) and one over (49 for 48).
+    @example(beta=0.9914594434117118, fraction=0.4607419154494519)
+    @example(beta=0.9662678205543738, fraction=0.9629010525168098)
+    def test_is_the_first_n_counting_up(self, beta, fraction):
+        n = 1
+        while 1.0 - beta ** (2 * n) < fraction:
+            n += 1
+        assert cycles_to_converge(ratios_from_beta(beta), fraction) == n
 
     @given(beta=st.floats(0.05, 0.95), fraction=st.floats(0.01, 0.999))
     @settings(max_examples=40, deadline=None)

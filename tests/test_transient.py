@@ -1032,9 +1032,8 @@ class TestPieceBoundaries:
         # fixed rail), its search evaluates two rows per half cycle, whether
         # run() or the read makes it, and a leaky clamp that never reaches
         # the rail none. On the ideal rail run() searches nothing and
-        # evaluates the crossing row alone. A read of vs leaves vpt alone: on
-        # a fixed rail it evaluates nothing, on a storage cap the held rows
-        # and the release's lift, one element per half cycle.
+        # evaluates the crossing row alone. A later read of vs runs no search
+        # and evaluates each sample at most once, as the read of vpt did.
         seen = [0]
         real = transient._rise
 
@@ -1058,14 +1057,10 @@ class TestPieceBoundaries:
             assert searched["backward"] <= 2 * halves, searched
         assert planned <= len(wf) * (1 + 1 / 16), planned / len(wf)
         assert seen[0] - resolving <= len(wf), seen[0] / len(wf)
-        seen[0] = 0
+        seen[0], before = 0, dict(searched)
         assert len(wf.vs) == len(wf)
-        if case == "finite_storage":
-            halves = wf._plan
-            held = sum(np.clip(h.j, 1, h.n + 2) - np.clip(h.i, 1, h.n + 2) for h in halves)
-            assert 0 < seen[0] <= held + len(halves), (seen[0], held)
-        else:
-            assert seen[0] == 0
+        assert dict(searched) == before, searched
+        assert seen[0] <= len(wf), seen[0] / len(wf)
 
 
 def check_leak_free_run(cfg, result, searched):
@@ -1158,9 +1153,9 @@ class TestPendingClampRows:
     crossing row that holds puts the node on the rail there, and the events,
     ledger and final state follow from that. run() leaves such a row pending;
     the Waveform finds it, by the search run() would have made, at the first
-    read that needs it (vpt, write_csv) and keeps it."""
+    read of any column or write_csv, and keeps it."""
 
-    @pytest.mark.parametrize("read", ["vpt", "write_csv"])
+    @pytest.mark.parametrize("read", ["t", "vpt", "vt", "vs", "phase", "write_csv"])
     @pytest.mark.parametrize("ct", [100 * 10e-9, None], ids=["ct=100cp", "full_bridge"])
     def test_a_sample_read_searches_once(self, monkeypatch, ct, read):
         calls = record(monkeypatch, "_first")
@@ -1168,25 +1163,21 @@ class TestPendingClampRows:
         wf = run(cfg).waveform
         assert calls == []  # every crossing row holds
         assert all(h.i is None for h in wf._plan)
-        for name in ("t", "vt", "vs", "phase"):
-            getattr(wf, name)
-        assert calls == []
 
-        def sample():
-            if read == "vpt":
-                wf.vpt
-            else:
+        def sample(name):
+            if name == "write_csv":
                 wf.write_csv(io.StringIO())
+            else:
+                getattr(wf, name)
 
-        sample()
+        sample(read)
         assert len(calls) == len(wf._plan) == 2 * cfg.n_cycles
         for (f, t, lo, guess), got in calls:
             assert f.__name__ == "over" and lo == 1 and guess is not None
         assert [h.i for h in wf._plan] == [got for _, got in calls]
         calls.clear()
-        sample()
-        wf.vpt
-        wf.write_csv(io.StringIO())
+        for name in ("t", "vpt", "vt", "vs", "phase", "write_csv"):
+            sample(name)
         assert calls == []
         check_plan_boundaries(cfg, wf)
 
