@@ -151,6 +151,22 @@ def wasted_charge_fullbridge(src: PiezoSource, stage: RectifierStage) -> float:
     return 2.0 * src.cap_cp * conduction_threshold(stage)
 
 
+def require_finite_harvest(src: PiezoSource, stage: RectifierStage) -> None:
+    """Raise FieldError naming vs where harvest_report's power at
+    q_harvested = q_generated, or the full bridge's wasted charge, overflows
+    in their float operations: no report on this source and stage can
+    exceed either."""
+    vs = stage.storage_voltage
+    power = 2.0 * src.frequency * (2.0 * src.amplitude_ip / src.omega) * vs
+    if not math.isfinite(power):
+        bound = "output power 2*f*(2*I_P/omega)*V_S"
+    elif not math.isfinite(wasted_charge_fullbridge(src, stage)):
+        bound = "wasted charge 2*C_P*(V_S + 2*V_D)"
+    else:
+        return
+    raise FieldError("vs", f"must keep the {bound} finite, got {vs!r}")
+
+
 def open_circuit_vpp(src: PiezoSource) -> float:
     """Peak-to-peak open-circuit voltage: the half-sine charge 2*Ip/omega
     integrated into cap_cp. Only defined for a leak-free source."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import IO, List, Optional, Sequence, Tuple, Union
 
 from .circuit import FixedVoltage, PiezoSource, RectifierStage, conduction_threshold
-from .circuit import wasted_charge_fullbridge
+from .circuit import require_finite_harvest, wasted_charge_fullbridge
 from .csvout import write_csv
 from .flip import FlipRatios, steady_state_efficiency
 
@@ -68,10 +68,12 @@ def write_reports_csv(
 def harvest_report(src: PiezoSource, stage: RectifierStage, eta: float) -> HarvestReport:
     """Per-half-cycle charge budget and output power at flip efficiency eta.
 
-    eta = 0 is the full-bridge baseline (both half-swings wasted).
+    eta = 0 is the full-bridge baseline (both half-swings wasted). A source
+    and stage whose power or wasted charge would overflow raise FieldError.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
+    require_finite_harvest(src, stage)
     v0 = conduction_threshold(stage)
     q_generated = 2.0 * src.amplitude_ip / src.omega
     if eta == 0.0:

@@ -5,7 +5,8 @@ Values accept an optional SI prefix and unit, e.g. ``10nF``, ``50uA``,
 ``cap_cp``, and the timings accept ``auto``, SimConfig's default. Overrides
 (the CLI's ``--full-bridge``, ``--set``, ``--ct-ratio`` and ``--cycles``, in
 that order) win over config file keys, which win over the defaults. Each key
-is declared once, in ``_TABLE``, whose parsers only turn text into values.
+is declared once, as a ResolvedConfig field that carries its default text and
+its parser, and the parsers only turn text into values.
 The range rules live in the value types that hold the values (every number
 finite except ``res_rp = inf``, which means no leakage; a ratio C_T/C_P that
 floats can represent, from about 1e-16 to 1e16). parse_config builds them
@@ -15,8 +16,8 @@ once and turns each rejection into a ConfigError naming its key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, Mapping, Optional
 
 from .circuit import FieldError, FiniteCap, FixedVoltage, PiezoSource, RectifierStage, SshcNetwork
 from .flip import FlipRatios
@@ -104,25 +105,11 @@ def _count(text: str, key: str, got: Dict[str, object]) -> int:
         raise ConfigError(key, f"cannot parse integer {text!r}") from None
 
 
-# key -> (default, parser), in ResolvedConfig field order. Keys are resolved
-# top to bottom, so a parser may read the keys above it: cap_ct reads cap_cp.
-_TABLE: Dict[str, Tuple[str, Parser]] = {
-    # Chosen so the conduction threshold is 2.4 V and the open-circuit swing
-    # comfortably re-reaches the clamp every half cycle.
-    "amplitude_ip": ("50uA", _quantity),
-    "frequency": ("100Hz", _quantity),
-    "cap_cp": ("10nF", _quantity),
-    "res_rp": ("inf", _quantity),
-    "diode_drop_vd": ("0.2V", _quantity),
-    "storage_vs": ("2.0V", _quantity),
-    "storage_cs": ("none", _optional_cap),
-    "cap_ct": ("1x", _cap_ct),
-    "full_bridge": ("false", _bool),
-    "dt": ("auto", _auto),
-    "n_cycles": ("10", _count),
-    "phase_pulse_width": ("auto", _auto),
-    "phase_gap": ("auto", _auto),
-}
+def _key(default: str, parse: Parser):
+    """A ResolvedConfig field that is a config key: its default text and the
+    parser that turns text into its value."""
+    return field(metadata={"default": default, "parse": parse})
+
 
 # The fields of the value types whose config key has another name.
 _KEY_OF_FIELD = {"vs": "storage_vs", "vs_initial": "storage_vs", "cs": "storage_cs"}
@@ -130,23 +117,29 @@ _KEY_OF_FIELD = {"vs": "storage_vs", "vs_initial": "storage_vs", "cs": "storage_
 
 @dataclass(frozen=True)
 class ResolvedConfig:
-    """Fully resolved parameter set plus its canonical string echo."""
+    """Fully resolved parameter set plus its canonical string echo.
 
-    amplitude_ip: float
-    frequency: float
-    cap_cp: float
-    res_rp: float
-    diode_drop_vd: float
-    storage_vs: float
-    storage_cs: Optional[float]
-    cap_ct: float
-    full_bridge: bool
+    Each field is a config key, with its default text and parser. Keys are
+    resolved in field order, so a parser may read the keys above it: cap_ct
+    reads cap_cp."""
+
+    # Chosen so the conduction threshold is 2.4 V and the open-circuit swing
+    # comfortably re-reaches the clamp every half cycle.
+    amplitude_ip: float = _key("50uA", _quantity)
+    frequency: float = _key("100Hz", _quantity)
+    cap_cp: float = _key("10nF", _quantity)
+    res_rp: float = _key("inf", _quantity)
+    diode_drop_vd: float = _key("0.2V", _quantity)
+    storage_vs: float = _key("2.0V", _quantity)
+    storage_cs: Optional[float] = _key("none", _optional_cap)
+    cap_ct: float = _key("1x", _cap_ct)
+    full_bridge: bool = _key("false", _bool)
     # The timings are None for 'auto' until parse_config stores SimConfig's
     # resolved values.
-    dt: Optional[float]
-    n_cycles: int
-    phase_pulse_width: Optional[float]
-    phase_gap: Optional[float]
+    dt: Optional[float] = _key("auto", _auto)
+    n_cycles: int = _key("10", _count)
+    phase_pulse_width: Optional[float] = _key("auto", _auto)
+    phase_gap: Optional[float] = _key("auto", _auto)
 
     def echo(self) -> Dict[str, str]:
         """Canonical key=value form; re-parsing it reproduces this config.
@@ -215,16 +208,17 @@ def parse_config(
 ) -> ResolvedConfig:
     """Resolve defaults, optional config file, then overrides into a validated
     parameter set. Unknown keys and out-of-range values name the offending key."""
-    raw = {key: default for key, (default, _) in _TABLE.items()}
+    keys = fields(ResolvedConfig)
+    raw = {f.name: f.metadata["default"] for f in keys}
     for source in (read_config_file(path) if path else {}, overrides or {}):
         for key, value in source.items():
-            if key not in _TABLE:
+            if key not in raw:
                 raise ConfigError(key, "unknown key")
             raw[key] = str(value)
 
     got: Dict[str, object] = {}
-    for key, (_, parse) in _TABLE.items():
-        got[key] = parse(raw[key].strip(), key, got)
+    for f in keys:
+        got[f.name] = f.metadata["parse"](raw[f.name].strip(), f.name, got)
     resolved = ResolvedConfig(**got)
     # The value types own the range rules; a rejection names its field. The
     # source comes first, so a bad cap_cp is not reported as a bad ratio.

@@ -8,12 +8,12 @@ a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
 crossing, the piece boundaries, and the charge ledger from the pieces' exact
 integrals. A boundary's grid row comes from _first, which checks the two
-rows around a scalar guess where one exists (_clamp_row's for the clamp,
-arcsin's for the release on a fixed rail), else probes every 64th row and
-scans the rows they leave, both in chunks of fixed size, and its time from a
-scalar root. On a fixed rail without leak no result of run() needs the clamp
-row: where the crossing row holds, the node ends on the rail, and run()
-leaves the row pending for the Waveform to find at its first read.
+rows around a scalar guess (_clamp_row's for the clamp, arcsin's or a root
+past the sine's peak for the release), else scans the rows in chunks of
+fixed size, and its time from a scalar root. On a fixed rail without leak
+no result of run() needs the clamp row: where the crossing row holds, the
+node ends on the rail, and run() leaves the row pending for the Waveform to
+find at its first read.
 run() writes no samples. A flip is one fixed sequence of three instantaneous
 charge redistributions (share with C_T, short C_P, reconnect C_T reversed),
 one pulse row each, which run() and apply_flip() both take from _flip. run()
@@ -43,7 +43,7 @@ from typing import IO, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .circuit import FiniteCap, PiezoSource, RectifierStage, SshcNetwork, full_swing_supported
-from .circuit import FieldError, require_finite, wasted_charge_fullbridge
+from .circuit import FieldError, require_finite, require_finite_harvest
 from .csvout import fmt, write_csv
 from .flip import charge_share
 
@@ -111,17 +111,7 @@ class SimConfig:
                 f"must keep the window 3*pulse + 2*gap = {window!r} s below 2% of the "
                 f"period, got {value!r}",
             )
-        # harvest_report's power at q_harvested = q_generated, and the full
-        # bridge's wasted charge, in their float operations: no report on this
-        # source and stage can exceed either.
-        src, vs = self.src, self.stage.storage_voltage
-        power = 2.0 * src.frequency * (2.0 * src.amplitude_ip / src.omega) * vs
-        for bound, value in (
-            ("output power 2*f*(2*I_P/omega)*V_S", power),
-            ("wasted charge 2*C_P*(V_S + 2*V_D)", wasted_charge_fullbridge(src, self.stage)),
-        ):
-            if not math.isfinite(value):
-                raise FieldError("vs", f"must keep the {bound} finite, got {vs!r}")
+        require_finite_harvest(self.src, self.stage)
 
 
 @dataclass(frozen=True)
@@ -404,8 +394,8 @@ class _Grid:
     """A half cycle's time column, computed when indexed, never stored. Row 0
     is the previous row t0, rows 1..n are t0 + dt*m (the floats of
     t0 + dt*np.arange(1, n + 1)) and row n + 1 is the zero crossing t_end.
-    An int index gives a float; a slice or a strictly increasing array of
-    rows in range gives an array."""
+    An int index gives a float; a slice with a positive step gives an array:
+    _first's guess check reads floats, its scan slices."""
 
     __slots__ = ("t0", "dt", "n", "t_end")
 
@@ -422,18 +412,14 @@ class _Grid:
         return min(max(math.ceil((s - self.t0) / self.dt), 1), self.n + 1)
 
     def __getitem__(self, m):
-        if isinstance(m, slice):
-            lo, hi, step = m.indices(self.n + 2)
-            t = np.arange(lo, hi, step, dtype=np.float64)
-            t *= self.dt
-            m = range(lo, hi, step)
-        elif isinstance(m, np.ndarray):
-            t = m * self.dt
-        else:
+        if not isinstance(m, slice):
             m = operator.index(m) % (self.n + 2)
             return self.t_end if m > self.n else self.t0 + self.dt * m
+        rows = range(*m.indices(self.n + 2))
+        t = np.arange(rows.start, rows.stop, rows.step, dtype=np.float64)
+        t *= self.dt
         t += self.t0
-        if len(m) and m[-1] > self.n:  # increasing rows: only the last can be the crossing
+        if len(rows) and rows[-1] > self.n:  # increasing rows: only the last can be the crossing
             t[-1] = self.t_end
         return t
 
@@ -485,8 +471,7 @@ def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
 _FLOAT = SimpleNamespace(sin=math.sin, cos=math.cos, expm1=lambda x: float(np.expm1(x)))
 
 _EPS = sys.float_info.epsilon
-_STRIDE = 64  # grid points between the probes of a boundary search
-_CHUNK = _STRIDE * _STRIDE  # probes, or rows after them, that a boundary search tests at once
+_CHUNK = 4096  # rows that a boundary search tests at once, whatever the grid's length
 
 
 def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
@@ -499,13 +484,9 @@ def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
     is the index. Neither holding on the last two rows means none, which is
     true where the points that hold are a suffix of t[lo:]: a caller whose
     points are an interval passes no guess on the last row.
-    Otherwise, and without a guess, the search probes every _STRIDE-th point
-    and the last, _CHUNK probes at a time up to the first that holds, then
-    scans, _CHUNK points at a time, those after the last probe that fails up
-    to the first that holds, or all of t[lo:] where none holds (a touch
-    shorter than a stride may lie between two probes): argmax over t[lo:]
-    when the points that hold are contiguous, as for each boundary of a half
-    cycle. So no search holds more than _CHUNK points, whatever len(t) is."""
+    Otherwise, and without a guess, it scans t[lo:], _CHUNK points at a time,
+    up to the first that holds: argmax over t[lo:], whichever points hold,
+    and no search holds more than _CHUNK points, whatever len(t) is."""
     n = len(t)
     if guess is not None:
         g = max(t.row(guess), lo)
@@ -515,19 +496,8 @@ def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
         # and no row after b - 1 (b = n) or row b - 1 holds.
         if held == sorted(held) and (a == lo or not held[0]) and (b == n or held[-1]):
             return a + held.index(True) if held[-1] else n
-    a, b = lo, n  # the bracket to scan: all of t[lo:] where no probe holds
-    top = n + _STRIDE - 1  # probes run to the first at or past the last point, moved onto it
-    for p in range(lo, top, _STRIDE * _CHUNK):
-        probes = np.minimum(np.arange(p, min(p + _STRIDE * _CHUNK, top), _STRIDE), n - 1)
-        held = f(t[probes])[0] >= 0.0
-        if held.any():
-            c = int(np.argmax(held))  # the first probe that holds
-            # The bracket: after the probe before it, through this one.
-            a = int(probes[c - 1]) + 1 if c else max(p - _STRIDE + 1, lo)
-            b = int(probes[c]) + 1
-            break
-    for m in range(a, b, _CHUNK):
-        held = f(t[m : min(m + _CHUNK, b)])[0] >= 0.0
+    for m in range(lo, n, _CHUNK):
+        held = f(t[m : m + _CHUNK])[0] >= 0.0
         if held.any():
             return m + int(np.argmax(held))
     return n
@@ -595,7 +565,7 @@ def _clamp_row(t: _Grid, v0: float, sign: int, vth: float, c: _Circuit, over=Non
       below that maximum, and a maximum more than _margin below the rail is
       never, with no search. A start or a maximum within _margin of the
       rail, where rounding decides, and a root on the crossing row, where
-      two failing rows do not show that none holds, are left to the probes.
+      two failing rows do not show that none holds, are left to the scan.
     _integrate_segment calls it where the plan needs the row, and the
     Waveform where a sample needs a row that run() left pending."""
     over = over or _over(t.t0, v0, sign, vth, c)
@@ -642,21 +612,21 @@ def _integrate_segment(
 
     t is the half cycle's time column; row 0 is the previous row. The node is
     free on C_P (kf, gf) until it reaches the rail sign*(vs + 2*vd); clamped,
-    C_P and C_S charge together (kh, gh; a fixed rail, C_S = inf, holds);
-    with leakage, free again once sign*I(t) < sign*v/R_P. The boundaries come
-    from scalar work: the clamp row i from _clamp_row, the release row j from
-    _first (on a fixed rail around arcsin's guess, also _root's first step),
-    then t_clamp and t_release from _root where a later piece or the ledger
-    needs them. On a fixed rail without leak the clamp row is searched only
-    where the crossing row, evaluated as floats, fails; where it holds, the
-    node ends on the rail, which is all that the ledger, the flip and the
-    next half cycle read, and i is left pending (None) with no search. So an
-    ideal-rail half cycle that reaches the rail evaluates its crossing row
-    alone, and a leaky one at most four rows and its crossing row, each as
-    floats: where the guesses hold, it calls no numpy function. Where i is
-    known, the crossing row is evaluated as a sample, as the one run that
-    _pieces yields for it in floats. A start beyond a rail is first clipped
-    onto it by _clip.
+    C_P and C_S charge together (kh, gh; a fixed rail, C_S = inf, holds); with
+    leakage, free again once sign*I(t) < sign*v/R_P. The boundaries come from
+    scalar work: the clamp row i from _clamp_row, the release row j from
+    _first around a guess (arcsin's on a fixed rail, also _root's first step,
+    and on a storage cap _root's from the sine's peak), then t_clamp and
+    t_release from _root where a later piece or the ledger needs them. On a
+    fixed rail without leak the clamp row is searched only where the crossing
+    row, evaluated as floats, fails; where it holds, the node ends on the
+    rail, which is all that the ledger, the flip and the next half cycle read,
+    and i is left pending (None) with no search. So an ideal-rail half cycle
+    that reaches the rail evaluates its crossing row alone, and a leaky one at
+    most four rows and its crossing row, each as floats: where the guesses
+    hold, it calls no numpy function. Where i is known, the crossing row is
+    evaluated as a sample, as the one run that _pieces yields for it in
+    floats. A start beyond a rail is first clipped onto it by _clip.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
     t0, t_end = t.t0, t.t_end
@@ -688,13 +658,21 @@ def _integrate_segment(
         return sign * (x * leak - ip * sin), slope
 
     if leak and i < n:
-        # On a fixed rail the release is sin(w*(t_end - t)) = vth/(R_P*I_P),
-        # and the rows that hold from row max(i, 1) on are a suffix. Row 0 is
-        # the previous half cycle's, so it is never searched.
-        release = None if cs < math.inf else t_end - math.asin(min(vth * leak / ip, 1.0)) / w
+        # Held, backward() meets 0 with slope -sign*I_P*w*cos(w*t), > 0 only
+        # after the sine's peak at t_end - pi/(2w): it turns >= 0 once at
+        # most, after that peak, so the rows that hold from row max(i, 1) on
+        # are a suffix. On a fixed rail the release is sin(w*(t_end - t)) =
+        # vth/(R_P*I_P); on a storage cap it is the root past the later of the
+        # clamp and the peak, where backward() still fails there. Row 0 is the
+        # previous half cycle's, so it is never searched.
+        if cs < math.inf:
+            a = max(t_clamp, t_end - 0.5 * math.pi / w)
+            release = _root(backward, a, t_end, a) if backward(a, math)[0] < 0.0 else None
+        else:
+            release = t_end - math.asin(min(vth * leak / ip, 1.0)) / w
         j = _first(backward, t, max(i, 1), release)
         if j < n:
-            guess = t[j] if release is None else release
+            guess = t[j] if cs < math.inf else release
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
 
     plan = (t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release)

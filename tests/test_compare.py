@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from sshcsim import (
+    FixedVoltage,
     FlipRatios,
+    PiezoSource,
+    RectifierStage,
     SshcNetwork,
     SimConfig,
     harvest_report,
@@ -16,6 +19,7 @@ from sshcsim import (
     sweep_storage_voltage,
     wasted_charge_fullbridge,
 )
+from sshcsim.circuit import FieldError
 
 from conftest import make_source, make_stage
 
@@ -71,6 +75,30 @@ class TestHarvestReport:
             harvest_report(make_source(), make_stage(), -0.1)
         with pytest.raises(ValueError):
             harvest_report(make_source(), make_stage(), 1.0)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "src, vs, bound",
+        [
+            (PiezoSource(1e150, 1.0, 1e-150), 1e200, "output power"),
+            (PiezoSource(1e-300, 1.0, 1.0), 1e308, "wasted charge"),
+        ],
+        ids=["power", "waste"],
+    )
+    def test_rejects_an_overflowing_power_or_waste(self, src, vs, bound, eta):
+        # Each value type accepts the source and the rail, yet the report's
+        # power 2*f*q*V_S or the full bridge's waste would be inf: the report
+        # names vs as SimConfig does, and so does a sweep that reaches it.
+        stage = RectifierStage(0.0, FixedVoltage(vs))
+        with pytest.raises(FieldError) as sim:
+            SimConfig(src, stage)
+        assert bound in str(sim.value)
+        with pytest.raises(FieldError) as got:
+            harvest_report(src, stage, eta)
+        assert str(got.value) == str(sim.value)
+        with pytest.raises(FieldError) as swept:
+            sweep_storage_voltage(src, 0.0, [1.0, vs], None if eta == 0.0 else 1.0)
+        assert str(swept.value) == str(sim.value)
 
     def test_matches_transient_steady_state(self):
         # Steady-state per-half-cycle harvest from the simulator agrees with

@@ -663,7 +663,7 @@ def record_searches(monkeypatch):
     """Wrap transient._first so that each search is kept as (f, t, lo, guess,
     its index, floats, arrays), floats holding (time, value) for each row
     that it evaluates as a float rather than in an array, and arrays the
-    number of arrays it evaluates (probes and scans). A clamp that the
+    number of arrays it evaluates (its scan's chunks). A clamp that the
     scalar bound decides without a search is not kept: check_plan_boundaries
     checks it."""
     searches = []
@@ -718,13 +718,6 @@ def check_first(f, t, lo, got):
     assert got == brute_first(f, t, lo), (f.__name__, lo, len(t))
 
 
-def a_probe_holds(f, t, lo):
-    """Whether _first's probes see a point that holds."""
-    stride = transient._STRIDE
-    probes = np.minimum(np.arange(lo, len(t) + stride - 1, stride), len(t) - 1)
-    return bool(np.any(f(t[probes])[0] >= 0.0))
-
-
 BOUNDARY_CASES = {
     **REGIMES,
     "weak_excitation": {"ct": None, "src": make_source(ip=1e-6, rp=1e6)},
@@ -743,7 +736,7 @@ BOUNDARY_CASES = {
 class TestPieceBoundaries:
     """_integrate_segment fixes the clamp and release before it samples: the
     grid indices by a scalar guess and a two-row check or, without a guess
-    or when the check fails, by a probed search, and the times by scalar
+    or when the check fails, by a chunked scan, and the times by scalar
     Newton roots. A leaky free node whose maximum lies clearly below the rail
     needs no search at all."""
 
@@ -757,15 +750,14 @@ class TestPieceBoundaries:
         planned = len(searches)
         check_plan_boundaries(cfg, wf)  # the Waveform's searches for pending rows are kept too
         leaky = cfg.src.res_rp < math.inf
-        fixed = not isinstance(cfg.stage.storage, FiniteCap)
         if case == "ideal":  # every crossing row holds: run() leaves each clamp row pending
             assert planned == 0 and len(searches) == 2 * cfg.n_cycles
         for f, t, lo, guess, got, floats, arrays in searches:
             check_search(f, t, lo, guess, got, floats, arrays, leaky)
             # A guess wherever a scalar form gives one: the clamp of a free
             # node that starts below the rail, _clamp_row's, and the release
-            # on a fixed rail.
-            scalar = f(t[0], math)[0] < 0.0 if f.__name__ == "over" else fixed
+            # on either rail.
+            scalar = f.__name__ == "backward" or f(t[0], math)[0] < 0.0
             assert lo >= 1, (f.__name__, lo)
             assert (guess is not None) == scalar, (f.__name__, lo)
         names = {f.__name__ for f, *_ in searches}
@@ -789,14 +781,14 @@ class TestPieceBoundaries:
               "storage_vs": "3.3", "res_rp": "1e9"}, 0.0)
     # A full bridge whose node swings 3.4e-12 V: each half cycle reaches the
     # rail at the crossing, where rounding, not the closed form, picks the
-    # row, so the guess misses and the probed search runs.
+    # row, so the guess misses and the scan runs.
     @example({"amplitude_ip": "3.2551359130562356e-12", "frequency": "417901.60852743225",
               "cap_cp": "7.191309034854645e-07", "diode_drop_vd": "0.15041855330322754",
               "storage_vs": "0.28108595310394924", "full_bridge": "true", "n_cycles": "2"}, -1.0)
     # A leaky full bridge whose first free maximum tops the rail by a few
     # margins inside the last grid step before the crossing: the root below
     # the maximum guesses the crossing row, where two failing rows do not
-    # show that none holds, so the search probes.
+    # show that none holds, so the search scans.
     @example({"amplitude_ip": "0.0001302654428949799", "frequency": "1089.23254719559",
               "cap_cp": "1.1126598597942316e-08", "res_rp": "280227748.3389557",
               "storage_vs": "3.357057376847963", "diode_drop_vd": "0.03201571911349865",
@@ -833,9 +825,11 @@ class TestPieceBoundaries:
             assert after - before == pytest.approx(2 * src.amplitude_ip / src.omega, rel=1e-12)
 
     @pytest.mark.parametrize("shift", [-3, 3])
-    @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage"])
+    @pytest.mark.parametrize(
+        "case", ["ideal", "leaky", "finite_storage", "leaky_finite_storage_217Hz"]
+    )
     def test_a_missed_guess_falls_back(self, monkeypatch, case, shift):
-        # A guess some rows off fails the two-row check, and the probed search
+        # A guess some rows off fails the two-row check, and the scan
         # from lo gives the same plan, whether run() searches or, for a clamp
         # row on the ideal rail that it leaves pending, the Waveform does.
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
@@ -850,13 +844,13 @@ class TestPieceBoundaries:
         wf = run(cfg).waveform
         assert repr(wf._resolved()) == want
         check_plan_boundaries(cfg, wf)
-        for guessed in ("over", "backward") if case == "leaky" else ("over",):
-            assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the probes ran
+        for guessed in ("over", "backward") if cfg.src.res_rp < math.inf else ("over",):
+            assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the scan ran
 
     def test_grazing_touch_between_probes(self, monkeypatch):
-        # A leaky node that tops the rail for one grid point, between two
-        # probes: the root below its free maximum guesses that point, and the
-        # clamp starts there.
+        # A leaky node that tops the rail for fewer than 64 grid points: the
+        # root below its free maximum guesses the first, and the clamp starts
+        # there.
         calls = record(monkeypatch, "_first")
         roots = record(monkeypatch, "_root")
 
@@ -873,10 +867,9 @@ class TestPieceBoundaries:
         for _ in range(60):
             mid = 0.5 * (lo_ip + hi_ip)
             lo_ip, hi_ip = (mid, hi_ip) if touch(mid) == 0 else (lo_ip, mid)
-        assert 0 < touch(hi_ip) < transient._STRIDE
+        assert 0 < touch(hi_ip) < 64
         (f, t, lo, guess), got = calls[0]
         assert f.__name__ == "over" and guess is not None
-        assert not a_probe_holds(f, t, lo)
         i = brute_first(f, t, lo)
         assert got == i and lo < i < len(t)
         refined = [(a, b) for (g, a, b, _), _ in roots if g is f]
@@ -890,7 +883,7 @@ class TestPieceBoundaries:
     def test_peak_within_a_few_margins(self, monkeypatch, storage):
         # I_P bisected until the first half cycle's leaky free maximum sits
         # on the rail, then moved a few margins above and below it. Within
-        # one margin of the rail the probes find the clamp row; above it the
+        # one margin of the rail the scan finds the clamp row; above it the
         # root below the maximum guesses it; below it no search runs. Each
         # half cycle's rows are argmax's either way.
         searches = record_searches(monkeypatch)
@@ -934,14 +927,15 @@ class TestPieceBoundaries:
             else:
                 (_, _, _, guess, _, _, arrays), = first
                 assert (guess is not None) == (ratio > 1.0) and arrays, (k, ratio)
-                seen.add("guess" if ratio > 1.0 else "probes")
-        assert seen == {"none", "probes", "guess"}
+                seen.add("guess" if ratio > 1.0 else "scan")
+        assert seen == {"none", "scan", "guess"}
 
-    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc"])
+    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "leaky_finite_storage_217Hz"])
     def test_leaky_rows_do_not_grow_with_dt(self, monkeypatch, case):
         # The bound on the free maximum and the guess checks evaluate the
-        # same few boundary rows at T/1e4 and at T/1e6: no probe runs. The
-        # leaky-weak node never reaches the rail, so its clamps evaluate none.
+        # same few boundary rows at dt = 1e-6 s and 1e-8 s: no scan runs, on
+        # a fixed rail or a storage cap. The leaky-weak node never reaches
+        # the rail, so its clamps evaluate none.
         rows = count_search_rows(monkeypatch)
         counts = []
         for divisor in (10_000, 1_000_000):
@@ -954,7 +948,7 @@ class TestPieceBoundaries:
             counts.append(dict(rows))
         assert counts[0] == counts[1], counts
         halves = 2 * cfg.n_cycles
-        if case == "leaky":
+        if case != "leaky_weak_sshc":
             assert 0 < counts[0]["over"] <= 2 * halves and 0 < counts[0]["backward"] <= 2 * halves
         else:
             assert counts[0] == {}
@@ -966,24 +960,30 @@ class TestPieceBoundaries:
             starts = range(lo, n + 1)
             if n > transient._CHUNK:
                 # Past one chunk of rows, only starts within two rows of each
-                # multiple of _STRIDE from lo (each multiple of _CHUNK among
-                # them): the first point that holds at a probe's or a chunk's edge.
-                edges = range(lo, n + transient._STRIDE, transient._STRIDE)
+                # multiple of _CHUNK from lo: the first point that holds at a
+                # chunk's edge.
+                edges = range(lo, n + transient._CHUNK, transient._CHUNK)
                 starts = sorted({min(max(e + d, lo), n) for e in edges for d in range(-2, 3)})
             for start in starts:
                 for width in (1, 2, 63, 64, 65, n):
-                    def f(s):
-                        return np.where((s >= start) & (s < start + width), 1.0, -1.0), None
+                    # One interval that holds, or a second one after a gap of
+                    # one row or of 100: the first touch may be narrow and the
+                    # rows after it long.
+                    for gap in (None, 1, 100):
+                        def f(s):
+                            held = (s >= start) & (s < start + width)
+                            if gap is not None:
+                                held |= s >= start + width + gap
+                            return np.where(held, 1.0, -1.0), None
 
-                    check_first(f, t, lo, transient._first(f, t, lo))
+                        check_first(f, t, lo, transient._first(f, t, lo))
 
     @pytest.mark.parametrize("chunk", [2, 3])
     @pytest.mark.parametrize("n", [130, 300])
     def test_first_walks_its_probes_in_chunks(self, monkeypatch, chunk, n):
-        # With _CHUNK shrunk to 2 or 3, a search of a few hundred points walks
-        # its probes in several chunks of 64 * _CHUNK points: the first probe
-        # that holds may open a later chunk, and where none holds every point
-        # is scanned.
+        # With _CHUNK shrunk to 2 or 3, a search of a few hundred points scans
+        # them in many chunks: the first point that holds may open a later
+        # chunk or lie inside one, and where none holds every point is scanned.
         monkeypatch.setattr(transient, "_CHUNK", chunk)
         t = np.arange(n, dtype=float)
         for lo in {1, 37, n // 2, n - 1}:
@@ -1403,13 +1403,10 @@ class TestMemory:
     @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "leaky_finite_storage_217Hz"])
     def test_search_holds_one_chunk_at_a_fine_dt(self, case):
         # At dt = 1e-8 s (T/1e6 at 100 Hz) a half cycle has 2.3e5 to 5e5
-        # rows. A leaky clamp on either rail and the release on a fixed one
-        # are guessed, and a leaky node that never reaches the rail is not
-        # searched; the release on a storage cap still probes, 3600 probes
-        # per half cycle at 217 Hz. A search walks
-        # its probes and the rows after them _CHUNK points at a time, so
-        # run()'s peak is a few float64 arrays of one chunk, not of a half
-        # cycle's probes.
+        # rows. A leaky clamp and the release, on either rail, are guessed,
+        # and a leaky node that never reaches the rail is not searched. A
+        # search that falls back scans _CHUNK points at a time, so run()'s
+        # peak is a few float64 arrays of one chunk, not of a half cycle.
         cfg = make_sim_config(n_cycles=2, dt=0.01 / 1_000_000, **BOUNDARY_CASES[case])
         run(make_sim_config(n_cycles=1))  # one-time allocations stay out of the trace
         with warnings.catch_warnings():
