@@ -185,7 +185,8 @@ class ResolvedConfig:
 
 def read_config_file(path: str) -> Dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that some editors write first.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = list(fh)
     except (OSError, UnicodeDecodeError) as exc:
         # A missing file, a directory or text that is not UTF-8 names the flag.

@@ -7,13 +7,13 @@ bridge at +/-(vs + 2*vd) while C_P and the storage charge together, and, with
 a leaky C_P, free again once the source current falls below the leak's.
 run() plans each half cycle from scalars: its uniform dt grid up to the zero
 crossing, the piece boundaries, and the charge ledger from the pieces' exact
-integrals. A boundary's grid row comes from _first, which checks the two
-rows around a scalar guess (_clamp_row's for the clamp, arcsin's or a root
-past the sine's peak for the release), else scans the rows in chunks of
-fixed size, and its time from a scalar root. On a fixed rail without leak
-no result of run() needs the clamp row: where the crossing row holds, the
-node ends on the rail, and run() leaves the row pending for the Waveform to
-find at its first read.
+integrals. A boundary's grid row comes from _first, a bisection over a
+bracket of rows on which the boundary is crossed once, whose first two
+probes are the rows around a scalar guess (_clamp_row's for the clamp,
+arcsin's or a root past the sine's peak for the release), and its time from
+a scalar root. On a fixed rail without leak no result of run() needs the
+clamp row: where the crossing row holds, the node ends on the rail, and
+run() leaves the row pending for the Waveform to find at its first read.
 run() writes no samples. A flip is one fixed sequence of three instantaneous
 charge redistributions (share with C_T, short C_P, reconnect C_T reversed),
 one pulse row each, which run() and apply_flip() both take from _flip. run()
@@ -394,8 +394,8 @@ class _Grid:
     """A half cycle's time column, computed when indexed, never stored. Row 0
     is the previous row t0, rows 1..n are t0 + dt*m (the floats of
     t0 + dt*np.arange(1, n + 1)) and row n + 1 is the zero crossing t_end.
-    An int index gives a float; a slice with a positive step gives an array:
-    _first's guess check reads floats, its scan slices."""
+    An int index gives a float, which _first reads; a slice with a positive
+    step gives an array, which _pieces reads."""
 
     __slots__ = ("t0", "dt", "n", "t_end")
 
@@ -406,10 +406,15 @@ class _Grid:
         return self.n + 2
 
     def row(self, s: float) -> int:
-        """The first row m >= 1 with t0 + dt*m >= s, to within a row of
-        rounding, and n + 1, the crossing, for any later s: a guess, which
-        _first checks, is t_end less a non-negative time."""
-        return min(max(math.ceil((s - self.t0) / self.dt), 1), self.n + 1)
+        """The first row m >= 1 whose float time self[m] is >= s, and n + 1,
+        the crossing, for any later s. The quotient by dt may miss it by a
+        row of rounding, so the rows on either side settle it."""
+        m = min(max(math.ceil((s - self.t0) / self.dt), 1), self.n + 1)
+        while m > 1 and self[m - 1] >= s:
+            m -= 1
+        while m <= self.n and self[m] < s:
+            m += 1
+        return m
 
     def __getitem__(self, m):
         if not isinstance(m, slice):
@@ -471,36 +476,30 @@ def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
 _FLOAT = SimpleNamespace(sin=math.sin, cos=math.cos, expm1=lambda x: float(np.expm1(x)))
 
 _EPS = sys.float_info.epsilon
-_CHUNK = 4096  # rows that a boundary search tests at once, whatever the grid's length
 
 
-def _first(f, t, lo: int, guess: Optional[float] = None) -> int:
-    """The first index m >= lo with f(t[m])[0] >= 0, or len(t) if none; f
-    returns (value, slope) and _first reads the value alone.
+def _first(f, t: _Grid, lo: int, hi: int, guess: Optional[float] = None) -> int:
+    """The first row m of lo..hi, 1 <= lo <= hi < len(t), at which f holds,
+    f(t[m], _FLOAT)[0] >= 0, or len(t) if none does; f returns (value,
+    slope) and _first reads the value of one float at a time.
 
-    With a time guess (t a _Grid), f is evaluated as floats, f(t[m],
-    _FLOAT), on rows g - 1 and g alone, g = t.row(guess), dropping any outside
-    lo..len(t) - 1. Where they show the edge (g - 1 fails and g holds), that
-    is the index. Neither holding on the last two rows means none, which is
-    true where the points that hold are a suffix of t[lo:]: a caller whose
-    points are an interval passes no guess on the last row.
-    Otherwise, and without a guess, it scans t[lo:], _CHUNK points at a time,
-    up to the first that holds: argmax over t[lo:], whichever points hold,
-    and no search holds more than _CHUNK points, whatever len(t) is."""
-    n = len(t)
-    if guess is not None:
-        g = max(t.row(guess), lo)
-        a, b = max(g - 1, lo), min(g + 1, n)
-        held = [f(t[m], _FLOAT)[0] >= 0.0 for m in range(a, b)]
-        # The edge of a held suffix: no row before a (a = lo) or row a fails,
-        # and no row after b - 1 (b = n) or row b - 1 holds.
-        if held == sorted(held) and (a == lo or not held[0]) and (b == n or held[-1]):
-            return a + held.index(True) if held[-1] else n
-    for m in range(lo, n, _CHUNK):
-        held = f(t[m : m + _CHUNK])[0] >= 0.0
-        if held.any():
-            return m + int(np.argmax(held))
-    return n
+    The caller's bracket lo..hi makes this the first row that holds at all,
+    not merely on the bracket: the rows of lo..hi-1 that hold must be a
+    suffix of them, and no row past hi may hold unless hi does. It is a
+    bisection that keeps row a failing (or before lo) and row b the first
+    that can hold; row hi is read only if no earlier row holds. A time
+    guess, g = t.row(guess), makes rows g - 1 and g its first two probes, so
+    a guess on the edge costs two rows, and a missed one about log2 of the
+    bracket's length more."""
+    g = lo - 1 if guess is None else t.row(guess)  # no guess: neither probe lies inside
+    a, b = lo - 1, hi
+    while b - a > 1:
+        m = g - 1 if a < g - 1 < b else g if a < g < b else (a + b) // 2
+        if f(t[m], _FLOAT)[0] >= 0.0:
+            b = m
+        else:
+            a = m
+    return b if b < hi or f(t[hi], _FLOAT)[0] >= 0.0 else len(t)
 
 
 def _root(f, a: float, b: float, x: float) -> float:
@@ -537,8 +536,8 @@ def _margin(v0: float, vth: float, k: float, w: float, t_end: float) -> float:
 def _over(t0: float, v0: float, sign: int, vth: float, c: _Circuit):
     """The boundary function of a node free on C_P from v0 at t0: over(s, m)
     gives how far it is past the rail sign*vth at s, and, on a float
-    (m=math), its slope, which _root steps with; _first's arrays need the
-    value alone."""
+    (m=math), its slope, which _root steps with; _first reads the value
+    alone."""
     kf, gf, w = c.kf, c.gf, c.w
 
     def over(s, m=np):
@@ -552,20 +551,22 @@ def _clamp_row(t: _Grid, v0: float, sign: int, vth: float, c: _Circuit, over=Non
     """The clamp row of a node free on C_P from v0 below the rail sign*vth,
     on the half cycle t: the first row at which over() holds, or len(t),
     never. over is _over(t.t0, v0, sign, vth, c), passed by a caller that
-    holds it. _first checks the two rows around a scalar guess of the time:
-    - without a leak (gf = 0) the node rises monotonically, so the rows that
-      hold are a suffix, and sign*cos(w*t), which is -cos(w*(t_end - t)),
-      falls to u where the node meets the rail: the guess is arccos's;
+    holds it. _first bisects rows 1..t.row(top), over which the node rises
+    to the rail at most once, from the row of a scalar guess of the time:
+    - without a leak (gf = 0) the node rises up to the crossing, top = t_end,
+      and sign*cos(w*t), which is -cos(w*(t_end - t)), falls to u where the
+      node meets the rail: the guess is arccos's;
     - with one, where the free slope sign*(kf*sin(w*t) - gf*x) is zero its
       derivative is sign*kf*w*cos(w*t), and sign*sin(w*t) peaks at
       t_end - pi/(2w). So the slope turns up at most once before that peak
-      and down at most once after it: the node meets the rail by the sine's
-      peak, or by its one maximum after it (a root of turn), or never, and
-      the rows that hold are an interval. The guess is the root of over()
-      below that maximum, and a maximum more than _margin below the rail is
-      never, with no search. A start or a maximum within _margin of the
-      rail, where rounding decides, and a root on the crossing row, where
-      two failing rows do not show that none holds, are left to the scan.
+      and down at most once after it, at the maximum (a root of turn): the
+      node may fall first, then rises to the maximum and falls after it, a
+      start on the rail too, which the leak pulls off. top is the sine's
+      peak where the node is past the rail there, else the maximum, and the
+      guess is the root of over() below top, by Newton steps from top, which
+      meet the node's return to the rail, not a start on it. A maximum more
+      than _margin below the rail is never, with no search, and one within
+      _margin of it, where rounding decides, gives no guess.
     _integrate_segment calls it where the plan needs the row, and the
     Waveform where a sample needs a row that run() left pending."""
     over = over or _over(t.t0, v0, sign, vth, c)
@@ -573,27 +574,21 @@ def _clamp_row(t: _Grid, v0: float, sign: int, vth: float, c: _Circuit, over=Non
     if not gf:
         u = min(sign * math.cos(w * t.t0) - (vth - sign * v0) * w / kf, 1.0)
         # Below -1 the rail is out of reach; rounding may still hold the last row.
-        return _first(over, t, 1, t_end - math.acos(-u) / w if u >= -1.0 else t_end)
+        return _first(over, t, 1, n - 1, t_end - math.acos(-u) / w if u >= -1.0 else t_end)
 
     def turn(s, m=math):  # >= 0 once the free node's slope has turned down
         slope = over(s, m)[1]
         return -slope, gf * slope - sign * kf * w * m.cos(w * s)
 
     margin = _margin(v0, vth, kf, w, t_end)
-    clamp = None
-    if sign * v0 - vth < -margin:
-        top = t_end - 0.5 * math.pi / w  # the sine's peak
+    top = t_end - 0.5 * math.pi / w  # the sine's peak
+    peak = over(top, math)[0]
+    if peak <= margin:
+        top = _root(turn, top, t_end, top)  # the free node's maximum
         peak = over(top, math)[0]
-        if peak <= margin:
-            top = _root(turn, top, t_end, top)  # the free node's maximum
-            peak = over(top, math)[0]
-        if peak < -margin:
-            return n
-        if peak > margin:
-            clamp = _root(over, t.t0, top, top)
-            if t.row(clamp) >= n - 1:
-                clamp = None
-    return _first(over, t, 1, clamp)
+    if peak < -margin:
+        return n
+    return _first(over, t, 1, t.row(top), _root(over, t.t0, top, top) if peak > margin else None)
 
 
 def _integrate_segment(
@@ -615,18 +610,20 @@ def _integrate_segment(
     C_P and C_S charge together (kh, gh; a fixed rail, C_S = inf, holds); with
     leakage, free again once sign*I(t) < sign*v/R_P. The boundaries come from
     scalar work: the clamp row i from _clamp_row, the release row j from
-    _first around a guess (arcsin's on a fixed rail, also _root's first step,
-    and on a storage cap _root's from the sine's peak), then t_clamp and
-    t_release from _root where a later piece or the ledger needs them. On a
-    fixed rail without leak the clamp row is searched only where the crossing
-    row, evaluated as floats, fails; where it holds, the node ends on the
-    rail, which is all that the ledger, the flip and the next half cycle read,
-    and i is left pending (None) with no search. So an ideal-rail half cycle
-    that reaches the rail evaluates its crossing row alone, and a leaky one at
-    most four rows and its crossing row, each as floats: where the guesses
-    hold, it calls no numpy function. Where i is known, the crossing row is
-    evaluated as a sample, as the one run that _pieces yields for it in
-    floats. A start beyond a rail is first clipped onto it by _clip.
+    _first on rows max(i, 1) up to the crossing, seeded by a guess (arcsin's
+    on a fixed rail, also _root's first step, and on a storage cap _root's
+    from the sine's peak), then t_clamp and t_release from _root where a
+    later piece or the ledger needs them. On a fixed rail without leak the
+    clamp row is searched only where the crossing row, evaluated as floats,
+    fails; where it holds, the node ends on the rail, which is all that the
+    ledger, the flip and the next half cycle read, and i is left pending
+    (None) with no search. So an ideal-rail half cycle that reaches the rail
+    evaluates its crossing row alone, and a leaky one at most four rows and
+    its crossing row where the guesses hold, and a bisection's few more where
+    one misses, each as a float: no search makes an array. Where i is known,
+    the crossing row is evaluated as a sample, as the one run that _pieces
+    yields for it in floats. A start beyond a rail is first clipped onto it
+    by _clip.
     """
     ip, w, leak, cs, two_vd = c.ip, c.w, c.leak, c.cs, c.two_vd
     t0, t_end = t.t0, t.t_end
@@ -663,14 +660,14 @@ def _integrate_segment(
         # most, after that peak, so the rows that hold from row max(i, 1) on
         # are a suffix. On a fixed rail the release is sin(w*(t_end - t)) =
         # vth/(R_P*I_P); on a storage cap it is the root past the later of the
-        # clamp and the peak, where backward() still fails there. Row 0 is the
-        # previous half cycle's, so it is never searched.
+        # clamp and the peak, or that time itself where backward() holds
+        # there. Row 0 is the previous half cycle's, so it is never searched.
         if cs < math.inf:
             a = max(t_clamp, t_end - 0.5 * math.pi / w)
-            release = _root(backward, a, t_end, a) if backward(a, math)[0] < 0.0 else None
+            release = _root(backward, a, t_end, a)
         else:
             release = t_end - math.asin(min(vth * leak / ip, 1.0)) / w
-        j = _first(backward, t, max(i, 1), release)
+        j = _first(backward, t, max(i, 1), n - 1, release)
         if j < n:
             guess = t[j] if cs < math.inf else release
             t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)

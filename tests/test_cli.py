@@ -416,6 +416,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: config: line 2:") and "cap_ct" in err, err
 
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        # Some editors begin a UTF-8 file with a byte-order mark; the first
+        # key must still be read as the key, not as an unknown one.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(b"amplitude_ip = 40uA\ncap_ct = 20nF\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(str(marked)) == parse_config(str(plain))
+        assert parse_config(str(marked)).amplitude_ip == parse_quantity("40uA")
+        assert main(["analyze", "--config", str(marked), "--out-dir", str(tmp_path)]) == 0
+
     def test_simulation_error_exits_3(self, tmp_path, capsys, monkeypatch):
         # No known input reaches this branch; a ValueError from the engine
         # that no value type caught must still end in exit 3, not a traceback.

@@ -648,69 +648,69 @@ def count_search_rows(monkeypatch):
     rows = collections.Counter()
     real = transient._first
 
-    def first(f, t, lo, guess=None):
+    def first(f, t, lo, hi, guess=None):
         def counted(s, m=np):
             rows[f.__name__] += np.size(s)
             return f(s, m)
 
-        return real(counted, t, lo, guess)
+        return real(counted, t, lo, hi, guess)
 
     monkeypatch.setattr(transient, "_first", first)
     return rows
 
 
 def record_searches(monkeypatch):
-    """Wrap transient._first so that each search is kept as (f, t, lo, guess,
-    its index, floats, arrays), floats holding (time, value) for each row
-    that it evaluates as a float rather than in an array, and arrays the
-    number of arrays it evaluates (its scan's chunks). A clamp that the
-    scalar bound decides without a search is not kept: check_plan_boundaries
-    checks it."""
+    """Wrap transient._first so that each search is kept as (f, t, lo, hi,
+    guess, its index, floats), floats holding (time, value) for each row
+    that it evaluates, in order. A search evaluates floats alone: an array
+    fails here. A clamp that the scalar bound decides without a search is
+    not kept: check_plan_boundaries checks it."""
     searches = []
     real = transient._first
 
-    def first(f, t, lo, guess=None):
-        floats, arrays = [], [0]
+    def first(f, t, lo, hi, guess=None):
+        floats = []
 
         def kept(s, m=np):
+            assert m is not np and isinstance(s, float), (f.__name__, s)
             out = f(s, m)
-            if m is np:
-                arrays[0] += 1
-            else:
-                floats.append((s, out[0]))
+            floats.append((s, out[0]))
             return out
 
-        got = real(kept, t, lo, guess)
-        searches.append((f, t, lo, guess, got, floats, arrays[0]))
+        got = real(kept, t, lo, hi, guess)
+        searches.append((f, t, lo, hi, guess, got, floats))
         return got
 
     monkeypatch.setattr(transient, "_first", first)
     return searches
 
 
-def check_search(f, t, lo, guess, got, floats, arrays, leaky=False):
-    """_first gives argmax's index, len(t) where no point holds, and a guess
-    check evaluates one or two rows as floats, each with the bits of f on the
-    numpy slice t[lo:]: a boundary decided in floats is the one the samples
-    show. A check that decides evaluates no array and returns one of its
-    rows, or len(t) from the last two, which shows that no row holds only
-    where the rows that hold are a suffix: never for the clamp of a leaky
-    node (leaky=True), whose free node falls back under the rail."""
+def check_search(f, t, lo, hi, guess, got, floats):
+    """_first gives argmax's index over every row from lo, len(t) where no
+    row holds, so the caller's bracket lo..hi held its contract. Each row it
+    evaluates is a float with the bits of f on the numpy slice t[lo:]: a
+    boundary decided in floats is the one the samples show. The rows it
+    evaluated show the edge: row got holds, or got = len(t) and row hi
+    fails, and the row before (got - 1, or hi - 1) fails or precedes lo. A
+    guess on the edge costs two rows at most, a bisection about log2 of the
+    bracket's length."""
     times = t[lo:]
     values = f(times)[0]
+    assert 1 <= lo <= hi < len(t), (f.__name__, lo, hi, len(t))
     assert got == first_held(values, lo, len(t)), (f.__name__, lo, len(t))
-    assert (guess is None) == (not floats) and len(floats) <= 2, (f.__name__, floats)
-    rows = []
+    held = {}
     for s, value in floats:
         k = int(np.searchsorted(times, s))
         assert times[k] == s, (f.__name__, s)
         assert repr(value) == repr(float(values[k])), (f.__name__, lo + k)
-        rows.append(lo + k)
-    if guess is not None and not arrays:
-        suffix = not (leaky and f.__name__ == "over")
-        assert got in rows or (suffix and got == len(t) and rows[-1] == len(t) - 1), (
-            f.__name__, got, rows,
-        )
+        held[lo + k] = value >= 0.0
+    edge = got if got < len(t) else hi
+    assert held[edge] == (got < len(t)), (f.__name__, got, held)
+    assert edge == lo or held.get(edge - 1) is False, (f.__name__, got, held)
+    exact = guess is not None and t.row(guess) == edge
+    assert len(floats) <= (2 if exact else math.ceil(math.log2(hi - lo + 1)) + 3), (
+        f.__name__, len(floats), lo, hi,
+    )
 
 
 def check_first(f, t, lo, got):
@@ -722,6 +722,11 @@ BOUNDARY_CASES = {
     **REGIMES,
     "weak_excitation": {"ct": None, "src": make_source(ip=1e-6, rp=1e6)},
     "start_on_rail_leak_pulls_off": {"src": make_source(rp=1e6), "vpt_initial": 2.4},
+    "start_on_rail_leak_pulls_off_finite": {
+        "src": make_source(rp=1e6),
+        "stage": make_stage(storage=FiniteCap(1e-6, 2.0)),
+        "vpt_initial": 2.4,
+    },
     "start_beyond_rail": {"src": make_source(rp=1e6), "vpt_initial": -1.5 * 2.4},
     "start_beyond_rail_finite": {
         "stage": make_stage(storage=FiniteCap(1e-6, 2.0)),
@@ -735,8 +740,8 @@ BOUNDARY_CASES = {
 
 class TestPieceBoundaries:
     """_integrate_segment fixes the clamp and release before it samples: the
-    grid indices by a scalar guess and a two-row check or, without a guess
-    or when the check fails, by a chunked scan, and the times by scalar
+    grid indices by a bisection over a bracket of rows, seeded by a scalar
+    guess, which two rows confirm where it is right, and the times by scalar
     Newton roots. A leaky free node whose maximum lies clearly below the rail
     needs no search at all."""
 
@@ -752,14 +757,15 @@ class TestPieceBoundaries:
         leaky = cfg.src.res_rp < math.inf
         if case == "ideal":  # every crossing row holds: run() leaves each clamp row pending
             assert planned == 0 and len(searches) == 2 * cfg.n_cycles
-        for f, t, lo, guess, got, floats, arrays in searches:
-            check_search(f, t, lo, guess, got, floats, arrays, leaky)
-            # A guess wherever a scalar form gives one: the clamp of a free
-            # node that starts below the rail, _clamp_row's, and the release
-            # on either rail.
-            scalar = f.__name__ == "backward" or f(t[0], math)[0] < 0.0
-            assert lo >= 1, (f.__name__, lo)
-            assert (guess is not None) == scalar, (f.__name__, lo)
+        for f, t, lo, hi, guess, got, floats in searches:
+            check_search(f, t, lo, hi, guess, got, floats)
+            # A scalar guess for every search here: the clamp, _clamp_row's
+            # (from the trough for a start on the rail), and the release on
+            # either rail, each confirmed by two rows. The leak-free clamp
+            # and both releases are bracketed up to the crossing row.
+            assert guess is not None and len(floats) <= 2, (f.__name__, lo, floats)
+            if not leaky or f.__name__ == "backward":
+                assert hi == len(t) - 1, (f.__name__, hi)
         names = {f.__name__ for f, *_ in searches}
         if case in ("weak_excitation", "leaky_weak_sshc"):  # never reaches the rail
             # The bound on the free maximum decides each clamp without a search.
@@ -768,7 +774,7 @@ class TestPieceBoundaries:
         else:
             assert searches
             assert names == ({"over", "backward"} if leaky else {"over"})
-        if case == "start_on_rail_leak_pulls_off":
+        if case.startswith("start_on_rail_leak_pulls_off"):
             assert searches[0][2] == 1  # searched from the first step, not held at t0
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -781,14 +787,13 @@ class TestPieceBoundaries:
               "storage_vs": "3.3", "res_rp": "1e9"}, 0.0)
     # A full bridge whose node swings 3.4e-12 V: each half cycle reaches the
     # rail at the crossing, where rounding, not the closed form, picks the
-    # row, so the guess misses and the scan runs.
+    # row, so two of its four guesses miss and the bisection runs.
     @example({"amplitude_ip": "3.2551359130562356e-12", "frequency": "417901.60852743225",
               "cap_cp": "7.191309034854645e-07", "diode_drop_vd": "0.15041855330322754",
               "storage_vs": "0.28108595310394924", "full_bridge": "true", "n_cycles": "2"}, -1.0)
     # A leaky full bridge whose first free maximum tops the rail by a few
     # margins inside the last grid step before the crossing: the root below
-    # the maximum guesses the crossing row, where two failing rows do not
-    # show that none holds, so the search scans.
+    # the maximum guesses the crossing row, the bracket's last.
     @example({"amplitude_ip": "0.0001302654428949799", "frequency": "1089.23254719559",
               "cap_cp": "1.1126598597942316e-08", "res_rp": "280227748.3389557",
               "storage_vs": "3.357057376847963", "diode_drop_vd": "0.03201571911349865",
@@ -807,7 +812,7 @@ class TestPieceBoundaries:
             wf = run(cfg).waveform
             check_plan_boundaries(cfg, wf)  # and the searches that resolve pending rows
         for search in searches:
-            check_search(*search, leaky=cfg.src.res_rp < math.inf)
+            check_search(*search)
 
     def test_a_zero_rail_harvests_from_the_first_half_cycle(self, monkeypatch):
         # At t = 0 a node on a zero rail meets backward() = 0 exactly, yet
@@ -829,23 +834,26 @@ class TestPieceBoundaries:
         "case", ["ideal", "leaky", "finite_storage", "leaky_finite_storage_217Hz"]
     )
     def test_a_missed_guess_falls_back(self, monkeypatch, case, shift):
-        # A guess some rows off fails the two-row check, and the scan
-        # from lo gives the same plan, whether run() searches or, for a clamp
-        # row on the ideal rail that it leaves pending, the Waveform does.
+        # A guess some rows off puts both of its rows on one side of the
+        # edge, and the bisection of the rest of the bracket gives the same
+        # plan, whether run() searches or, for a clamp row on the ideal rail
+        # that it leaves pending, the Waveform does.
         cfg = make_sim_config(n_cycles=2, **BOUNDARY_CASES[case])
         rows = count_search_rows(monkeypatch)
         want = repr(run(cfg).waveform._resolved())
         hits = dict(rows)
         rows.clear()
-        real = transient._Grid.row
-        monkeypatch.setattr(
-            transient._Grid, "row", lambda grid, s: min(max(real(grid, s) + shift, 1), len(grid))
-        )
+        counted = transient._first
+
+        def shifted(f, t, lo, hi, guess=None):
+            return counted(f, t, lo, hi, guess + shift * t.dt)
+
+        monkeypatch.setattr(transient, "_first", shifted)
         wf = run(cfg).waveform
         assert repr(wf._resolved()) == want
         check_plan_boundaries(cfg, wf)
         for guessed in ("over", "backward") if cfg.src.res_rp < math.inf else ("over",):
-            assert rows[guessed] > 4 * hits[guessed], (rows, hits)  # the scan ran
+            assert rows[guessed] > hits[guessed], (rows, hits)  # the bisection ran
 
     def test_grazing_touch_between_probes(self, monkeypatch):
         # A leaky node that tops the rail for fewer than 64 grid points: the
@@ -868,13 +876,13 @@ class TestPieceBoundaries:
             mid = 0.5 * (lo_ip + hi_ip)
             lo_ip, hi_ip = (mid, hi_ip) if touch(mid) == 0 else (lo_ip, mid)
         assert 0 < touch(hi_ip) < 64
-        (f, t, lo, guess), got = calls[0]
+        (f, t, lo, hi, guess), got = calls[0]
         assert f.__name__ == "over" and guess is not None
         i = brute_first(f, t, lo)
         assert got == i and lo < i < len(t)
         refined = [(a, b) for (g, a, b, _), _ in roots if g is f]
         assert refined[-1] == (t[i - 1], t[i])
-        for (f, t, lo, _), got in calls:
+        for (f, t, lo, _, _), got in calls:
             check_first(f, t, lo, got)
 
     @pytest.mark.parametrize(
@@ -883,9 +891,9 @@ class TestPieceBoundaries:
     def test_peak_within_a_few_margins(self, monkeypatch, storage):
         # I_P bisected until the first half cycle's leaky free maximum sits
         # on the rail, then moved a few margins above and below it. Within
-        # one margin of the rail the scan finds the clamp row; above it the
-        # root below the maximum guesses it; below it no search runs. Each
-        # half cycle's rows are argmax's either way.
+        # one margin of the rail the bisection finds the clamp row with no
+        # guess; above it the root below the maximum guesses it; below it no
+        # search runs. Each half cycle's rows are argmax's either way.
         searches = record_searches(monkeypatch)
         roots = record(monkeypatch, "_root")
         stage = make_stage(storage=storage)
@@ -919,80 +927,98 @@ class TestPieceBoundaries:
             assert abs(ratio - k) < 0.25, (k, ratio)
             check_plan_boundaries(cfg, wf)
             for search in searches:
-                check_search(*search, leaky=True)
+                check_search(*search)
             first = [s for s in searches if s[0].__name__ == "over" and s[1].t0 == 0.0]
             if ratio < -1.0:
                 assert not first
                 seen.add("none")
             else:
-                (_, _, _, guess, _, _, arrays), = first
-                assert (guess is not None) == (ratio > 1.0) and arrays, (k, ratio)
-                seen.add("guess" if ratio > 1.0 else "scan")
-        assert seen == {"none", "scan", "guess"}
+                (_, _, _, _, guess, _, _), = first
+                assert (guess is not None) == (ratio > 1.0), (k, ratio)
+                seen.add("guess" if ratio > 1.0 else "no guess")
+        assert seen == {"none", "no guess", "guess"}
 
-    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "leaky_finite_storage_217Hz"])
+    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "leaky_finite_storage_217Hz",
+                                      "start_on_rail_leak_pulls_off",
+                                      "start_on_rail_leak_pulls_off_finite"])
     def test_leaky_rows_do_not_grow_with_dt(self, monkeypatch, case):
-        # The bound on the free maximum and the guess checks evaluate the
-        # same few boundary rows at dt = 1e-6 s and 1e-8 s: no scan runs, on
-        # a fixed rail or a storage cap. The leaky-weak node never reaches
-        # the rail, so its clamps evaluate none.
+        # The bound on the free maximum and the guesses evaluate the same few
+        # boundary rows at dt = 1e-6 s, 1e-8 s and 1e-9 s (T/1e4 to T/1e7 at
+        # 100 Hz), on a fixed rail or a storage cap, and also for a node that
+        # starts on its rail while the leak pulls it off. The leaky-weak node
+        # never reaches the rail, so its clamps evaluate none. The whole-row
+        # check runs up to T/1e6, where a half cycle's rows still fit in a few
+        # MB.
         rows = count_search_rows(monkeypatch)
         counts = []
-        for divisor in (10_000, 1_000_000):
+        for divisor in (10_000, 1_000_000, 10_000_000):
             rows.clear()
             cfg = make_sim_config(n_cycles=2, dt=0.01 / divisor, **BOUNDARY_CASES[case])
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WeakExcitationWarning)
                 wf = run(cfg).waveform
-            check_plan_boundaries(cfg, wf)
+            if divisor <= 1_000_000:
+                check_plan_boundaries(cfg, wf)
             counts.append(dict(rows))
-        assert counts[0] == counts[1], counts
+        assert counts[0] == counts[1] == counts[2], counts
         halves = 2 * cfg.n_cycles
         if case != "leaky_weak_sshc":
             assert 0 < counts[0]["over"] <= 2 * halves and 0 < counts[0]["backward"] <= 2 * halves
         else:
             assert counts[0] == {}
 
+    def test_grid_row_is_the_first_row_at_or_past_a_time(self):
+        # _Grid.row(s) is the first row m >= 1 whose float time is >= s, and
+        # n + 1 past the last, also where (s - t0)/dt rounds across a row:
+        # a bracket's end and a guess's two rows rest on it.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            t0, dt, n = rng.uniform(0.0, 1e3), 10.0 ** rng.uniform(-9, -3), int(rng.integers(1, 5000))
+            t = transient._Grid(t0, dt, n, t0 + dt * (n + 0.5))
+            times = t[:]
+            for m in rng.integers(0, n + 2, 20):
+                s = float(times[m])
+                for probe in (s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)):
+                    want = 1 + int(np.searchsorted(times[1:], probe))
+                    assert t.row(probe) == min(want, n + 1), (t0, dt, n, m, probe)
+
     @pytest.mark.parametrize("n", [2, 5, 64, 65, 66, 130, 200, 4097, 4098, 4162, 8200])
     def test_first_on_every_interval(self, n):
-        t = np.arange(n, dtype=float)
-        for lo in {1, n // 2, n - 1}:
-            starts = range(lo, n + 1)
-            if n > transient._CHUNK:
-                # Past one chunk of rows, only starts within two rows of each
-                # multiple of _CHUNK from lo: the first point that holds at a
-                # chunk's edge.
-                edges = range(lo, n + transient._CHUNK, transient._CHUNK)
-                starts = sorted({min(max(e + d, lo), n) for e in edges for d in range(-2, 3)})
-            for start in starts:
-                for width in (1, 2, 63, 64, 65, n):
-                    # One interval that holds, or a second one after a gap of
-                    # one row or of 100: the first touch may be narrow and the
-                    # rows after it long.
-                    for gap in (None, 1, 100):
-                        def f(s):
-                            held = (s >= start) & (s < start + width)
-                            if gap is not None:
-                                held |= s >= start + width + gap
-                            return np.where(held, 1.0, -1.0), None
+        # _first on a grid of n rows whose times are their indices, over
+        # brackets lo..hi: the rows of lo..hi-1 that hold are a suffix from
+        # the edge e (e = hi: none of them), row hi holds or fails, and the
+        # rows past hi hold only if hi does. Every edge on a bracket of up to
+        # 200 rows, and on a longer one the edges near its ends, its middle
+        # and every 97th row. A guess is absent, exact, 1 or 3 rows off, or
+        # far off (the first row, the crossing and past it). _first returns
+        # the first row of the bracket that holds, evaluating floats alone,
+        # two of them for an exact guess, and a bisection's count otherwise.
+        t = transient._Grid(0.0, 1.0, n - 2, float(n - 1))
+        for lo in {1, 2, n // 2, n - 1} & set(range(1, n)):
+            for hi in {lo, lo + 1, lo + 2, (lo + n - 1) // 2, n - 2, n - 1} & set(range(lo, n)):
+                edges = set(range(lo, hi + 1))
+                if hi - lo > 200:
+                    middle = (lo + hi) // 2
+                    edges = {e for d in range(4) for e in (lo + d, middle + d - 2, hi - d)}
+                    edges |= set(range(lo, hi, 97))
+                bound = math.ceil(math.log2(hi - lo + 1)) + 3
+                for e, hi_holds in ((e, h) for e in edges for h in (False, True)):
+                    for after in {False, hi_holds}:
+                        evals = []
 
-                        check_first(f, t, lo, transient._first(f, t, lo))
+                        def f(s, m, e=e, hi_holds=hi_holds, after=after):
+                            assert m is transient._FLOAT and isinstance(s, float)
+                            row = int(s)
+                            evals.append(row)
+                            held = e <= row < hi or (row == hi and hi_holds) or (row > hi and after)
+                            return (1.0 if held else -1.0), None
 
-    @pytest.mark.parametrize("chunk", [2, 3])
-    @pytest.mark.parametrize("n", [130, 300])
-    def test_first_walks_its_probes_in_chunks(self, monkeypatch, chunk, n):
-        # With _CHUNK shrunk to 2 or 3, a search of a few hundred points scans
-        # them in many chunks: the first point that holds may open a later
-        # chunk or lie inside one, and where none holds every point is scanned.
-        monkeypatch.setattr(transient, "_CHUNK", chunk)
-        t = np.arange(n, dtype=float)
-        for lo in {1, 37, n // 2, n - 1}:
-            for start in range(lo, n + 1):
-                for width in (1, 2, 63, 64, 65, n):
-                    def f(s):
-                        return np.where((s >= start) & (s < start + width), 1.0, -1.0), None
-
-                    check_first(f, t, lo, transient._first(f, t, lo))
+                        want = e if e < hi else hi if hi_holds else n
+                        for g in (None, e, e - 1, e + 1, e - 3, e + 3, 1, n - 1, n + 100):
+                            evals.clear()
+                            got = transient._first(f, t, lo, hi, None if g is None else float(g))
+                            assert got == want, (lo, hi, e, hi_holds, g, got)
+                            assert len(evals) <= (2 if g == e else bound), (lo, hi, e, g, evals)
 
     @pytest.mark.parametrize("case", ["leaky", "finite_storage", "leaky_finite_storage_217Hz",
                                       "start_on_rail_leak_pulls_off", "start_beyond_rail"])
@@ -1172,8 +1198,8 @@ class TestPendingClampRows:
 
         sample(read)
         assert len(calls) == len(wf._plan) == 2 * cfg.n_cycles
-        for (f, t, lo, guess), got in calls:
-            assert f.__name__ == "over" and lo == 1 and guess is not None
+        for (f, t, lo, hi, guess), got in calls:
+            assert f.__name__ == "over" and (lo, hi) == (1, len(t) - 1) and guess is not None
         assert [h.i for h in wf._plan] == [got for _, got in calls]
         calls.clear()
         for name in ("t", "vpt", "vt", "vs", "phase", "write_csv"):
@@ -1384,7 +1410,7 @@ class TestMemory:
     @pytest.mark.parametrize("divisor", [10_000, 100_000])
     @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "finite_storage", "full_bridge"])
     def test_run_holds_no_samples_in_any_regime(self, case, divisor):
-        # The boundary searches test rows in chunks of fixed size, so run()'s
+        # The boundary searches evaluate single rows as floats, so run()'s
         # peak stays under the same bound in every regime, also where a leaky
         # node never reaches the rail.
         kwargs = {"ct": None} if case == "full_bridge" else BOUNDARY_CASES[case]
@@ -1400,13 +1426,15 @@ class TestMemory:
                 tracemalloc.stop()
         assert peak < 1_000_000, peak
 
-    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "leaky_finite_storage_217Hz"])
-    def test_search_holds_one_chunk_at_a_fine_dt(self, case):
+    @pytest.mark.parametrize("case", ["leaky", "leaky_weak_sshc", "leaky_finite_storage_217Hz",
+                                      "start_on_rail_leak_pulls_off"])
+    def test_search_allocates_no_array_at_a_fine_dt(self, monkeypatch, case):
         # At dt = 1e-8 s (T/1e6 at 100 Hz) a half cycle has 2.3e5 to 5e5
-        # rows. A leaky clamp and the release, on either rail, are guessed,
-        # and a leaky node that never reaches the rail is not searched. A
-        # search that falls back scans _CHUNK points at a time, so run()'s
-        # peak is a few float64 arrays of one chunk, not of a half cycle.
+        # rows. Every boundary search evaluates single rows as floats, and a
+        # leaky node that never reaches the rail is not searched, so run()'s
+        # traced peak is that of its plan: below one float64 array of 2,048
+        # rows, however many rows a half cycle has.
+        searches = record_searches(monkeypatch)  # fails on an array
         cfg = make_sim_config(n_cycles=2, dt=0.01 / 1_000_000, **BOUNDARY_CASES[case])
         run(make_sim_config(n_cycles=1))  # one-time allocations stay out of the trace
         with warnings.catch_warnings():
@@ -1417,7 +1445,8 @@ class TestMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 8 * 8 * transient._CHUNK, peak  # eight float64 arrays of a chunk
+        assert peak < 8 * 2048, peak
+        assert searches or case == "leaky_weak_sshc"
 
 
 class TestOnDemandSamples:
