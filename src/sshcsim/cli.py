@@ -34,7 +34,7 @@ from .flip import (
     optimal_single_flip_ct,
     steady_state_efficiency,
 )
-from .svg import line_chart
+from .svg import Envelope, line_chart
 from .transient import extract_efficiency_trajectory, run, write_flip_events_csv
 
 
@@ -153,16 +153,17 @@ def _cmd_simulate(args: argparse.Namespace, cfg: ResolvedConfig, emitter: _Emitt
     emitter.lap("resolve")
     result = run(cfg.sim_config())
     emitter.lap("engine")
-    # The waveform's samples are evaluated as they are read: by the CSV
-    # writer here, and again for the charts.
-    result.waveform.write_csv(emitter.path("waveform.csv"))
+    # One walk evaluates the waveform's samples, once: it writes waveform.csv
+    # and, with --svg, feeds the chart's pixel envelope as it goes. So the
+    # csv stage books that feed, and the svg stage only draws the charts.
+    wf = result.waveform
+    chart = Envelope(("vpt_V", "vt_V"), *wf.t_span) if args.svg else None
+    wf.write_csv(emitter.path("waveform.csv"), chart)
     write_flip_events_csv(result.events, emitter.path("flip_events.csv"))
     emitter.lap("csv")
-    if args.svg:
-        line_chart(
+    if chart is not None:
+        chart.write(
             emitter.path("waveform.svg"),
-            result.waveform.t,
-            {"vpt_V": result.waveform.vpt, "vt_V": result.waveform.vt},
             title="Transient waveforms",
             xlabel="time (s)",
             ylabel="voltage (V)",

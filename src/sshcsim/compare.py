@@ -71,9 +71,14 @@ def harvest_report(src: PiezoSource, stage: RectifierStage, eta: float) -> Harve
     eta = 0 is the full-bridge baseline (both half-swings wasted). A source
     and stage whose power or wasted charge would overflow raise FieldError.
     """
+    require_finite_harvest(src, stage)
+    return _report(src, stage, eta)
+
+
+def _report(src: PiezoSource, stage: RectifierStage, eta: float) -> HarvestReport:
+    """harvest_report on a source and stage that require_finite_harvest passed."""
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
-    require_finite_harvest(src, stage)
     v0 = conduction_threshold(stage)
     q_generated = 2.0 * src.amplitude_ip / src.omega
     if eta == 0.0:
@@ -96,10 +101,11 @@ def sweep_ct_ratio(
 ) -> SweepResult:
     """Harvest reports over C_T = ratio * C_P at the steady-state flip efficiency."""
     _check_axis(ratios)
+    require_finite_harvest(src, stage)  # once: no point changes the source or the stage
     reports = []
     for r in ratios:
         eta = steady_state_efficiency(FlipRatios.from_caps(src.cap_cp, r * src.cap_cp))
-        reports.append(harvest_report(src, stage, eta))
+        reports.append(_report(src, stage, eta))
     return SweepResult(tuple(ratios), tuple(reports))
 
 
@@ -120,10 +126,11 @@ def sweep_storage_voltage(
         eta = steady_state_efficiency(
             FlipRatios.from_caps(src.cap_cp, ct_ratio * src.cap_cp)
         )
-    reports = []
-    for vs in vs_values:
-        stage = RectifierStage(diode_drop_vd=vd, storage=FixedVoltage(vs))
-        reports.append(harvest_report(src, stage, eta))
+    stages = [RectifierStage(diode_drop_vd=vd, storage=FixedVoltage(vs)) for vs in vs_values]
+    # Both bounds grow with V_S >= 0, so the axis ends bound every point between.
+    for stage in (stages[0], stages[-1]):
+        require_finite_harvest(src, stage)
+    reports = [_report(src, stage, eta) for stage in stages]
     return SweepResult(tuple(vs_values), tuple(reports))
 
 

@@ -23,8 +23,9 @@ both lists, finds each pending clamp row at the first read of any column
 or waveform.csv, and evaluates the grid rows' samples, one half cycle at a time,
 whenever a column is read. One generator, _pieces, evaluates samples: it
 walks a half cycle's rows as its free, held and released runs, as numpy
-arrays for each column read and for waveform.csv, and as floats for run()'s
-crossing row where its clamp row is known. The floats take math's sin and
+arrays for each column read and for waveform.csv (whose walk also feeds a
+chart, if write_csv is given one), and as floats for run()'s crossing row
+where its clamp row is known. The floats take math's sin and
 cos, which match numpy's bit for bit, and numpy's expm1, which math's does
 not match, so a row has the same bits either way.
 """
@@ -200,8 +201,17 @@ class Waveform:
     vs = property(lambda self: self._column("vs"), doc="storage voltage, V")
     phase = property(lambda self: self._column("phase"), doc="switch phase token")
 
-    def write_csv(self, out: Union[str, IO[str]]) -> None:
-        write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], self._csv_blocks())
+    @property
+    def t_span(self) -> Tuple[float, float]:
+        """t's first and last value, its extremes: t never decreases."""
+        flip = self._flips[-1]
+        return self._initial.t, flip[-1][0] if flip else self._plan[-1].t_end
+
+    def write_csv(self, out: Union[str, IO[str]], chart=None) -> None:
+        """Write waveform.csv. A chart, such as an svg.Envelope of (vpt, vt)
+        over t_span, is fed every row in the same walk: each sample is
+        evaluated once for both."""
+        write_csv(out, ["t_s", "vpt_V", "vt_V", "vs_V", "phase"], self._csv_blocks(chart))
 
     def _resolved(self) -> List[_HalfCycle]:
         """The plan with every clamp row found. A row that run() left pending
@@ -238,7 +248,7 @@ class Waveform:
             row = pulses.stop - 1
         return out
 
-    def _csv_blocks(self) -> Iterator[Tuple[Tuple[str, ...], list]]:
+    def _csv_blocks(self, chart=None) -> Iterator[Tuple[Tuple[str, ...], list]]:
         """waveform.csv as csvout blocks, one half cycle at a time, so no whole
         column is made: the first row, then for each half cycle one block per
         run that _pieces yields (its free, held and released rows) and one
@@ -246,19 +256,27 @@ class Waveform:
         vpt or vs that _pieces gives as a float is a constant field, formatted
         once, and one it gives as an array varies. So on a fixed rail the held
         rows format t alone; on a finite storage cap they carry vpt and vs.
+        chart.add(t, (vpt, vt)), if a chart is given, takes each block's rows
+        before it is yielded, a constant vpt or vt as a float.
         """
         c, s = self._circuit, self._initial
         idle = Phase.IDLE.value
+        add = chart.add if chart is not None else lambda t, ys: None
+        add([s.t], ([s.vpt], s.vt))
         yield ("g", "g", fmt(s.vt), fmt(s.vs), idle), [s.t, s.vpt]
         for h, flip in zip(self._resolved(), self._flips):
             t, vt = _Grid(h.t0, c.dt, h.n, h.t_end), fmt(h.vt)
             for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
+                ta = t[a:b]
+                add(ta, (vpt, h.vt))
                 vs = h.vs0 + h.sign * rise
                 varying = [x for x in (vpt, vs) if not np.isscalar(x)]
                 vpt_field, vs_field = (fmt(x) if np.isscalar(x) else "g" for x in (vpt, vs))
-                rows = np.column_stack([t[a:b], *varying]).ravel() if varying else t[a:b]
+                rows = np.column_stack([ta, *varying]).ravel() if varying else ta
                 yield ("g", vpt_field, vt, vs_field, idle), rows.tolist()
             if flip:
+                pulse_t, pulse_vpt, pulse_vt, *_ = zip(*flip)
+                add(pulse_t, (pulse_vpt, pulse_vt))
                 yield ("g", "g", "g", "g", "s"), [x for row in flip for x in row]
 
 

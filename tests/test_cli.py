@@ -3,12 +3,13 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from sshcsim import WeakExcitationWarning, cli, run
+from sshcsim import WeakExcitationWarning, cli, run, transient
 from sshcsim.cli import main
 from sshcsim.config import ConfigError, parse_config, parse_quantity
 
@@ -205,6 +206,48 @@ class TestSimulateCommand:
         with open(os.path.join(out, "waveform.csv"), encoding="utf-8") as fh:
             t_s = [line.split(",", 1)[0] for line in fh.read().splitlines()[1:]]
         assert [a for a, b in zip(t_s, t_s[1:]) if a == b] == []
+
+
+class TestSimulateSvg:
+    def test_one_walk_evaluates_each_sample_once(self, tmp_path, monkeypatch):
+        # waveform.csv and waveform.svg come from one walk: _pieces is called
+        # over numpy arrays once per half cycle, and no column is read.
+        pieces, calls = transient._pieces, []
+
+        def counted(h, lo, hi, c, m=np):
+            if m is np:
+                calls.append(h)
+            return pieces(h, lo, hi, c, m)
+
+        def no_column(self, name):
+            raise AssertionError(f"column {name} read")
+
+        monkeypatch.setattr(transient, "_pieces", counted)
+        monkeypatch.setattr(transient.Waveform, "_column", no_column)
+        assert main(["simulate", "--cycles", "10", "--svg", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 20
+        assert os.path.exists(os.path.join(str(tmp_path), "waveform.svg"))
+
+    def test_svg_memory_does_not_grow_with_the_run(self, tmp_path):
+        # Traced bytes, so deterministic. The chart holds at most four points
+        # per pixel column and series, not the samples: at dt = T/1000, --svg
+        # adds under 1 MB to the peak at 10 and at 100 cycles (0.9 and 7.8 MB
+        # when it read whole columns), and about the same at both.
+        out = str(tmp_path)
+        main(["simulate", "--cycles", "1", "--svg", "--out-dir", out])  # one-time allocations
+        added = []
+        for cycles in ("10", "100"):
+            peaks = []
+            for svg in ([], ["--svg"]):
+                tracemalloc.start()
+                try:
+                    main(["simulate", "--cycles", cycles, "--set", "dt=1e-5", "--out-dir", out] + svg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            added.append(peaks[1] - peaks[0])
+        assert max(added) < 1_000_000, added
+        assert added[1] < added[0] + 250_000, added
 
 
 class TestSweepAndCompare:

@@ -19,6 +19,7 @@ from sshcsim import (
     sweep_storage_voltage,
     wasted_charge_fullbridge,
 )
+from sshcsim import compare
 from sshcsim.circuit import FieldError
 
 from conftest import make_source, make_stage
@@ -139,6 +140,41 @@ class TestSweepCtRatio:
             sweep_ct_ratio(make_source(), make_stage(), [])
         with pytest.raises(ValueError, match="non-empty"):
             sweep_storage_voltage(make_source(), 0.2, [])
+
+
+class TestSweepChecks:
+    def test_each_sweep_checks_the_harvest_bounds_once(self, monkeypatch):
+        # C_T does not enter the bounds, so a C_T sweep checks its source and
+        # stage once; both bounds grow with V_S, so a V_S sweep checks its
+        # two ends. harvest_report alone still checks every call.
+        checked = []
+        monkeypatch.setattr(
+            compare, "require_finite_harvest", lambda src, stage: checked.append(stage)
+        )
+        stage = make_stage()
+        sweep_ct_ratio(make_source(), stage, np.logspace(-1, 2, 50).tolist())
+        assert checked == [stage]
+        checked.clear()
+        sweep_storage_voltage(make_source(), 0.2, np.linspace(0.5, 5.0, 50).tolist(), 1.0)
+        assert [s.storage_voltage for s in checked] == [0.5, 5.0]
+        checked.clear()
+        harvest_report(make_source(), stage, 0.3)
+        assert checked == [stage]
+
+    @pytest.mark.parametrize("ct_ratio", [None, 1.0])
+    def test_a_sweep_past_the_bound_names_vs(self, ct_ratio):
+        # The last V_S is checked, so the message quotes it, not the first
+        # point past the bound.
+        src = PiezoSource(1e150, 1.0, 1e-150)
+        with pytest.raises(FieldError) as swept:
+            sweep_storage_voltage(src, 0.0, [1.0, 1e200, 1e201], ct_ratio)
+        assert str(swept.value).startswith("vs must keep")
+        assert str(swept.value).endswith("got 1e+201")
+
+    def test_a_ct_sweep_on_an_overflowing_stage_names_vs(self):
+        src = PiezoSource(1e150, 1.0, 1e-150)
+        with pytest.raises(FieldError, match="^vs must keep"):
+            sweep_ct_ratio(src, RectifierStage(0.0, FixedVoltage(1e200)), [1.0, 2.0])
 
 
 class TestSweepStorageVoltage:

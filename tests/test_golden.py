@@ -51,6 +51,34 @@ GOLDEN = {
             "efficiency.svg": "92884684b2e112956c81c0a696379d6f62d1b71bf7c7502153dc0cff4aad0ebb",
         },
     ),
+    # Ten cycles put many half cycles in each pixel column of waveform.svg,
+    # so its envelope merges runs of many pieces and flips.
+    "ct20_10_cycles": (
+        ["simulate", "--cycles", "10", "--ct-ratio", "20", "--svg"],
+        {
+            "waveform.csv": "42c209634fd87f9dfc907bc47b010a56b0cbb5f43424b48cea2d7656a6f373bf",
+            "flip_events.csv": "67cdaeb303a7ea260723f079eb80c8da6ed8b96d7e8e7011f557b719ebd6636f",
+            "waveform.svg": "990204019889bbaea55a358d3c90effb292d726942b39abfeb94cdd15252acd2",
+            "efficiency.svg": "4238584aa62efd0a24d6b4d86747193884b4a7b07f10b62f7b4503ab6f58a31d",
+        },
+    ),
+    "full_bridge_10_cycles": (
+        ["simulate", "--cycles", "10", "--full-bridge", "--svg"],
+        {
+            "waveform.csv": "acdefd6ef757a95390ddb9e559441d0c1cae1c0059f34b11e15f7f3431e0d852",
+            "waveform.svg": "d44d3614a0cb568543b7c43cb786b2d938d6bd6a373c1ae7452768f20b0b6541",
+        },
+    ),
+    "leaky_finite_217Hz_10_cycles": (
+        ["simulate", "--cycles", "10", "--set", "res_rp=1MOhm", "--set", "storage_cs=1uF",
+         "--set", "frequency=217Hz", "--svg"],
+        {
+            "waveform.csv": "1afc3a9d1135ae2f7f923c8aa4e8798083969dc2ff94c349bfdd5da85a036ade",
+            "flip_events.csv": "abbf37dfa09670ebdbaeb2fc2b182c3531d139f4586ee6432bc6d3759e283d14",
+            "waveform.svg": "96c6d59f71d55c579a6845b330385f9a7e21e95b32686851667bbd31563f2fe1",
+            "efficiency.svg": "97191e34e2f45758842a7606519133e643b77c4773cabc835318bb7de94edc67",
+        },
+    ),
     "analyze": (
         ["analyze", "--ct-ratio", "3", "--cycles", "40", "--svg"],
         {

@@ -1,12 +1,16 @@
+import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sshcsim import run
-from sshcsim.svg import _envelope, line_chart
+from sshcsim import FiniteCap, run, svg
+from sshcsim.svg import Envelope, line_chart
 
-from conftest import make_sim_config
+from conftest import make_sim_config, make_source, make_stage
 
 PLOT_WIDTH = 680  # pixel columns between the 60-px margins of an 800-px chart
 
@@ -22,22 +26,40 @@ def polylines(path):
 
 
 def reference_envelope(ys, columns):
-    """Loop form of the envelope: per column, its first, lowest, highest and
-    last point in index order."""
+    """Loop form of the envelope: per run of points in one column, its first,
+    lowest, highest and last point in index order, or its first and last if
+    it holds a NaN; every point if no run holds more than four."""
     keep = []
+    longest = 0
     start = 0
     for end in range(1, len(ys) + 1):
         if end == len(ys) or columns[end] != columns[start]:
             run_ys = list(ys[start:end])
-            picks = {
-                start,
-                start + run_ys.index(min(run_ys)),
-                start + run_ys.index(max(run_ys)),
-                end - 1,
-            }
+            longest = max(longest, end - start)
+            if any(np.isnan(run_ys)):
+                picks = {start, end - 1}
+            else:
+                picks = {
+                    start,
+                    start + run_ys.index(min(run_ys)),
+                    start + run_ys.index(max(run_ys)),
+                    end - 1,
+                }
             keep.extend(sorted(picks))
             start = end
-    return keep
+    return keep if longest > 4 else list(range(len(ys)))
+
+
+def envelope_indices(ys, columns, cuts=(), constant=()):
+    """The indices Envelope keeps of ys, fed in chunks that end at `cuts`,
+    with point k in pixel column columns[k]. The chunks numbered in
+    `constant` are passed as the float of their first point."""
+    x = np.asarray(columns) + 0.5  # on an x range of (0, 680), point k lands in column int(x[k])
+    chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
+    bounds = [0, *cuts, len(ys)]
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        chart.add(x[a:b], [float(ys[a]) if k in constant else ys[a:b]])
+    return chart.points(0)[0].tolist()
 
 
 class TestEnvelope:
@@ -64,14 +86,13 @@ class TestEnvelope:
         rng = np.random.default_rng(7)
         ys = rng.integers(0, 5, size=5000).astype(float)  # many ties
         columns = np.sort(rng.integers(0, PLOT_WIDTH, size=ys.size))
-        starts = np.flatnonzero(np.diff(columns, prepend=-1))
-        assert _envelope(ys, starts).tolist() == reference_envelope(ys, columns)
+        assert envelope_indices(ys, columns) == reference_envelope(ys, columns)
 
     def test_nan_column_keeps_first_and_last_point(self):
         ys = np.sin(np.arange(100.0))
         ys[10] = np.nan
-        starts = np.array([0, 50])  # two pixel columns of 50 points each
-        keep = _envelope(ys, starts).tolist()
+        columns = np.repeat([0, 1], 50)  # two pixel columns of 50 points each
+        keep = envelope_indices(ys, columns)
         assert keep[:2] == [0, 49]
         assert keep[2:] == [50 + i for i in reference_envelope(ys[50:], np.zeros(50))]
 
@@ -106,3 +127,83 @@ class TestEnvelope:
         line_chart(path, x, {"y": [0.25, 0.25, 0.25]})
         (points,) = polylines(path)
         assert points.shape == (3, 2) and np.all(np.isfinite(points))
+
+    @pytest.mark.parametrize("ys", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], ids=["short", "long"])
+    def test_series_length_must_match_x(self, tmp_path, ys):
+        with pytest.raises(ValueError, match="series 'y' has"):
+            line_chart(str(tmp_path / "bad.svg"), [0.0, 1.0, 2.0], {"y": ys})
+
+    def test_every_chunk_is_checked(self):
+        chart = Envelope(["a", "b"], 0.0, 1.0)
+        chart.add([0.0, 0.5], [[1.0, 2.0], 3.0])
+        with pytest.raises(ValueError, match="series 'b' has 1 points for 2 x values"):
+            chart.add([0.6, 0.7], [[1.0, 2.0], [3.0]])
+
+
+# Ties (0.0 and -0.0 are equal), infinities and NaN.
+VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def chunked_series(draw):
+    """(ys, columns, cuts, constant) for envelope_indices: runs of random,
+    so non-monotone, pixel columns, sometimes none longer than four points,
+    cut into random chunks, some of which are constant."""
+    longest = draw(st.sampled_from([4, 9]))
+    runs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, longest)), min_size=1,
+                         max_size=30))
+    columns = [column for column, size in runs for _ in range(size)]
+    n = len(columns)
+    ys = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    constant = draw(st.sets(st.integers(0, len(bounds) - 2)))
+    for k in constant:
+        ys[bounds[k] : bounds[k + 1]] = ys[bounds[k]]
+    return ys, columns, cuts, constant
+
+
+class TestChunkedEnvelope:
+    @settings(max_examples=300, deadline=None)
+    @given(chunked_series(), st.sampled_from([0, 1, 3, 64]))
+    def test_chunks_keep_what_the_whole_series_keeps(self, case, merge):
+        # Any cut into chunks, and a merge of the held runs after every
+        # `merge` chunks, keeps the points the loop reference keeps of the
+        # whole series, with their x and y.
+        ys, columns, cuts, constant = case
+        with mock.patch.object(svg, "_MERGE", merge):
+            x = np.asarray(columns) + 0.5
+            chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
+            bounds = [0, *cuts, len(ys)]
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                chart.add(x[a:b], [float(ys[a]) if k in constant else ys[a:b]])
+            index, kept_x, kept_y = chart.points(0)
+        expected = reference_envelope(ys, columns)
+        assert index.tolist() == expected
+        assert np.array_equal(kept_x, x[expected])
+        assert np.array_equal(kept_y, ys[expected], equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"ct": None},
+            {"src": make_source(rp=1e6)},
+            {"stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
+            {"src": make_source(rp=1e6), "stage": make_stage(storage=FiniteCap(1e-6, 2.0))},
+        ],
+        ids=["ideal", "full_bridge", "leaky", "finite_storage", "leaky_finite_storage"],
+    )
+    def test_waveform_fed_by_the_csv_walk_draws_the_whole_columns(self, tmp_path, kwargs):
+        # The chart that waveform.csv's walk feeds, a constant run as a
+        # float, is byte for byte the chart of the whole columns.
+        wf = run(make_sim_config(n_cycles=3, **kwargs)).waveform
+        t = wf.t
+        assert wf.t_span == (t.min(), t.max()) == (t[0], t[-1])
+        whole, fed = str(tmp_path / "whole.svg"), str(tmp_path / "fed.svg")
+        line_chart(whole, t, {"vpt_V": wf.vpt, "vt_V": wf.vt})
+        chart = Envelope(["vpt_V", "vt_V"], *wf.t_span)
+        wf.write_csv(io.StringIO(), chart)
+        chart.write(fed)
+        with open(whole, "rb") as fa, open(fed, "rb") as fb:
+            assert fa.read() == fb.read()
