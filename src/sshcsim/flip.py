@@ -57,8 +57,8 @@ def charge_share(va: float, ca: float, vb: float, cb: float) -> float:
     Total charge ca*va + cb*vb is preserved; both capacitors end at the
     returned voltage.
     """
-    if not ca > 0 or not cb > 0:
-        raise ValueError("capacitances must be > 0")
+    if not (0.0 < ca < math.inf and 0.0 < cb < math.inf):
+        raise ValueError("capacitances must be finite and > 0")
     return (ca * va + cb * vb) / (ca + cb)
 
 
@@ -71,10 +71,10 @@ def flip_step(v0: float, vt_in: float, ratios: FlipRatios) -> Tuple[float, float
     (V_PT = 0), reversed dump (both at beta*V_T'). Returns (vpt_out, vt_out)
     with vpt_out = -vt_out.
     """
-    if v0 < 0:
-        raise ValueError("v0 must be >= 0 (pass the magnitude)")
-    if vt_in < 0:
-        raise ValueError("vt_in must be >= 0 (pass the magnitude)")
+    if not 0.0 <= v0 < math.inf:
+        raise ValueError("v0 must be finite and >= 0 (pass the magnitude)")
+    if not 0.0 <= vt_in < math.inf:
+        raise ValueError("vt_in must be finite and >= 0 (pass the magnitude)")
     vt_shared = ratios.alpha * v0 + ratios.beta * vt_in
     vt_out = ratios.beta * vt_shared
     return -vt_out, vt_out
@@ -98,8 +98,8 @@ def flip_efficiency_series(ratios: FlipRatios, v0: float, n_cycles: int) -> Flip
     pre-flip magnitude v0, recording eta_n = |V_PT after| / v0."""
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    if not v0 > 0:
-        raise ValueError("v0 must be > 0")
+    if not 0.0 < v0 < math.inf:
+        raise ValueError("v0 must be finite and > 0")
     vt = 0.0
     effs = []
     vts = []

@@ -58,6 +58,12 @@ class TestChargeShare:
         with pytest.raises(ValueError):
             charge_share(1.0, 1e-9, 0.0, -1e-9)
 
+    @pytest.mark.parametrize("caps", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)])
+    def test_rejects_non_finite_caps(self, caps):
+        ca, cb = caps
+        with pytest.raises(ValueError, match="capacitances must be finite"):
+            charge_share(1.0, ca, 1.0, cb)
+
     @given(
         va=st.floats(-10, 10),
         vb=st.floats(-10, 10),
@@ -93,6 +99,13 @@ class TestFlipStep:
             flip_step(-1.0, 0.0, equal_caps())
         with pytest.raises(ValueError):
             flip_step(1.0, -0.5, equal_caps())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_magnitudes(self, bad):
+        with pytest.raises(ValueError, match="v0 must be finite"):
+            flip_step(bad, 0.0, equal_caps())
+        with pytest.raises(ValueError, match="vt_in must be finite"):
+            flip_step(1.0, bad, equal_caps())
 
     @given(beta=betas, v0=st.floats(0.1, 10.0), vt=st.floats(0.0, 10.0))
     def test_energy_never_increases_over_phases(self, beta, v0, vt):
@@ -150,6 +163,11 @@ class TestEfficiencySeries:
             flip_efficiency_series(equal_caps(), -1.0, 5)
         with pytest.raises(ValueError, match="n must be >= 1"):
             closed_form_efficiency(equal_caps(), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_v0(self, bad):
+        with pytest.raises(ValueError, match="v0 must be finite"):
+            flip_efficiency_series(equal_caps(), bad, 3)
 
     @given(beta=betas, n=st.integers(1, 2000))
     @settings(max_examples=40, deadline=None)

@@ -95,11 +95,30 @@ GOLDEN = {
             "flip_series.svg": "d95909455fb2eef6b4a0ad0f4b1f0d50094d2ad053005122caf6640a40fb4668",
         },
     ),
+    # 2000 flips hold two or three points per pixel column, more points than
+    # columns, yet no column holds five: the chart is drawn point for point.
+    "analyze_2000_cycles": (
+        ["analyze", "--ct-ratio", "100", "--cycles", "2000", "--svg"],
+        {
+            "flip_series.csv": "6cdb9e337eb24ca419b3c8350c47e3d866edb2b586b585e2245aed2fa1f64fb2",
+            "summary.csv": "33a30ce5a3ad8ce4ba408dc3873696bc31a1eca6ef9c865193963c440ec2b910",
+            "flip_series.svg": "5ae39f68f637efb9d48be8178f4170de944bd0a470ed9d2fdcc472f55973a6f3",
+        },
+    ),
     "sweep_ct": (
         ["sweep", "--axis", "ct", "--min", "0.1", "--max", "100", "--points", "25", "--svg"],
         {
             "sweep_ct.csv": "a6cd41841102c935869862dd29dbde1efd653914d60af24a580dcb2cab07de00",
             "sweep_ct.svg": "a38d71dd64d51e3a10f7b816966cfddda794fab7dbd03d9662f3ad2c1be53736",
+        },
+    ),
+    # Log-spaced points on a linear axis put up to 90 points in one pixel
+    # column, so the chart is drawn from its envelope.
+    "sweep_ct_300_points": (
+        ["sweep", "--axis", "ct", "--min", "0.01", "--max", "100", "--points", "300", "--svg"],
+        {
+            "sweep_ct.csv": "026683bcfd17521b34b9f47fecf48ef66311b3a31b4c603e58b2dc097364b1ca",
+            "sweep_ct.svg": "b6b7168a5a115a8c6efd648309c4b0910391c968a65e6a1b3a2a89d406b1f7cd",
         },
     ),
     "sweep_vs": (

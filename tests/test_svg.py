@@ -1,13 +1,13 @@
 import io
 import re
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sshcsim import FiniteCap, run, svg
+from sshcsim import FiniteCap, run
 from sshcsim.svg import Envelope, line_chart
 
 from conftest import make_sim_config, make_source, make_stage
@@ -133,6 +133,70 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="series 'y' has"):
             line_chart(str(tmp_path / "bad.svg"), [0.0, 1.0, 2.0], {"y": ys})
 
+    def test_decreasing_x_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="x must not decrease"):
+            line_chart(str(tmp_path / "back.svg"), [0.0, 2.0, 1.0], {"y": [1.0, 2.0, 3.0]})
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [[[3.5, 2.5]], [[3.5], [2.5]], [[1.5, 3.5], [3.7, 2.5]]],
+        ids=["within", "across", "across_then_within"],
+    )
+    def test_envelope_rejects_columns_that_step_back(self, chunks):
+        chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
+        *good, bad = chunks
+        for x in good:
+            chart.add(x, [np.ones(len(x))])
+        with pytest.raises(ValueError, match="x must not decrease"):
+            chart.add(bad, [np.ones(len(bad))])
+
+    def test_equal_x_continues_a_column(self):
+        chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
+        for y in (1.0, 3.0, 2.0, 0.0, 5.0, 4.0):
+            chart.add([7.5], [[y]])
+        assert chart.points(0)[0].tolist() == [0, 3, 4, 5]
+
+    @pytest.mark.parametrize("x", [[-3e9, -2.0, -1.0, -0.5, 0.5], [680.0, 700.0, 1e9, 3e9, 4e9]],
+                             ids=["below", "above"])
+    def test_columns_past_the_plot_are_clipped(self, x):
+        # Every point falls in the nearest edge column: one column of five.
+        chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
+        chart.add(x, [[0.0, 5.0, 1.0, -5.0, 2.0]])
+        assert chart.points(0)[0].tolist() == [0, 1, 3, 4]
+
+    def test_every_point_list_dropped_at_a_fifth_point_in_a_column(self):
+        # Four points in each column are all drawn and held; the fifth in
+        # any column, here one fed in a later chunk, drops the list.
+        chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
+        for column in range(PLOT_WIDTH):
+            chart.add(column + np.array([0.1, 0.2]), [np.array([1.0, 2.0])])
+            chart.add(column + np.array([0.3, 0.4]), [np.array([0.0, 3.0])])
+        assert sum(len(x) for x, _ in chart._all) == 4 * PLOT_WIDTH
+        assert len(chart.points(0)[0]) == 4 * PLOT_WIDTH
+        chart.add([PLOT_WIDTH - 0.5], [[1.5]])
+        assert chart._all is None
+        # Each column keeps its first, lowest and highest, which is its last,
+        # point; the last column keeps its fifth point too.
+        assert len(chart.points(0)[0]) == 3 * PLOT_WIDTH + 1
+
+    def test_state_does_not_grow_with_chunks(self):
+        # The Envelope's traced size after 100 or 10,000 chunks of 50 points.
+        def size(chunks):
+            x = np.linspace(0.0, 1.0, 50 * chunks)
+            y = np.sin(x)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                chart = Envelope(["a", "b"], 0.0, 1.0)
+                for a in range(0, len(x), 50):
+                    chart.add(x[a : a + 50], [y[a : a + 50], 0.5])
+                return tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+
+        few, many = size(100), size(10_000)
+        assert abs(many - few) < 4096, (few, many)
+
     def test_every_chunk_is_checked(self):
         chart = Envelope(["a", "b"], 0.0, 1.0)
         chart.add([0.0, 0.5], [[1.0, 2.0], 3.0])
@@ -146,13 +210,14 @@ VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
 
 @st.composite
 def chunked_series(draw):
-    """(ys, columns, cuts, constant) for envelope_indices: runs of random,
-    so non-monotone, pixel columns, sometimes none longer than four points,
-    cut into random chunks, some of which are constant."""
+    """(ys, columns, cuts, constant) for envelope_indices: runs of pixel
+    columns that step forward by random strides, sometimes none longer than
+    four points, cut into random chunks, so a column may span several, some
+    of which are constant."""
     longest = draw(st.sampled_from([4, 9]))
-    runs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, longest)), min_size=1,
+    runs = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, longest)), min_size=1,
                          max_size=30))
-    columns = [column for column, size in runs for _ in range(size)]
+    columns = np.repeat(np.cumsum([step for step, _ in runs]), [size for _, size in runs]).tolist()
     n = len(columns)
     ys = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1))) if n > 1 else []
@@ -165,19 +230,26 @@ def chunked_series(draw):
 
 class TestChunkedEnvelope:
     @settings(max_examples=300, deadline=None)
-    @given(chunked_series(), st.sampled_from([0, 1, 3, 64]))
-    def test_chunks_keep_what_the_whole_series_keeps(self, case, merge):
-        # Any cut into chunks, and a merge of the held runs after every
-        # `merge` chunks, keeps the points the loop reference keeps of the
-        # whole series, with their x and y.
+    @given(chunked_series())
+    # Column 1 spans four chunks, a constant NaN one among them; column 2
+    # spans three, with a tie of 0.0 and -0.0 and a lower point in the last.
+    @example(([1.0, 2.0, np.nan, 0.5, -1.0, 0.0, -0.0, 3.0, -2.0, 1.0],
+              [1, 1, 1, 1, 1, 2, 2, 2, 2, 2], [1, 2, 3, 6, 8], {2}))
+    # Column 1 spans three chunks, two of them constant, and the last of
+    # those ends in column 3.
+    @example(([1.0, np.inf, -np.inf, -np.inf, 5.0, 5.0, 5.0, 0.0, 0.0],
+              [1, 1, 1, 1, 1, 1, 3, 3, 3], [2, 4, 7], {1, 2}))
+    def test_chunks_keep_what_the_whole_series_keeps(self, case):
+        # Any cut into chunks keeps the points the loop reference keeps of
+        # the whole series, with their x and y.
         ys, columns, cuts, constant = case
-        with mock.patch.object(svg, "_MERGE", merge):
-            x = np.asarray(columns) + 0.5
-            chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
-            bounds = [0, *cuts, len(ys)]
-            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                chart.add(x[a:b], [float(ys[a]) if k in constant else ys[a:b]])
-            index, kept_x, kept_y = chart.points(0)
+        ys = np.asarray(ys)
+        x = np.asarray(columns) + 0.5
+        chart = Envelope(["y"], 0.0, float(PLOT_WIDTH))
+        bounds = [0, *cuts, len(ys)]
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            chart.add(x[a:b], [float(ys[a]) if k in constant else ys[a:b]])
+        index, kept_x, kept_y = chart.points(0)
         expected = reference_envelope(ys, columns)
         assert index.tolist() == expected
         assert np.array_equal(kept_x, x[expected])

@@ -1174,6 +1174,42 @@ def crossing_map(cfg):
     return befores, v, vs
 
 
+class TestChartFeed:
+    """svg.Envelope keeps one entry per pixel column, which holds only while
+    the t it is fed never decreases: write_csv's walk feeds it t in the
+    waveform's row order."""
+
+    class Recorder:
+        def __init__(self):
+            self.chunks = []
+
+        def add(self, t, ys):
+            self.chunks.append(np.asarray(t, dtype=np.float64))
+
+    CASES = {
+        **BOUNDARY_CASES,
+        "full_bridge": {"ct": None},
+        # Pulses of 1e-30 s with no gap: a pulse row's t equals the one
+        # before it.
+        "instant_pulses": {"phase_pulse_width": 1e-30, "phase_gap": 0.0},
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_t_never_decreases(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            wf = run(make_sim_config(n_cycles=2, **self.CASES[case])).waveform
+        chart = self.Recorder()
+        wf.write_csv(io.StringIO(), chart)
+        t = np.concatenate(chart.chunks)
+        assert np.array_equal(t, wf.t)
+        for chunk in chart.chunks:
+            assert np.all(chunk[1:] >= chunk[:-1])
+        assert all(b[0] >= a[-1] for a, b in zip(chart.chunks, chart.chunks[1:]))
+        if case == "instant_pulses":
+            assert np.count_nonzero(t[1:] == t[:-1]) == 12
+
+
 class TestPendingClampRows:
     """On a fixed rail without leak no result of run() needs a clamp row: a
     crossing row that holds puts the node on the rail there, and the events,
