@@ -19,15 +19,16 @@ charge redistributions (share with C_T, short C_P, reconnect C_T reversed),
 one pulse row each, which run() and apply_flip() both take from _flip. run()
 appends each half cycle's plan to one list and its flip's rows, (t, vpt, vt,
 vs, phase token) as waveform.csv writes them, to another; the Waveform keeps
-both lists, finds each pending clamp row at the first read of any column
-or waveform.csv, and evaluates the grid rows' samples, one half cycle at a time,
-whenever a column is read. One generator, _pieces, evaluates samples: it
-walks a half cycle's rows as its free, held and released runs, as numpy
-arrays for each column read and for waveform.csv (whose walk also feeds a
-chart, if write_csv is given one), and as floats for run()'s crossing row
-where its clamp row is known. The floats take math's sin and
-cos, which match numpy's bit for bit, and numpy's expm1, which math's does
-not match, so a row has the same bits either way.
+both lists and finds each pending clamp row at the first read of any column
+or waveform.csv. One run walk, Waveform._runs, yields every row in order as
+runs (t, vpt, vt, vs, phase), one half cycle at a time: each column read and
+waveform.csv (whose walk also feeds a chart, if write_csv is given one) take
+their rows from it, so a read of any column evaluates every sample once. One
+generator, _pieces, evaluates samples: it walks a half cycle's rows as its
+free, held and released runs, as numpy arrays for the run walk, and as
+floats for run()'s crossing row where its clamp row is known. The floats
+take math's sin and cos, which match numpy's bit for bit, and numpy's expm1,
+which math's does not match, so a row has the same bits either way.
 """
 
 from __future__ import annotations
@@ -174,10 +175,10 @@ class Waveform:
     samples: t, vpt, vt and vs are float64 columns and phase the matching
     tokens (Idle, PhiP, Phi0, PhiN) as a '<U4' array, each evaluated anew on
     every read and not cached. So bind a column to a name once rather than
-    index it in a loop. The samples of every grid row, for a read and for
-    write_csv alike, come from _pieces' full evaluation. The clamp rows that
-    run() left pending are found once, at the first read of any column or
-    write_csv, and kept in the plan.
+    index it in a loop. A read of any column and write_csv alike take their
+    rows from one run walk, _runs, so each costs one full evaluation of the
+    samples. The clamp rows that run() left pending are found once, at the
+    first read of any column or write_csv, and kept in the plan.
     """
 
     def __init__(
@@ -226,58 +227,47 @@ class Waveform:
         ]
         return self._plan
 
-    def _column(self, name: str) -> np.ndarray:
-        c, s, k = self._circuit, self._initial, _COLUMNS.index(name)
-        if name == "phase":
-            out = np.full(len(self), Phase.IDLE.value, _TOKEN)  # every row but a flip's
-        else:
-            out = np.empty(len(self))
-            out[0] = getattr(s, name)
-        row = 0  # out[row] is the half cycle's row 0, the row before it
+    def _runs(self) -> Iterator[tuple]:
+        """Every row in order, as runs (t, vpt, vt, vs, phase): row 0, then for
+        each half cycle each run of rows that _pieces yields and the flip's
+        rows. t is an array with one value per row; any other field is a float
+        or a token where the run holds it constant, else an array too. This
+        and __len__ alone state the row order."""
+        c, s, idle = self._circuit, self._initial, Phase.IDLE.value
+        yield np.array([s.t]), s.vpt, s.vt, s.vs, idle
         for h, flip in zip(self._resolved(), self._flips):
-            grid = slice(row + 1, row + h.n + 2)
-            if name == "t":
-                out[grid] = _Grid(h.t0, c.dt, h.n, h.t_end)[1:]
-            elif name == "vt":
-                out[grid] = h.vt
-            elif name != "phase":
-                for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
-                    out[row + a : row + b] = vpt if name == "vpt" else h.vs0 + h.sign * rise
-            pulses = slice(grid.stop, grid.stop + len(flip))  # the flip's rows follow the grid's
-            out[pulses] = [r[k] for r in flip]
-            row = pulses.stop - 1
+            t = _Grid(h.t0, c.dt, h.n, h.t_end)
+            for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
+                yield t[a:b], vpt, h.vt, h.vs0 + h.sign * rise, idle
+            if flip:
+                *numbers, tokens = zip(*flip)
+                yield (*map(np.array, numbers), np.array(tokens, dtype=object))
+
+    def _column(self, name: str) -> np.ndarray:
+        k, row = _COLUMNS.index(name), 0
+        out = np.empty(len(self), _TOKEN if name == "phase" else np.float64)
+        for run in self._runs():
+            stop = row + len(run[0])
+            out[row:stop] = run[k]
+            row = stop
         return out
 
     def _csv_blocks(self, chart=None) -> Iterator[Tuple[Tuple[str, ...], list]]:
-        """waveform.csv as csvout blocks, one half cycle at a time, so no whole
-        column is made: the first row, then for each half cycle one block per
-        run that _pieces yields (its free, held and released rows) and one
-        block of its pulse rows. Grid rows share vt and the Idle phase. A run's
-        vpt or vs that _pieces gives as a float is a constant field, formatted
-        once, and one it gives as an array varies. So on a fixed rail the held
-        rows format t alone; on a finite storage cap they carry vpt and vs.
-        chart.add(t, (vpt, vt)), if a chart is given, takes each block's rows
-        before it is yielded, a constant vpt or vt as a float.
-        """
-        c, s = self._circuit, self._initial
-        idle = Phase.IDLE.value
-        add = chart.add if chart is not None else lambda t, ys: None
-        add([s.t], ([s.vpt], s.vt))
-        yield ("g", "g", fmt(s.vt), fmt(s.vs), idle), [s.t, s.vpt]
-        for h, flip in zip(self._resolved(), self._flips):
-            t, vt = _Grid(h.t0, c.dt, h.n, h.t_end), fmt(h.vt)
-            for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
-                ta = t[a:b]
-                add(ta, (vpt, h.vt))
-                vs = h.vs0 + h.sign * rise
-                varying = [x for x in (vpt, vs) if not np.isscalar(x)]
-                vpt_field, vs_field = (fmt(x) if np.isscalar(x) else "g" for x in (vpt, vs))
-                rows = np.column_stack([ta, *varying]).ravel() if varying else ta
-                yield ("g", vpt_field, vt, vs_field, idle), rows.tolist()
-            if flip:
-                pulse_t, pulse_vpt, pulse_vt, *_ = zip(*flip)
-                add(pulse_t, (pulse_vpt, pulse_vt))
-                yield ("g", "g", "g", "g", "s"), [x for row in flip for x in row]
+        """waveform.csv as csvout blocks, one per run of _runs, so no whole
+        column is made. A run's constant field is formatted once, in its row
+        template, and only its varying fields are converted per row: so on a
+        fixed rail the held rows format t alone, and on a finite storage cap
+        they carry vpt and vs. chart.add(t, (vpt, vt)), if a chart is given,
+        takes each run before its block is yielded, a constant as a float."""
+        for run in self._runs():
+            if chart is not None:
+                chart.add(run[0], run[1:3])
+            varying = [x for x in run if isinstance(x, np.ndarray)]
+            fields = tuple(
+                kind if isinstance(x, np.ndarray) else x if kind == "s" else fmt(x)
+                for kind, x in zip("ggggs", run)
+            )
+            yield fields, np.column_stack(varying).ravel().tolist()
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -227,6 +228,36 @@ class TestSimulateSvg:
         assert main(["simulate", "--cycles", "10", "--svg", "--out-dir", str(tmp_path)]) == 0
         assert len(calls) == 20
         assert os.path.exists(os.path.join(str(tmp_path), "waveform.svg"))
+
+    @pytest.mark.parametrize("read", ["write_csv", "t", "vpt", "vt", "vs", "phase"])
+    def test_each_reader_walks_once(self, monkeypatch, read):
+        # write_csv without a chart and a read of any column take their rows
+        # from one walk too: _pieces is called over numpy arrays once per half
+        # cycle. The clamp rows run() left pending are searched at the first
+        # read and kept, so a second read searches none.
+        wf = run(parse_config(overrides={"n_cycles": "10"}).sim_config()).waveform
+        pieces, clamp_row, calls, searches = transient._pieces, transient._clamp_row, [], []
+
+        def counted(h, lo, hi, c, m=np):
+            if m is np:
+                calls.append(h)
+            return pieces(h, lo, hi, c, m)
+
+        def searched(*args, **kwargs):
+            searches.append(args)
+            return clamp_row(*args, **kwargs)
+
+        monkeypatch.setattr(transient, "_pieces", counted)
+        monkeypatch.setattr(transient, "_clamp_row", searched)
+        for first in (True, False):
+            if read == "write_csv":
+                wf.write_csv(io.StringIO())
+            else:
+                assert len(getattr(wf, read)) == len(wf)
+            assert len(calls) == 20
+            assert bool(searches) == first
+            calls.clear()
+            searches.clear()
 
     def test_svg_memory_does_not_grow_with_the_run(self, tmp_path):
         # Traced bytes, so deterministic. The chart holds at most four points

@@ -1624,6 +1624,7 @@ class TestCsvOracle:
         "full_bridge": {"ct": None},
         "zero_rail": {"stage": make_stage(vs=0.0, vd=0.0)},
         "zero_rail_full_bridge": {"ct": None, "stage": make_stage(vs=0.0, vd=0.0)},
+        "instant_pulses": TestChartFeed.CASES["instant_pulses"],
     }
 
     @staticmethod
@@ -1646,6 +1647,45 @@ class TestCsvOracle:
     @pytest.mark.parametrize("case", list(CASES))
     def test_named_cases(self, case):
         self.check(make_sim_config(n_cycles=2, **self.CASES[case]))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_follow_the_plan(self, case):
+        # The row layout from the plan, the flips and pulse_times alone, not
+        # from the walk that writes both the columns and waveform.csv: row 0
+        # is the initial state; each half cycle's grid rows are t0 + dt*m and
+        # the crossing, with the plan's vt and the Idle phase; a flip's rows
+        # follow at the pulse times of the crossing, PhiP, Phi0, PhiN from a
+        # node >= 0 and the reverse below it.
+        cfg = make_sim_config(n_cycles=2, **self.CASES[case])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            result = run(cfg)
+        wf, c, s = result.waveform, transient._Circuit.of(cfg), result.initial_state
+        t, vt, phase = [np.array([s.t])], [np.array([s.vt])], [Phase.IDLE.value]
+        pulse_rows, flip_rows = [], []
+        order = [Phase.PHI_P.value, Phase.PHI_0.value, Phase.PHI_N.value]
+        row = 1  # the half cycle's first grid row
+        for h, flip in zip(wf._resolved(), wf._flips):
+            t += [h.t0 + c.dt * np.arange(1, h.n + 1), np.array([h.t_end])]
+            vt.append(np.full(h.n + 1, h.vt))
+            phase += [Phase.IDLE.value] * (h.n + 1)
+            row += h.n + 1
+            assert len(flip) == (3 if cfg.sshc is not None else 0), h
+            if flip:
+                t.append(np.array(c.pulse_times(h.t_end)))
+                vt.append(np.array([r[2] for r in flip]))
+                phase += order if h.v_end >= 0.0 else order[::-1]
+                pulse_rows += range(row, row + 3)
+                flip_rows += flip
+                row += 3
+        t, vt = np.concatenate(t), np.concatenate(vt)
+        assert len(wf) == len(t) == row
+        assert wf.t.tobytes() == t.tobytes()
+        assert wf.vt.tobytes() == vt.tobytes()
+        assert wf.phase.tolist() == phase
+        for k, name in ((1, "vpt"), (3, "vs")):
+            got = getattr(wf, name)[pulse_rows].tolist()
+            assert repr(got) == repr([float(r[k]) for r in flip_rows]), name
 
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(CONFIGS)
