@@ -53,7 +53,7 @@ def line_chart(
         raise ValueError("series must be non-empty")
     if not (x[1:] >= x[:-1]).all():
         raise ValueError("x must not decrease")
-    chart = Envelope(list(series), float(x.min()), float(x.max()))
+    chart = Envelope(list(series), float(x[0]), float(x[-1]))  # x never decreases: its extremes
     chart.add(x, ys)
     chart.write(path, title, xlabel, ylabel)
 

@@ -11,31 +11,36 @@ integrals. A boundary's grid row comes from _first, a bisection over a
 bracket of rows on which the boundary is crossed once, whose first two
 probes are the rows around a scalar guess (_clamp_row's for the clamp,
 arcsin's or a root past the sine's peak for the release), and its time from
-a scalar root. On a fixed rail without leak no result of run() needs the
-clamp row: where the crossing row holds, the node ends on the rail, and
-run() leaves the row pending for the Waveform to find at its first read.
-run() writes no samples. A flip is one fixed sequence of three instantaneous
-charge redistributions (share with C_T, short C_P, reconnect C_T reversed),
-one pulse row each, which run() and apply_flip() both take from _flip. run()
-appends each half cycle's plan to one list and its flip's rows, (t, vpt, vt,
-vs, phase token) as waveform.csv writes them, to another; the Waveform keeps
-both lists and finds each pending clamp row at the first read of any column
-or waveform.csv. One run walk, Waveform._runs, yields every row in order as
-runs (t, vpt, vt, vs, phase), one half cycle at a time: each column read and
-waveform.csv (whose walk also feeds a chart, if write_csv is given one) take
-their rows from it, so a read of any column evaluates every sample once. One
-generator, _pieces, evaluates samples: it walks a half cycle's rows as its
-free, held and released runs, as numpy arrays for the run walk, and as
-floats for run()'s crossing row where its clamp row is known. The floats
-take math's sin and cos, which match numpy's bit for bit, and numpy's expm1,
-which math's does not match, so a row has the same bits either way.
+a scalar root. A guess that is itself a root is found only to its row, the
+one thing _first reads of it; the roots whose times enter the plan, the
+clamp, the release and the free node's maximum, run to 2 ulps. Each piece of
+a half cycle, free, held or released, binds its constants once, and the
+bound form evaluates a float or a numpy array alike. On a fixed rail without
+leak no result of run() needs the clamp row: where the crossing row holds,
+the node ends on the rail, and run() leaves the row pending for the Waveform
+to find at its first read. run() writes no samples. A flip is one fixed
+sequence of three instantaneous charge redistributions (share with C_T,
+short C_P, reconnect C_T reversed), one pulse row each, which run() and
+apply_flip() both take from _flip. run() appends each half cycle's plan to
+one list and its flip's rows, (t, vpt, vt, vs, phase token) as waveform.csv
+writes them, to another; the Waveform keeps both lists and finds each
+pending clamp row at the first read of any column or waveform.csv. One run
+walk, Waveform._runs, yields every row in order as runs (t, vpt, vt, vs,
+phase), one half cycle at a time: each column read and waveform.csv (whose
+walk also feeds a chart, if write_csv is given one) take their rows from it,
+so a read of any column evaluates every sample once. One generator, _pieces,
+evaluates samples: it walks a half cycle's rows as its free, held and
+released runs, as numpy arrays for the run walk, which takes each run's
+times from it, and as floats for run()'s crossing row where its clamp row is
+known. The floats take math's sin and cos, which match numpy's bit for bit,
+and numpy's expm1, which math's does not match, so a row has the same bits
+either way.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -126,8 +131,10 @@ class CircuitState:
     phase: Phase = Phase.IDLE
 
 
-@dataclass(frozen=True)
-class FlipEvent:
+class FlipEvent(NamedTuple):
+    """One flip's record. A NamedTuple: immutable, and equal to the plain
+    tuple of its fields."""
+
     cycle_index: int  # 1-based flip count
     t: float
     v_before: float
@@ -236,9 +243,8 @@ class Waveform:
         c, s, idle = self._circuit, self._initial, Phase.IDLE.value
         yield np.array([s.t]), s.vpt, s.vt, s.vs, idle
         for h, flip in zip(self._resolved(), self._flips):
-            t = _Grid(h.t0, c.dt, h.n, h.t_end)
-            for a, b, vpt, rise in _pieces(h, 1, h.n + 2, c):
-                yield t[a:b], vpt, h.vt, h.vs0 + h.sign * rise, idle
+            for _, _, t, vpt, rise in _pieces(h, 1, h.n + 2, c):
+                yield t, vpt, h.vt, h.vs0 + h.sign * rise, idle
             if flip:
                 *numbers, tokens = zip(*flip)
                 yield (*map(np.array, numbers), np.array(tokens, dtype=object))
@@ -402,8 +408,8 @@ class _Grid:
     """A half cycle's time column, computed when indexed, never stored. Row 0
     is the previous row t0, rows 1..n are t0 + dt*m (the floats of
     t0 + dt*np.arange(1, n + 1)) and row n + 1 is the zero crossing t_end.
-    An int index gives a float, which _first reads; a slice with a positive
-    step gives an array, which _pieces reads."""
+    An int index, 0..n + 1, gives a float, which _first and the roots read;
+    a slice with a positive step gives an array, which _pieces reads."""
 
     __slots__ = ("t0", "dt", "n", "t_end")
 
@@ -417,16 +423,17 @@ class _Grid:
         """The first row m >= 1 whose float time self[m] is >= s, and n + 1,
         the crossing, for any later s. The quotient by dt may miss it by a
         row of rounding, so the rows on either side settle it."""
-        m = min(max(math.ceil((s - self.t0) / self.dt), 1), self.n + 1)
-        while m > 1 and self[m - 1] >= s:
+        t0, dt, n = self.t0, self.dt, self.n
+        m = math.ceil((s - t0) / dt)
+        m = 1 if m < 1 else n + 1 if m > n else m
+        while m > 1 and t0 + dt * (m - 1) >= s:  # rows 1..n: the times of self[m]
             m -= 1
-        while m <= self.n and self[m] < s:
+        while m <= n and t0 + dt * m < s:
             m += 1
         return m
 
     def __getitem__(self, m):
         if not isinstance(m, slice):
-            m = operator.index(m) % (self.n + 2)
             return self.t_end if m > self.n else self.t0 + self.dt * m
         rows = range(*m.indices(self.n + 2))
         t = np.arange(rows.start, rows.stop, rows.step, dtype=np.float64)
@@ -465,23 +472,37 @@ class _HalfCycle(NamedTuple):
     vs_end: float
 
 
-def _rise(t, t0: float, x0: float, k: float, g: float, w: float, m=np):
-    """x(t) - x0 for x' = k*sin(w*t) - g*x from x(t0) = x0 (g = 0: no decay),
-    at a time or an array of times t >= t0; m=math evaluates one float. x0
+def _rise(t0: float, x0: float, k: float, g: float, w: float):
+    """The piece x' = k*sin(w*t) - g*x from x(t0) = x0 (g = 0: no decay),
+    its constants bound once: rise(t, m=np) gives x(t) - x0 at a time or an
+    array of times t >= t0, and m=math or _FLOAT evaluates one float. x0
     stays out of the sum, so a small rise on a large x0 keeps its digits."""
     if g == 0.0:
-        return k / w * (m.cos(w * t0) - m.cos(w * t))
+        kw, cos0 = k / w, math.cos(w * t0)
+
+        def rise(t, m=np):
+            return kw * (cos0 - m.cos(w * t))
+
+        return rise
     a = k / (g * g + w * w)  # the forced response is a*(g*sin(w*t) - w*cos(w*t))
     forced0 = a * (g * math.sin(w * t0) - w * math.cos(w * t0))
-    forced = a * (g * m.sin(w * t) - w * m.cos(w * t))
-    return forced - forced0 + (x0 - forced0) * m.expm1(-g * (t - t0))
+    free0, decay = x0 - forced0, -g
+
+    def rise(t, m=np):
+        forced = a * (g * m.sin(w * t) - w * m.cos(w * t))
+        return forced - forced0 + free0 * m.expm1(decay * (t - t0))
+
+    return rise
 
 
-# The m of _rise and of a boundary function for one float that must have the
-# bits numpy gives it as an element of an array: math.sin and math.cos match
-# np.sin and np.cos bit for bit (Tier-1 tests check this), math.expm1 does not
-# match np.expm1, so expm1 comes from numpy.
-_FLOAT = SimpleNamespace(sin=math.sin, cos=math.cos, expm1=lambda x: float(np.expm1(x)))
+# The m of a piece and of a boundary function for one float that must have
+# the bits numpy gives it as an element of an array: math.sin and math.cos
+# match np.sin and np.cos bit for bit (Tier-1 tests check this), math.expm1
+# does not match np.expm1, so expm1 comes from numpy. np.minimum gives its
+# second argument on a tie, which tells 0.0 from -0.0.
+_FLOAT = SimpleNamespace(
+    sin=math.sin, cos=math.cos, expm1=lambda x: float(np.expm1(x)), minimum=lambda x, y: min(y, x)
+)
 
 _EPS = sys.float_info.epsilon
 
@@ -510,11 +531,17 @@ def _first(f, t: _Grid, lo: int, hi: int, guess: Optional[float] = None) -> int:
     return b if b < hi or f(t[hi], _FLOAT)[0] >= 0.0 else len(t)
 
 
-def _root(f, a: float, b: float, x: float) -> float:
+def _root(f, a: float, b: float, x: float, t: Optional[_Grid] = None) -> float:
     """The time in [a, b] at which f(s, math)[0] turns >= 0, to 2 ulps, where
     f(s, math) returns (value, slope): Newton steps from x narrow the bracket;
-    a step that leaves it bisects it, one that stalls moves one ulp."""
-    x = min(max(x, a), b)
+    a step that leaves it bisects it, one that stalls moves one ulp.
+    Given a half cycle's grid t, the root is a guess, found only to its row:
+    the search stops once the bracket lies within one row of t, or once a
+    Newton step ends in a row that holds its error bound on either side. The
+    bound is the step itself for a first step; for a step after one of length
+    last it is 4*step**3/last**2, as Newton's error shrinks with its square."""
+    x = a if x < a else b if x > b else x
+    last = 0.0  # the previous Newton step, 0 after none
     for _ in range(64):
         if b - a <= 2.0 * math.ulp(b):
             break
@@ -526,7 +553,18 @@ def _root(f, a: float, b: float, x: float) -> float:
         nx = x - fx / slope if slope else math.nan
         if nx == x:
             nx = math.nextafter(x, a if fx >= 0.0 else b)
-        x = nx if a < nx < b else 0.5 * (a + b)
+        if not a < nx < b:
+            if t is not None and b - a < t.dt and t.row(a) == t.row(b):
+                return float(b)
+            x, last = 0.5 * (a + b), 0.0
+            continue
+        if t is not None:
+            step = abs(nx - x)
+            err = 4.0 * step * (step / last) ** 2 if last else step
+            if err < 0.5 * t.dt and t.row(nx - err) == t.row(nx + err):
+                return nx
+            last = step
+        x = nx
     return float(b)
 
 
@@ -547,9 +585,10 @@ def _over(t0: float, v0: float, sign: int, vth: float, c: _Circuit):
     (m=math), its slope, which _root steps with; _first reads the value
     alone."""
     kf, gf, w = c.kf, c.gf, c.w
+    rise = _rise(t0, v0, kf, gf, w)
 
     def over(s, m=np):
-        x = v0 + _rise(s, t0, v0, kf, gf, w, m)
+        x = v0 + rise(s, m)
         return sign * x - vth, sign * (kf * m.sin(w * s) - gf * x) if m is math else None
 
     return over
@@ -571,32 +610,39 @@ def _clamp_row(t: _Grid, v0: float, sign: int, vth: float, c: _Circuit, over=Non
       node may fall first, then rises to the maximum and falls after it, a
       start on the rail too, which the leak pulls off. top is the sine's
       peak where the node is past the rail there, else the maximum, and the
-      guess is the root of over() below top, by Newton steps from top, which
-      meet the node's return to the rail, not a start on it. A maximum more
-      than _margin below the rail is never, with no search, and one within
-      _margin of it, where rounding decides, gives no guess.
+      guess is the root of over() below top, found only to its row. From a
+      start below the rail over() meets 0 once below top, and Newton steps
+      from the leak-free arccos point reach it in about two evaluations; from
+      a start on the rail they run from top, which meets the node's return
+      to the rail, not the start itself. A maximum more than _margin below
+      the rail is never, with no search, and one within _margin of it, where
+      rounding decides, gives no guess.
     _integrate_segment calls it where the plan needs the row, and the
     Waveform where a sample needs a row that run() left pending."""
     over = over or _over(t.t0, v0, sign, vth, c)
     kf, gf, w, t_end, n = c.kf, c.gf, c.w, t.t_end, len(t)
+    u = min(sign * math.cos(w * t.t0) - (vth - sign * v0) * w / kf, 1.0)
+    # Below -1 the rail is out of reach; rounding may still hold the last row.
+    free = t_end - math.acos(-u) / w if u >= -1.0 else t_end  # the clamp without a leak
     if not gf:
-        u = min(sign * math.cos(w * t.t0) - (vth - sign * v0) * w / kf, 1.0)
-        # Below -1 the rail is out of reach; rounding may still hold the last row.
-        return _first(over, t, 1, n - 1, t_end - math.acos(-u) / w if u >= -1.0 else t_end)
-
-    def turn(s, m=math):  # >= 0 once the free node's slope has turned down
-        slope = over(s, m)[1]
-        return -slope, gf * slope - sign * kf * w * m.cos(w * s)
-
+        return _first(over, t, 1, n - 1, free)
     margin = _margin(v0, vth, kf, w, t_end)
     top = t_end - 0.5 * math.pi / w  # the sine's peak
     peak = over(top, math)[0]
     if peak <= margin:
+
+        def turn(s, m=math):  # >= 0 once the free node's slope has turned down
+            slope = over(s, m)[1]
+            return -slope, gf * slope - sign * kf * w * m.cos(w * s)
+
         top = _root(turn, top, t_end, top)  # the free node's maximum
         peak = over(top, math)[0]
     if peak < -margin:
         return n
-    return _first(over, t, 1, t.row(top), _root(over, t.t0, top, top) if peak > margin else None)
+    guess = None
+    if peak > margin:
+        guess = _root(over, t.t0, top, free if sign * v0 < vth else top, t)
+    return _first(over, t, 1, t.row(top), guess)
 
 
 def _integrate_segment(
@@ -620,8 +666,8 @@ def _integrate_segment(
     scalar work: the clamp row i from _clamp_row, the release row j from
     _first on rows max(i, 1) up to the crossing, seeded by a guess (arcsin's
     on a fixed rail, also _root's first step, and on a storage cap _root's
-    from the sine's peak), then t_clamp and t_release from _root where a
-    later piece or the ledger needs them. On a fixed rail without leak the
+    from the sine's peak, found only to its row), then t_clamp and t_release
+    from _root, to 2 ulps, where a later piece or the ledger needs them. On a fixed rail without leak the
     clamp row is searched only where the crossing row, evaluated as floats,
     fails; where it holds, the node ends on the rail, which is all that the
     ledger, the flip and the next half cycle read, and i is left pending
@@ -653,12 +699,13 @@ def _integrate_segment(
         i = None
     j, t_clamp, t_release = n, t0, t_end
     if (leak or cs < math.inf) and 0 < i < n:  # a held ideal rail needs no t_clamp
-        t_clamp = _root(over, t[i - 1], t[i], t[i])
+        edge = t[i]
+        t_clamp = _root(over, t[i - 1], edge, edge)
     kh, gh = c.kh, c.gh
-    hold = (t_clamp, rail, kh, gh, w)
+    held = _rise(t_clamp, rail, kh, gh, w) if leak and cs < math.inf else None
 
     def backward(s, m=np):  # >= 0 once the leak outweighs the source: the bridge would reverse
-        x, sin = rail + _rise(s, *hold, m) if cs < math.inf else rail, m.sin(w * s)
+        x, sin = rail + held(s, m) if held else rail, m.sin(w * s)
         slope = sign * (leak * (kh * sin - gh * x) - ip * w * m.cos(w * s)) if m is math else None
         return sign * (x * leak - ip * sin), slope
 
@@ -672,20 +719,21 @@ def _integrate_segment(
         # there. Row 0 is the previous half cycle's, so it is never searched.
         if cs < math.inf:
             a = max(t_clamp, t_end - 0.5 * math.pi / w)
-            release = _root(backward, a, t_end, a)
+            release = _root(backward, a, t_end, a, t)
         else:
             release = t_end - math.asin(min(vth * leak / ip, 1.0)) / w
         j = _first(backward, t, max(i, 1), n - 1, release)
         if j < n:
-            guess = t[j] if cs < math.inf else release
-            t_release = _root(backward, t[j - 1] if j > i else t_clamp, t[j], guess)
+            edge = t[j]
+            start = edge if held else release  # on a fixed rail the arcsin is the release
+            t_release = _root(backward, t[j - 1] if j > i else t_clamp, edge, start)
 
     plan = (t0, n - 2, t_end, sign, v0, vs0, vt, i, j, t_clamp, t_release)
     if i is None:  # held at the crossing: _pieces' held run gives rail + 0.0 there
         v_end, rise_end = rail + 0.0, 0.0
     else:
         # The crossing row's one run; _pieces reads no end values, so the start stands in.
-        ((_, _, v_end, rise_end),) = _pieces(_HalfCycle(*plan, v0, vs0), n - 1, n, c, _FLOAT)
+        ((_, _, _, v_end, rise_end),) = _pieces(_HalfCycle(*plan, v0, vs0), n - 1, n, c, _FLOAT)
         v_end, rise_end = float(v_end), float(rise_end)
     q_source = ip / w * (math.cos(w * t0) - math.cos(w * t_end))
     if cs < math.inf:
@@ -709,38 +757,41 @@ def _integrate_segment(
 
 def _pieces(h: _HalfCycle, lo: int, hi: int, c: _Circuit, m=np) -> Iterator[tuple]:
     """Evaluate rows lo..hi-1 of half cycle h, 1 <= lo < hi <= n + 2, from its
-    plan: yield (a, b, vpt, rise) for each non-empty run of rows a..b-1 that
-    is free (from row 1), held (from row i) or released (from row j). rise is
-    how far a finite storage cap has carried the clamp, so vs = vs0 +
-    sign*rise. vpt and rise are floats where the run holds them, arrays
-    otherwise. With m=np each run is one numpy call over its rows, and an
-    element's bits do not depend on the rows around it, so any lo and hi give
-    the bits of the whole half cycle. With m=_FLOAT the one row lo = hi - 1 is
-    evaluated in floats, with the same bits, and vpt and rise are floats or
-    numpy scalars. This is the only code that evaluates samples. A pending i
-    (None) must be found first.
+    plan: yield (a, b, t, vpt, rise) for each non-empty run of rows a..b-1
+    that is free (from row 1), held (from row i) or released (from row j),
+    with t its times. rise is how far a finite storage cap has carried the
+    clamp, so vs = vs0 + sign*rise. vpt and rise are floats where the run
+    holds them, arrays otherwise. With m=np t is an array, each run is one
+    numpy call over its rows, and an element's bits do not depend on the rows
+    around it, so any lo and hi give the bits of the whole half cycle. With
+    m=_FLOAT the crossing row alone, lo = n + 1, is evaluated in floats, with
+    the same bits: t is its float time, and vpt and rise are floats or numpy
+    scalars. Each piece's constants are bound once per call. This is the only
+    code that evaluates samples. A pending i (None) must be found first.
     """
-    finite = c.cs < math.inf
-    t = _Grid(h.t0, c.dt, h.n, h.t_end)
-    rail = h.sign * (h.vs0 + c.two_vd)
-    hold = (h.t_clamp, rail, c.kh, c.gh, c.w)
+    grid = _Grid(h.t0, c.dt, h.n, h.t_end) if m is np else None
+    w, rail = c.w, h.sign * (h.vs0 + c.two_vd)
+    held = _rise(h.t_clamp, rail, c.kh, c.gh, w) if c.cs < math.inf else None
     i, j = min(max(h.i, lo), hi), min(max(h.j, lo), hi)  # row 0 is not ours
 
-    def at(a: int, b: int):  # the times of rows a..b-1, or of row a alone as a float
-        return t[a:b] if m is np else t[a]
+    def at(a: int, b: int):  # the times of rows a..b-1, or the crossing's as a float
+        return grid[a:b] if m is np else h.t_end
 
     if lo < i:
-        yield lo, i, h.v0 + _rise(at(lo, i), h.t0, h.v0, c.kf, c.gf, c.w, m), 0.0
+        s = at(lo, i)
+        yield lo, i, s, h.v0 + _rise(h.t0, h.v0, c.kf, c.gf, w)(s, m), 0.0
     if i < j:
-        rise = _rise(at(i, j), *hold, m) if finite else 0.0
-        yield i, j, rail + rise, rise  # + 0.0 turns a -0.0 rail into 0.0
+        s = at(i, j)
+        rise = held(s, m) if held else 0.0
+        yield i, j, s, rail + rise, rise  # + 0.0 turns a -0.0 rail into 0.0
     if j < hi:
-        lift = _rise(h.t_release, *hold) if finite else 0.0
+        lift = held(h.t_release) if held else 0.0
         off = rail + lift
-        fall = off + _rise(at(j, hi), h.t_release, off, c.kf, c.gf, c.w, m)
+        s = at(j, hi)
+        fall = off + _rise(h.t_release, off, c.kf, c.gf, w)(s, m)
         # Released, the node only falls away from the rail; the clip drops
         # the rounding of a very stiff leak (g >> w).
-        yield j, hi, h.sign * np.minimum(h.sign * fall, h.sign * off), lift
+        yield j, hi, s, h.sign * m.minimum(h.sign * fall, h.sign * off), lift
 
 
 def run(cfg: SimConfig) -> RunResult:

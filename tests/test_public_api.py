@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import sshcsim
 
 # Every name sshcsim exports, the submodules that its imports bind included.
@@ -68,3 +70,16 @@ def test_runtime_imports_numpy_only():
     assert "numpy" in loaded
     extra = loaded & {"scipy", "mpmath", "hypothesis", "pytest"}
     assert not extra, sorted(extra)
+
+
+def test_flip_event_is_an_immutable_named_tuple():
+    # FlipEvent is a NamedTuple: its fields keep their names and order, it
+    # equals the plain tuple of its fields, and no field can be assigned.
+    event = sshcsim.FlipEvent(3, 0.015, 2.4, -1.8, 0.75)
+    assert sshcsim.FlipEvent._fields == ("cycle_index", "t", "v_before", "v_after", "efficiency")
+    assert event == (3, 0.015, 2.4, -1.8, 0.75)
+    for name in sshcsim.FlipEvent._fields:
+        with pytest.raises(AttributeError):
+            setattr(event, name, 0.0)
+    with pytest.raises(AttributeError):
+        event.extra = 0.0

@@ -128,6 +128,21 @@ class TestEnvelope:
         (points,) = polylines(path)
         assert points.shape == (3, 2) and np.all(np.isfinite(points))
 
+    @pytest.mark.parametrize(
+        "x",
+        [[2.5], [-0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [-3.0, 0.5, 7.0]],
+        ids=["one_point", "negative_zero", "all_negative_zero", "all_zero", "one_x", "spread"],
+    )
+    def test_x_range_is_the_ends_of_x(self, tmp_path, x):
+        # x never decreases, so its first and last values are its extremes:
+        # the chart has the bytes of one drawn over x.min() to x.max().
+        ys = {"y": np.linspace(0.0, 1.0, len(x))}
+        line_chart(str(tmp_path / "ends.svg"), x, ys)
+        chart = Envelope(list(ys), float(np.min(x)), float(np.max(x)))
+        chart.add(x, list(ys.values()))
+        chart.write(str(tmp_path / "extremes.svg"))
+        assert (tmp_path / "ends.svg").read_bytes() == (tmp_path / "extremes.svg").read_bytes()
+
     @pytest.mark.parametrize("ys", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], ids=["short", "long"])
     def test_series_length_must_match_x(self, tmp_path, ys):
         with pytest.raises(ValueError, match="series 'y' has"):

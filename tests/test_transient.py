@@ -598,7 +598,7 @@ def brute_first(f, t, lo):
 def free_over(c, h, t):
     """run()'s `over` on rows 1..n+1 of half cycle h: how far its free node
     is past the rail, evaluated as run() evaluates it."""
-    x = h.v0 + transient._rise(t[1:], h.t0, h.v0, c.kf, c.gf, c.w)
+    x = h.v0 + transient._rise(h.t0, h.v0, c.kf, c.gf, c.w)(t[1:])
     return h.sign * x - (h.vs0 + c.two_vd)
 
 
@@ -638,7 +638,7 @@ def check_plan_boundaries(cfg, wf):
             s = t[lo:]
             x = rail
             if c.cs < math.inf:
-                x = rail + transient._rise(s, h.t_clamp, rail, c.kh, c.gh, c.w)
+                x = rail + transient._rise(h.t_clamp, rail, c.kh, c.gh, c.w)(s)
             assert h.j == first_held(h.sign * (x * c.leak - c.ip * np.sin(c.w * s)), lo, len(t)), h
 
 
@@ -880,7 +880,7 @@ class TestPieceBoundaries:
         assert f.__name__ == "over" and guess is not None
         i = brute_first(f, t, lo)
         assert got == i and lo < i < len(t)
-        refined = [(a, b) for (g, a, b, _), _ in roots if g is f]
+        refined = [(a, b) for (g, a, b, *_), _ in roots if g is f]
         assert refined[-1] == (t[i - 1], t[i])
         for (f, t, lo, _, _), got in calls:
             check_first(f, t, lo, got)
@@ -904,12 +904,12 @@ class TestPieceBoundaries:
             cfg = make_sim_config(ct=None, n_cycles=1, src=make_source(ip=ip, rp=1e6), stage=stage)
             wf = run(cfg).waveform
             h, c = wf._plan[0], transient._Circuit.of(cfg)
-            maxima = [got for (f, _, b, _), got in roots if f.__name__ == "turn" and b == h.t_end]
+            maxima = [got for (f, _, b, *_), got in roots if f.__name__ == "turn" and b == h.t_end]
             if not maxima:  # past the rail by the sine's peak: no maximum was sought
                 return math.inf, cfg, wf
             (t_max,) = maxima
             vth = h.vs0 + c.two_vd
-            x = h.v0 + transient._rise(t_max, h.t0, h.v0, c.kf, c.gf, c.w, math)
+            x = h.v0 + transient._rise(h.t0, h.v0, c.kf, c.gf, c.w)(t_max, math)
             return (h.sign * x - vth) / transient._margin(h.v0, vth, c.kf, c.w, h.t_end), cfg, wf
 
         lo_ip, hi_ip = 1e-6, 50e-6
@@ -967,6 +967,48 @@ class TestPieceBoundaries:
         else:
             assert counts[0] == {}
 
+    @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+    def test_each_guess_names_the_first_row(self, monkeypatch, case):
+        # A count, not a timing: each search's scalar guess lies in the row
+        # that _first returns, so its two rows settle the search. The guess
+        # roots, the leaky clamp's and a storage cap's release, stop once
+        # their row is known, and still name it. Ten cycles, and the pending
+        # clamp rows of the ideal rail too.
+        searches = record_searches(monkeypatch)
+        cfg = make_sim_config(n_cycles=10, **BOUNDARY_CASES[case])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WeakExcitationWarning)
+            run(cfg).waveform._resolved()
+        for f, t, lo, hi, guess, got, floats in searches:
+            edge = got if got < len(t) else hi
+            assert guess is not None and t.row(guess) == edge, (f.__name__, lo, hi, got)
+            assert len(floats) <= 2, (f.__name__, floats)
+
+    def test_leaky_roots_evaluate_few_times(self, monkeypatch):
+        # A count, not a timing: on the default leaky regime the roots of
+        # each half cycle evaluate over() 7 times at most, where they took
+        # 11 to 13 when the clamp's guess root ran to 2 ulps. That guess now
+        # stops at its row, after about 2, and t_clamp takes the rest.
+        counts = []
+        real_root, real_segment = transient._root, transient._integrate_segment
+
+        def root(f, *args):
+            def counted(s, m=math):
+                counts[-1] += f.__name__ == "over"
+                return f(s, m)
+
+            return real_root(counted, *args)
+
+        def segment(*args):
+            counts.append(0)
+            return real_segment(*args)
+
+        monkeypatch.setattr(transient, "_root", root)
+        monkeypatch.setattr(transient, "_integrate_segment", segment)
+        cfg = make_sim_config(n_cycles=10, **REGIMES["leaky"])
+        run(cfg)
+        assert len(counts) == 2 * cfg.n_cycles and 0 < min(counts) and max(counts) <= 7, counts
+
     def test_grid_row_is_the_first_row_at_or_past_a_time(self):
         # _Grid.row(s) is the first row m >= 1 whose float time is >= s, and
         # n + 1 past the last, also where (s - t0)/dt rounds across a row:
@@ -1023,10 +1065,15 @@ class TestPieceBoundaries:
     @pytest.mark.parametrize("case", ["leaky", "finite_storage", "leaky_finite_storage_217Hz",
                                       "start_on_rail_leak_pulls_off", "start_beyond_rail"])
     def test_refined_crossings_turn_within_two_ulps(self, monkeypatch, case):
+        # Each root whose time enters the plan (t_clamp, t_release, the free
+        # node's maximum) turns within 2 ulps. A guess root, given its grid,
+        # is found only to its row: test_each_guess_names_the_first_row
+        # checks those.
         calls = record(monkeypatch, "_root")
         run(make_sim_config(n_cycles=2, **BOUNDARY_CASES[case]))
-        assert calls
-        for (f, a, b, _), r in calls:
+        refined = [((f, a, b), r) for (f, a, b, _, *grid), r in calls if not grid]
+        assert refined
+        for (f, a, b), r in refined:
             assert a <= r <= b
             assert f(r, math)[0] >= 0.0 or r == b
             below, x = [], r
@@ -1042,11 +1089,11 @@ class TestPieceBoundaries:
         # whole grid.
         t0 = 1.23e-3
         t = t0 + 1e-6 * np.arange(10_001)
-        piece = (t0, -0.7, 5e3, g, 2 * math.pi * 100.0)
-        whole = transient._rise(t, *piece)
+        rise = transient._rise(t0, -0.7, 5e3, g, 2 * math.pi * 100.0)
+        whole = rise(t)
         for length in (1, 7, 64, 5000):
             for start in (1, 17, 1001, 4999):
-                part = transient._rise(t[start : start + length], *piece)
+                part = rise(t[start : start + length])
                 assert part.tobytes() == whole[start : start + length].tobytes()
 
     @pytest.mark.parametrize("case", ["ideal", "leaky", "finite_storage", "weak_excitation"])
@@ -1063,9 +1110,14 @@ class TestPieceBoundaries:
         seen = [0]
         real = transient._rise
 
-        def counting(t, *args):
-            seen[0] += np.size(t)
-            return real(t, *args)
+        def counting(*piece):  # each bound piece counts the times it is evaluated at
+            rise = real(*piece)
+
+            def counted(t, m=np):
+                seen[0] += np.size(t)
+                return rise(t, m)
+
+            return counted
 
         monkeypatch.setattr(transient, "_rise", counting)
         searched = count_search_rows(monkeypatch)
@@ -1106,7 +1158,7 @@ def check_leak_free_run(cfg, result, searched):
     for h, flip, was_pending in zip(wf._plan, wf._flips, pending):
         t = transient._Grid(h.t0, c.dt, h.n, h.t_end)
         n, vth = len(t), h.vs0 + c.two_vd
-        x = h.v0 + transient._rise(t[1:], h.t0, h.v0, c.kf, c.gf, c.w)
+        x = h.v0 + transient._rise(h.t0, h.v0, c.kf, c.gf, c.w)(t[1:])
         held = h.sign * x - vth >= 0.0
         if h.i == 0:  # held from the start
             assert h.sign * h.v0 >= vth and not was_pending, h
@@ -1535,7 +1587,7 @@ class TestOnDemandSamples:
         """Rows lo..hi-1 of half cycle h as _pieces yields them: the row
         numbers, vpt and rise, each run's constant spread over its rows."""
         rows, vpt, rise = [], [], []
-        for a, b, v, r in transient._pieces(h, lo, hi, c):
+        for a, b, _, v, r in transient._pieces(h, lo, hi, c):
             rows.append(np.arange(a, b))
             vpt.append(np.broadcast_to(v, b - a))
             rise.append(np.broadcast_to(r, b - a))
