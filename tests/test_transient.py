@@ -986,9 +986,9 @@ class TestPieceBoundaries:
 
     def test_leaky_roots_evaluate_few_times(self, monkeypatch):
         # A count, not a timing: on the default leaky regime the roots of
-        # each half cycle evaluate over() 7 times at most, where they took
-        # 11 to 13 when the clamp's guess root ran to 2 ulps. That guess now
-        # stops at its row, after about 2, and t_clamp takes the rest.
+        # each half cycle evaluate over() 7 times at most. The clamp's guess
+        # root stops at its row, after about 2, and t_clamp, refined to 2
+        # ulps from that row's bracket, takes the rest.
         counts = []
         real_root, real_segment = transient._root, transient._integrate_segment
 
