@@ -120,24 +120,25 @@ def _cmd_analyze(args: argparse.Namespace, cfg: ResolvedConfig, emitter: _Emitte
     # normalized to 1 V, and vt_V is that series times the real v0.
     series = flip_efficiency_series(ratios, v0 if v0 > 0 else 1.0, cfg.n_cycles)
     vts = series.vt_trajectory if v0 > 0 else [v0 * vt for vt in series.vt_trajectory]
-    values = []
-    for n, (eta, vt) in enumerate(zip(series.efficiencies, vts), start=1):
-        values += (n, eta, vt, closed_form_efficiency(ratios, n))
+    n_axis = range(1, len(series.efficiencies) + 1)
+    closed_form = [closed_form_efficiency(ratios, n) for n in n_axis]
     summary = [
-        "steady_state_efficiency", fmt(series.limit),
-        "optimal_single_flip_ct_F", fmt(optimal_single_flip_ct(cfg.cap_cp)),
-        "cycles_to_99pct_of_limit", cycles_to_converge(ratios, 0.99),
+        ["steady_state_efficiency", "optimal_single_flip_ct_F", "cycles_to_99pct_of_limit"],
+        [
+            fmt(series.limit),
+            fmt(optimal_single_flip_ct(cfg.cap_cp)),
+            cycles_to_converge(ratios, 0.99),
+        ],
     ]
     emitter.lap("engine")
     write_csv(
         emitter.path("flip_series.csv"),
         ["n", "efficiency", "vt_V", "closed_form"],
-        [("dggg", values)],
+        [("dggg", [n_axis, series.efficiencies, vts, closed_form])],
     )
     write_csv(emitter.path("summary.csv"), ["key", "value"], [("ss", summary)])
     emitter.lap("csv")
     if args.svg:
-        n_axis = list(range(1, cfg.n_cycles + 1))
         line_chart(
             emitter.path("flip_series.svg"),
             n_axis,

@@ -46,22 +46,18 @@ def write_reports_csv(
 ) -> None:
     """One row per report: its label (kind as in csvout.write_csv), then the
     charge budget, power and flip efficiency."""
-    values = [
-        x
-        for name, r in zip(labels, reports)
-        for x in (
-            name,
-            r.q_generated_halfcycle,
-            r.q_wasted_halfcycle,
-            r.q_harvested_halfcycle,
-            r.power_out,
-            r.flip_efficiency_used,
-        )
+    columns = [
+        labels,
+        [r.q_generated_halfcycle for r in reports],
+        [r.q_wasted_halfcycle for r in reports],
+        [r.q_harvested_halfcycle for r in reports],
+        [r.power_out for r in reports],
+        [r.flip_efficiency_used for r in reports],
     ]
     write_csv(
         out,
         [label, "q_gen_C", "q_wasted_C", "q_harvested_C", "power_W", "eta"],
-        [(label_kind + "ggggg", values)],
+        [(label_kind + "ggggg", columns)],
     )
 
 

@@ -15,7 +15,7 @@ of each column arrive together, and one table indexed by pixel column holds
 the four points of each, so the chart holds the table, never a whole series.
 sy() is applied to the kept points only when the chart is written. line_chart
 feeds it one chunk. simulate feeds waveform.svg from the one walk that writes
-waveform.csv, a run's constant value as a float, so each sample is evaluated
+waveform.csv, each window of rows in one chunk, so each sample is evaluated
 once and the chart's memory is bounded by the plot, not by the length of the
 run.
 """

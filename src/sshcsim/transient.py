@@ -25,16 +25,17 @@ apply_flip() both take from _flip. run() appends each half cycle's plan to
 one list and its flip's rows, (t, vpt, vt, vs, phase token) as waveform.csv
 writes them, to another; the Waveform keeps both lists and finds each
 pending clamp row at the first read of any column or waveform.csv. One run
-walk, Waveform._runs, yields every row in order as runs (t, vpt, vt, vs,
-phase), one half cycle at a time: each column read and waveform.csv (whose
-walk also feeds a chart, if write_csv is given one) take their rows from it,
-so a read of any column evaluates every sample once. One generator, _pieces,
-evaluates samples: it walks a half cycle's rows as its free, held and
-released runs, as numpy arrays for the run walk, which takes each run's
-times from it, and as floats for run()'s crossing row where its clamp row is
-known. The floats take math's sin and cos, which match numpy's bit for bit,
-and numpy's expm1, which math's does not match, so a row has the same bits
-either way.
+walk, Waveform._windows, yields every row in order as runs (t, vpt, vt, vs,
+phase), in windows of at most _WINDOW rows of one half cycle, so the samples
+held at once do not grow with dt: each column read and waveform.csv (whose
+walk also feeds a chart, if write_csv is given one, a window per call) take
+their rows from it, so a read of any column evaluates every sample once. One
+generator, _pieces, evaluates samples: it walks a half cycle's rows as its
+free, held and released runs, as numpy arrays for the run walk, which takes
+each run's times from it, and as floats for run()'s crossing row where its
+clamp row is known. The floats take math's sin and cos, which match numpy's
+bit for bit, and numpy's expm1, which math's does not match, so a row has
+the same bits either way.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ PERIOD_DIVISORS = {"dt": 10_000.0, "phase_pulse_width": 500.0, "phase_gap": 2_00
 
 _TOKEN = "<U4"  # dtype of the phase column; the longest token has four characters
 _COLUMNS = ("t", "vpt", "vt", "vs", "phase")  # a waveform row, as waveform.csv writes it
+_WINDOW = 8192  # grid rows per window of Waveform._windows: bounds the samples held at once
 
 
 class Phase(enum.Enum):
@@ -183,8 +185,8 @@ class Waveform:
     tokens (Idle, PhiP, Phi0, PhiN) as a '<U4' array, each evaluated anew on
     every read and not cached. So bind a column to a name once rather than
     index it in a loop. A read of any column and write_csv alike take their
-    rows from one run walk, _runs, so each costs one full evaluation of the
-    samples. The clamp rows that run() left pending are found once, at the
+    rows from one run walk, _windows, so each costs one full evaluation of
+    the samples. The clamp rows that run() left pending are found once, at the
     first read of any column or write_csv, and kept in the plan.
     """
 
@@ -234,46 +236,64 @@ class Waveform:
         ]
         return self._plan
 
-    def _runs(self) -> Iterator[tuple]:
-        """Every row in order, as runs (t, vpt, vt, vs, phase): row 0, then for
-        each half cycle each run of rows that _pieces yields and the flip's
-        rows. t is an array with one value per row; any other field is a float
-        or a token where the run holds it constant, else an array too. This
-        and __len__ alone state the row order."""
+    def _windows(self) -> Iterator[List[tuple]]:
+        """Every row in order, as windows of runs (t, vpt, vt, vs, phase): row
+        0 alone, then each half cycle's rows in windows of at most _WINDOW
+        grid rows, each holding the runs that _pieces yields on it, and the
+        last also the flip's rows as one run. t is an array with one value
+        per row; any other field is a float or a token where the run holds it
+        constant, else an array too. No window holds more than _WINDOW + 3
+        rows, whatever dt is. This and __len__ alone state the row order."""
         c, s, idle = self._circuit, self._initial, Phase.IDLE.value
-        yield np.array([s.t]), s.vpt, s.vt, s.vs, idle
+        yield [(np.array([s.t]), s.vpt, s.vt, s.vs, idle)]
         for h, flip in zip(self._resolved(), self._flips):
-            for _, _, t, vpt, rise in _pieces(h, 1, h.n + 2, c):
-                yield t, vpt, h.vt, h.vs0 + h.sign * rise, idle
-            if flip:
-                *numbers, tokens = zip(*flip)
-                yield (*map(np.array, numbers), np.array(tokens, dtype=object))
+            end = h.n + 2
+            for lo in range(1, end, _WINDOW):
+                hi = min(lo + _WINDOW, end)
+                runs = [
+                    (t, vpt, h.vt, h.vs0 + h.sign * rise, idle)
+                    for _, _, t, vpt, rise in _pieces(h, lo, hi, c)
+                ]
+                if hi == end and flip:
+                    *numbers, tokens = zip(*flip)
+                    runs.append((*map(np.array, numbers), np.array(tokens, dtype=object)))
+                yield runs
 
     def _column(self, name: str) -> np.ndarray:
         k, row = _COLUMNS.index(name), 0
         out = np.empty(len(self), _TOKEN if name == "phase" else np.float64)
-        for run in self._runs():
-            stop = row + len(run[0])
-            out[row:stop] = run[k]
-            row = stop
+        for runs in self._windows():
+            for run in runs:
+                stop = row + len(run[0])
+                out[row:stop] = run[k]
+                row = stop
         return out
 
     def _csv_blocks(self, chart=None) -> Iterator[Tuple[Tuple[str, ...], list]]:
-        """waveform.csv as csvout blocks, one per run of _runs, so no whole
+        """waveform.csv as csvout blocks, one per run of _windows, so no whole
         column is made. A run's constant field is formatted once, in its row
-        template, and only its varying fields are converted per row: so on a
-        fixed rail the held rows format t alone, and on a finite storage cap
-        they carry vpt and vs. chart.add(t, (vpt, vt)), if a chart is given,
-        takes each run before its block is yielded, a constant as a float."""
-        for run in self._runs():
+        template, and only its varying fields, its arrays, are its block's
+        columns: so on a fixed rail the held rows format t alone, and on a
+        finite storage cap they carry vpt and vs. chart.add(t, (vpt, vt)), if
+        a chart is given, takes each window's rows, joined, in one call
+        before its blocks are yielded."""
+        for runs in self._windows():
             if chart is not None:
-                chart.add(run[0], run[1:3])
-            varying = [x for x in run if isinstance(x, np.ndarray)]
-            fields = tuple(
-                kind if isinstance(x, np.ndarray) else x if kind == "s" else fmt(x)
-                for kind, x in zip("ggggs", run)
-            )
-            yield fields, np.column_stack(varying).ravel().tolist()
+                chart.add(*_joined(runs))
+            for run in runs:
+                fields = tuple(
+                    kind if isinstance(x, np.ndarray) else x if kind == "s" else fmt(x)
+                    for kind, x in zip("ggggs", run)
+                )
+                yield fields, [x for x in run if isinstance(x, np.ndarray)]
+
+
+def _joined(runs: List[tuple]) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The t, and the vpt and vt, of every row of runs, each as one array."""
+    t, vpt, vt = (
+        np.concatenate([np.broadcast_to(run[k], run[0].shape) for run in runs]) for k in range(3)
+    )
+    return t, [vpt, vt]
 
 
 @dataclass
@@ -286,11 +306,8 @@ class RunResult:
 
 
 def write_flip_events_csv(events: Sequence[FlipEvent], out: Union[str, IO[str]]) -> None:
-    values = [
-        x for e in events for x in (e.cycle_index, e.t, e.v_before, e.v_after, e.efficiency)
-    ]
     header = ["cycle", "t_s", "v_before_V", "v_after_V", "efficiency"]
-    write_csv(out, header, [("dgggg", values)])
+    write_csv(out, header, [("dgggg", list(zip(*events)))])
 
 
 def apply_flip(

@@ -1261,6 +1261,17 @@ class TestChartFeed:
         if case == "instant_pulses":
             assert np.count_nonzero(t[1:] == t[:-1]) == 12
 
+    @pytest.mark.parametrize("divisor, n_cycles", [(10_000, 10), (100_000, 1)])
+    def test_one_feed_per_window(self, divisor, n_cycles):
+        # Row 0, then each window of a half cycle, with the flip's rows in its
+        # last, in one call: one per half cycle at the default dt.
+        wf = run(make_sim_config(n_cycles=n_cycles, dt=0.01 / divisor)).waveform
+        chart = self.Recorder()
+        wf.write_csv(io.StringIO(), chart)
+        windows = sum(-(-(h.n + 1) // transient._WINDOW) for h in wf._plan)
+        assert len(chart.chunks) == 1 + windows
+        assert windows == 2 * n_cycles * (1 if divisor == 10_000 else 7)
+
 
 class TestPendingClampRows:
     """On a fixed rail without leak no result of run() needs a clamp row: a
@@ -1536,6 +1547,27 @@ class TestMemory:
         assert peak < 8 * 2048, peak
         assert searches or case == "leaky_weak_sshc"
 
+    def test_csv_write_peak_does_not_grow_with_dt(self):
+        # write_csv walks each half cycle in windows of _WINDOW rows, and
+        # csvout formats a window's blocks in chunks of bounded size, so its
+        # traced peak is that of a window, whatever the rows of a half cycle:
+        # 5e4 at T/1e5 and 5e5 at T/1e6.
+        class Sink:
+            def write(self, text):
+                pass
+
+        run(make_sim_config(n_cycles=1)).waveform.write_csv(Sink())  # one-time allocations
+        for divisor in (100_000, 1_000_000):
+            wf = run(make_sim_config(n_cycles=1, dt=0.01 / divisor)).waveform
+            wf._resolved()
+            tracemalloc.start()
+            try:
+                wf.write_csv(Sink())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, (divisor, peak)
+
 
 class TestOnDemandSamples:
     """The Waveform evaluates its samples from each half cycle's plan when
@@ -1552,16 +1584,15 @@ class TestOnDemandSamples:
     def csv_values(wf, monkeypatch):
         """Every row write_csv formats, as exact floats: (t, vpt, vt, vs)
         columns and the phase tokens. A block's varying fields come from its
-        values and its constant fields from its row template, whose numbers
+        columns and its constant fields from its row template, whose numbers
         are taken in repr, which round-trips, instead of at 12 digits. A held
         block on a fixed rail carries vpt as a constant, so only t varies."""
         monkeypatch.setattr(transient, "fmt", lambda x: repr(float(x)))
         rows, tokens = [], []
-        for fields, values in wf._csv_blocks():
-            width = sum(f in ("g", "s") for f in fields)
-            for k in range(0, len(values), width):
-                row = iter(values[k : k + width])
-                *numbers, phase = [next(row) if f in ("g", "s") else f for f in fields]
+        for fields, columns in wf._csv_blocks():
+            varying = iter(columns)
+            spread = [next(varying) if f in ("g", "s") else [f] * len(columns[0]) for f in fields]
+            for *numbers, phase in zip(*spread):
                 rows.append(tuple(map(float, numbers)))
                 tokens.append(phase)
         return np.array(rows).T, tokens
@@ -1655,7 +1686,7 @@ class TestOnDemandSamples:
         # On a fixed rail the clamped rows share vpt, so their blocks carry
         # it in the row template and convert only t: most rows of a default run.
         wf = run(make_sim_config(n_cycles=3)).waveform
-        held = sum(len(values) for fields, values in wf._csv_blocks() if fields[1] != "g")
+        held = sum(len(columns[0]) for fields, columns in wf._csv_blocks() if fields[1] != "g")
         assert held > len(wf) // 2
 
 
@@ -1684,10 +1715,17 @@ class TestCsvOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WeakExcitationWarning)
             wf = run(cfg).waveform
-        # Each half cycle is at most its free, held and released blocks and
-        # one block of pulse rows, however many rows share a vs.
+        # Each half cycle is at most its free, held and released blocks, one
+        # more per window boundary, which splits one run, and one block of
+        # pulse rows, however many rows share a vs. Each block carries its
+        # varying fields, and no other, as columns of one length.
         pulse_blocks = 1 if cfg.sshc is not None else 0
-        assert sum(1 for _ in wf._csv_blocks()) <= 1 + 2 * cfg.n_cycles * (3 + pulse_blocks)
+        windows = sum(-(-(h.n + 1) // transient._WINDOW) for h in wf._plan)
+        blocks = list(wf._csv_blocks())
+        assert len(blocks) <= 1 + windows + 2 * cfg.n_cycles * (2 + pulse_blocks)
+        for fields, columns in blocks:
+            assert len(columns) == sum(f in ("g", "s") for f in fields)
+            assert len({len(c) for c in columns}) == 1
         buf = io.StringIO()
         wf.write_csv(buf)
         got, want = buf.getvalue(), rendered_csv(wf)
